@@ -42,17 +42,11 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def detach(self):
-        return Tensor(self.data)
-
     def item(self):
         return float(self.data.reshape(()))
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def backward(self):
-        backward(self)
 
 
 def as_tensor(x):
@@ -122,15 +116,6 @@ def add(a, b):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
     return _make(out, (a, b), bwd)
-
-
-def neg(a):
-    a = as_tensor(a)
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
-def sub(a, b):
-    return add(a, neg(b))
 
 
 def mul(a, b):

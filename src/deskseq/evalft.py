@@ -8,7 +8,7 @@ is frozen during fine-tuning by default.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from . import autograd as ag
 from . import data as D
 from . import model as M
 from . import train as T
-from .optim import AdamConfig, OptimState, adam_step
+from .optim import AdamConfig, OptimState
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ class GenConfig:
 
 def _next_logprobs(cfg, store, enc_states, src_mask, prefixes):
     """Log-probabilities of the next token for each decoder prefix."""
-    dec_in = T._pad_batch(prefixes, D.PAD)
+    dec_in = T.pad_batch(prefixes, D.PAD)
     logits = M.decoder_forward(cfg, store, dec_in, enc_states, src_mask)
     out = np.empty((len(prefixes), cfg.vocab_size))
     for i, p in enumerate(prefixes):
@@ -217,9 +217,50 @@ class FinetuneConfig:
     weight_decay: float = 0.1
     dropout: float = 0.1
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.max_updates < 1:
+            raise ValueError("fine-tuning needs epochs >= 1 and max_updates >= 1")
+
 
 def _metric_better(metric, a, b):
     return a < b if metric == "perplexity" else a > b
+
+
+def _finetune(ft, train_set, fcfg, seed, warmup_kind, batch_loss, dev_metric):
+    """The epoch loop shared by both fine-tuning protocols.
+
+    Each epoch shuffles `train_set`, takes one `train_step` of `ft` per batch
+    on `batch_loss(batch, dropout_rng)`, then scores `dev_metric()` and keeps
+    a copy of the best-scoring store.  The loop stops after the epoch that
+    spends the update budget.  Returns (best store, record).
+    """
+    adam = AdamConfig(weight_decay=fcfg.weight_decay)
+    opt = OptimState()
+    total = min(fcfg.max_updates, fcfg.epochs * max(1, len(train_set) // fcfg.batch_size))
+    sched = T.LrSchedule(peak=fcfg.peak_lr, total_steps=total,
+                         warmup_steps=min(fcfg.warmup_steps, total), warmup_kind=warmup_kind)
+    rng = np.random.default_rng(seed)
+    best_metric, best_store, history = None, None, []
+    step = 0
+    for _epoch in range(fcfg.epochs):
+        order = rng.permutation(len(train_set))
+        for lo in range(0, len(order), fcfg.batch_size):
+            if step >= total:
+                break
+            batch = [train_set[i] for i in order[lo : lo + fcfg.batch_size]]
+            loss = batch_loss(batch, np.random.default_rng(D.seed_for(seed, step)))
+            T.train_step(ft, loss, opt, T.lr_at(sched, step), adam, f"fine-tune step {step}")
+            step += 1
+        value = dev_metric()
+        history.append(value)
+        if best_metric is None or _metric_better(fcfg.metric, value, best_metric):
+            best_metric = value
+            best_store = ft.copy()
+        if step >= total:
+            break
+    record = {"metric": fcfg.metric, "best": best_metric, "epochs": history,
+              "updates": step}
+    return best_store, record
 
 
 def finetune_classifier(cfg, store, spec, train_set, dev_set, fcfg, seed):
@@ -237,50 +278,22 @@ def finetune_classifier(cfg, store, spec, train_set, dev_set, fcfg, seed):
         if len(ft.group_of("mlm_head.w")) == 1:  # tied heads follow the embedding
             ft.set_trainable("mlm_head.w", False)
         ft.set_trainable("mlm_head.b", False)
-    adam = AdamConfig(weight_decay=fcfg.weight_decay)
-    opt = OptimState()
-    total = min(fcfg.max_updates, fcfg.epochs * max(1, len(train_set) // fcfg.batch_size))
-    sched = T.LrSchedule(peak=fcfg.peak_lr, total_steps=max(total, 1),
-                         warmup_steps=min(fcfg.warmup_steps, max(total, 1)))
-    rng = np.random.default_rng(seed)
-    run_cfg = M.ModelConfig(**{**cfg.to_dict(), "dropout": fcfg.dropout})
-    best_metric, best_store, history = None, None, []
-    step = 0
-    for _epoch in range(fcfg.epochs):
-        order = rng.permutation(len(train_set))
-        for lo in range(0, len(order), fcfg.batch_size):
-            if step >= total:
-                break
-            batch = [train_set[i] for i in order[lo : lo + fcfg.batch_size]]
-            loss = _head_loss(run_cfg, ft, spec, batch,
-                              train_rng=np.random.default_rng(D.seed_for(seed, step)))
-            ft.zero_grad()
-            ag.backward(loss)
-            adam_step(ft, ft.gradient_map(), opt, T.lr_at(sched, step), adam)
-            step += 1
-        value = _head_metric(cfg, ft, spec, dev_set, fcfg.metric)
-        history.append(value)
-        if best_metric is None or _metric_better(fcfg.metric, value, best_metric):
-            best_metric = value
-            best_store = ft.copy()
-    record = {"metric": fcfg.metric, "best": best_metric, "epochs": history,
-              "updates": step}
-    return best_store, record
+    run_cfg = replace(cfg, dropout=fcfg.dropout)
+    return _finetune(ft, train_set, fcfg, seed, "linear",
+                     lambda batch, rng: _head_loss(run_cfg, ft, spec, batch, train_rng=rng),
+                     lambda: _head_metric(cfg, ft, spec, dev_set, fcfg.metric))
 
 
 def _head_loss(cfg, ft, spec, batch, train_rng=None):
+    tokens = T.pad_batch([item[0] for item in batch], D.PAD)
     if spec.kind == "classification":
-        tokens = T._pad_batch([ids for ids, _ in batch], D.PAD)
-        pad_mask = tokens != D.PAD
-        feats = M.head_features(cfg, ft, spec, tokens, pad_mask, train_rng=train_rng)
+        starts = None
         labels = np.array([lab for _, lab in batch], dtype=np.int64)
     else:
-        tokens = T._pad_batch([ids for ids, _, _ in batch], D.PAD)
-        pad_mask = tokens != D.PAD
         starts = [ws for _, ws, _ in batch]
-        feats = M.head_features(cfg, ft, spec, tokens, pad_mask, word_starts=starts,
-                                train_rng=train_rng)
         labels = np.concatenate([np.asarray(labs, dtype=np.int64) for _, _, labs in batch])
+    feats = M.head_features(cfg, ft, spec, tokens, tokens != D.PAD, word_starts=starts,
+                            train_rng=train_rng)
     logits = M.head_forward(ft, spec, feats)
     return ag.softmax_cross_entropy(logits, labels)
 
@@ -288,19 +301,15 @@ def _head_loss(cfg, ft, spec, batch, train_rng=None):
 def _head_metric(cfg, ft, spec, dev_set, metric):
     preds, golds = [], []
     for item in dev_set:
+        tokens = np.asarray([item[0]], dtype=np.int64)
+        starts = None if spec.kind == "classification" else [item[1]]
+        feats = M.head_features(cfg, ft, spec, tokens, tokens != D.PAD, word_starts=starts)
+        logits = M.head_forward(ft, spec, feats).data
         if spec.kind == "classification":
-            ids, label = item
-            tokens = np.asarray([ids], dtype=np.int64)
-            feats = M.head_features(cfg, ft, spec, tokens, tokens != D.PAD)
-            preds.append(int(np.argmax(M.head_forward(ft, spec, feats).data[0])))
-            golds.append(label)
+            preds.append(int(np.argmax(logits[0])))
         else:
-            ids, starts, labels = item
-            tokens = np.asarray([ids], dtype=np.int64)
-            feats = M.head_features(cfg, ft, spec, tokens, tokens != D.PAD,
-                                    word_starts=[starts])
-            preds.append(np.argmax(M.head_forward(ft, spec, feats).data, axis=1).tolist())
-            golds.append(labels)
+            preds.append(np.argmax(logits, axis=1).tolist())
+        golds.append(item[-1])
     if metric == "accuracy":
         return float(np.mean([p == g for p, g in zip(preds, golds)]))
     if metric == "entity_f1":
@@ -313,51 +322,24 @@ def finetune_seq2seq(cfg, store, train_pairs, dev_pairs, fcfg, seed):
     selecting the best checkpoint by teacher-forced perplexity or SCIEM."""
     if not train_pairs or not dev_pairs:
         raise ValueError("empty train or validation split")
+    if fcfg.metric not in ("perplexity", "sciem"):
+        raise ValueError(f"metric {fcfg.metric} not valid for seq2seq fine-tuning")
     ft = store.copy()
     T.apply_freeze_plan(ft, fcfg.freeze)
-    adam = AdamConfig(weight_decay=fcfg.weight_decay)
-    opt = OptimState()
-    total = min(fcfg.max_updates, fcfg.epochs * max(1, len(train_pairs) // fcfg.batch_size))
-    sched = T.LrSchedule(peak=fcfg.peak_lr, total_steps=max(total, 1),
-                         warmup_steps=min(fcfg.warmup_steps, max(total, 1)),
-                         warmup_kind="exponential")
-    rng = np.random.default_rng(seed)
-    run_cfg = M.ModelConfig(**{**cfg.to_dict(), "dropout": fcfg.dropout})
-    best_metric, best_store, history = None, None, []
-    step = 0
-    for _epoch in range(fcfg.epochs):
-        order = rng.permutation(len(train_pairs))
-        for lo in range(0, len(order), fcfg.batch_size):
-            if step >= total:
-                break
-            chunk = [train_pairs[i] for i in order[lo : lo + fcfg.batch_size]]
-            src = T._pad_batch([s for s, _ in chunk], D.PAD)
-            src_mask = src != D.PAD
-            dec_in = T._pad_batch([[D.BOS] + t for _, t in chunk], D.PAD)
-            labels = T._pad_batch([t + [D.EOS] for _, t in chunk], ag.IGNORE)
-            loss = T.denoise_step_loss(run_cfg, ft, src, src_mask, dec_in, labels,
-                                       train_rng=np.random.default_rng(D.seed_for(seed, step)))
-            ft.zero_grad()
-            ag.backward(loss)
-            adam_step(ft, ft.gradient_map(), opt, T.lr_at(sched, step), adam)
-            step += 1
+    run_cfg = replace(cfg, dropout=fcfg.dropout)
+
+    def dev_metric():
         if fcfg.metric == "perplexity":
-            value = perplexity(cfg, ft, dev_pairs)
-        elif fcfg.metric == "sciem":
-            gc = GenConfig(beam_size=3, max_len=cfg.max_positions - 1)
-            hits = [sciem(" ".join(map(str, beam_search(cfg, ft, s, gc))),
-                          " ".join(map(str, t)))
-                    for s, t in dev_pairs]
-            value = float(np.mean(hits))
-        else:
-            raise ValueError(f"metric {fcfg.metric} not valid for seq2seq fine-tuning")
-        history.append(value)
-        if best_metric is None or _metric_better(fcfg.metric, value, best_metric):
-            best_metric = value
-            best_store = ft.copy()
-    record = {"metric": fcfg.metric, "best": best_metric, "epochs": history,
-              "updates": step}
-    return best_store, record
+            return perplexity(cfg, ft, dev_pairs)
+        gc = GenConfig(beam_size=3, max_len=cfg.max_positions - 1)
+        return float(np.mean([sciem(" ".join(map(str, beam_search(cfg, ft, s, gc))),
+                                    " ".join(map(str, t)))
+                              for s, t in dev_pairs]))
+
+    return _finetune(ft, train_pairs, fcfg, seed, "exponential",
+                     lambda batch, rng: T.denoise_step_loss(run_cfg, ft, *T.pad_pairs(batch),
+                                                            train_rng=rng),
+                     dev_metric)
 
 
 def aggregate_seeds(values):

@@ -4,7 +4,9 @@ Covers initialization and weight-tying rules, attention-fusion cross-attention,
 and the model-surgery operations: warm-starting a seq2seq model from a trained
 encoder, and extracting the encoder from a trained seq2seq model.
 
-Parameter naming scheme (prefixes are the unit of freezing):
+Parameter naming scheme (prefixes are the unit of freezing; `encoder_layout`
+and `decoder_layout` list every encoder and decoder name with its shape and
+init, and init, warm start and extraction all read them):
     embed.tok, embed.pos            shared/source embeddings (encoder side)
     enc.{i}.attn|ffn|ln1|ln2        encoder layers
     enc.final_ln                    final norm after the last PreLN block
@@ -64,7 +66,7 @@ class ModelConfig:
 # initialization
 
 
-def trunc_normal(rng, shape, std=0.02, dtype=np.float64):
+def trunc_normal(rng, shape, dtype, std=0.02):
     """normal(0, std) truncated at +-2 std via rejection resampling."""
     out = rng.normal(0.0, std, size=shape)
     bad = np.abs(out) > 2.0 * std
@@ -74,70 +76,83 @@ def trunc_normal(rng, shape, std=0.02, dtype=np.float64):
     return out.astype(dtype)
 
 
-def _add_linear(store, rng, name, d_out, d_in, dtype):
-    store.add(f"{name}.w", trunc_normal(rng, (d_out, d_in), dtype=dtype))
-    store.add(f"{name}.b", np.zeros(d_out, dtype=dtype))
+def _ones(rng, shape, dtype):
+    return np.ones(shape, dtype=dtype)
 
 
-def _add_ln(store, name, d, dtype):
-    store.add(f"{name}.g", np.ones(d, dtype=dtype))
-    store.add(f"{name}.b", np.zeros(d, dtype=dtype))
+def _zeros(rng, shape, dtype):
+    return np.zeros(shape, dtype=dtype)
 
 
-def _add_attn(store, rng, prefix, d, dtype):
-    for proj in ("wq", "wk", "wv", "wo"):
-        store.add(f"{prefix}.{proj}", trunc_normal(rng, (d, d), dtype=dtype))
-    for proj in ("bq", "bk", "bv", "bo"):
-        store.add(f"{prefix}.{proj}", np.zeros(d, dtype=dtype))
-
-
-def _add_ffn(store, rng, prefix, d, dff, dtype):
-    store.add(f"{prefix}.w1", trunc_normal(rng, (dff, d), dtype=dtype))
-    store.add(f"{prefix}.b1", np.zeros(dff, dtype=dtype))
-    store.add(f"{prefix}.w2", trunc_normal(rng, (d, dff), dtype=dtype))
-    store.add(f"{prefix}.b2", np.zeros(d, dtype=dtype))
-
-
-def _add_encoder_layers(store, rng, cfg, dtype):
-    for i in range(cfg.encoder_layers):
-        _add_ln(store, f"enc.{i}.ln1", cfg.d_model, dtype)
-        _add_attn(store, rng, f"enc.{i}.attn", cfg.d_model, dtype)
-        _add_ln(store, f"enc.{i}.ln2", cfg.d_model, dtype)
-        _add_ffn(store, rng, f"enc.{i}.ffn", cfg.d_model, cfg.d_ffn, dtype)
-    _add_ln(store, "enc.final_ln", cfg.d_model, dtype)
-
-
-def _add_decoder_layers(store, rng, cfg, dtype):
-    for i in range(cfg.decoder_layers):
-        _add_ln(store, f"dec.{i}.ln1", cfg.d_model, dtype)
-        _add_attn(store, rng, f"dec.{i}.self", cfg.d_model, dtype)
-        _add_ln(store, f"dec.{i}.ln2", cfg.d_model, dtype)
-        _add_attn(store, rng, f"dec.{i}.cross", cfg.d_model, dtype)
-        _add_ln(store, f"dec.{i}.ln3", cfg.d_model, dtype)
-        _add_ffn(store, rng, f"dec.{i}.ffn", cfg.d_model, cfg.d_ffn, dtype)
-    _add_ln(store, "dec.final_ln", cfg.d_model, dtype)
-    store.add("dec.embed.pos", trunc_normal(rng, (cfg.max_positions, cfg.d_model), dtype=dtype))
-    if cfg.cross_attention == FUSION:
-        for i in range(cfg.decoder_layers):
-            store.add(f"fusion.{i}", fusion_init_logits(cfg.encoder_layers, dtype=dtype))
-
-
-def fusion_init_logits(encoder_layers, dtype=np.float64, sharpness=4.0):
+def _fusion(rng, shape, dtype):
     """Mixing logits favoring the final encoder state, so training starts close
     to standard cross-attention while keeping nonzero gradients for all layers."""
-    logits = np.zeros(encoder_layers + 1, dtype=dtype)
-    logits[-1] = sharpness
+    logits = np.zeros(shape, dtype=dtype)
+    logits[-1] = 4.0
     return logits
+
+
+# ---------------------------------------------------------------------------
+# parameter layout: ordered (name, shape, init) rows; row order is the RNG
+# draw order of from-scratch init, so init and surgery read one table
+
+
+def _linear_rows(prefix, d_out, d_in):
+    return [(f"{prefix}.w", (d_out, d_in), trunc_normal), (f"{prefix}.b", (d_out,), _zeros)]
+
+
+def _ln_rows(prefix, d):
+    return [(f"{prefix}.g", (d,), _ones), (f"{prefix}.b", (d,), _zeros)]
+
+
+def _attn_rows(prefix, d):
+    return ([(f"{prefix}.w{p}", (d, d), trunc_normal) for p in "qkvo"]
+            + [(f"{prefix}.b{p}", (d,), _zeros) for p in "qkvo"])
+
+
+def _ffn_rows(prefix, d, dff):
+    return [(f"{prefix}.w1", (dff, d), trunc_normal), (f"{prefix}.b1", (dff,), _zeros),
+            (f"{prefix}.w2", (d, dff), trunc_normal), (f"{prefix}.b2", (d,), _zeros)]
+
+
+def encoder_layout(cfg):
+    """Embeddings, encoder layers and the final norm, as (name, shape, init) rows."""
+    d = cfg.d_model
+    rows = [("embed.tok", (cfg.vocab_size, d), trunc_normal),
+            ("embed.pos", (cfg.max_positions, d), trunc_normal)]
+    for i in range(cfg.encoder_layers):
+        rows += (_ln_rows(f"enc.{i}.ln1", d) + _attn_rows(f"enc.{i}.attn", d)
+                 + _ln_rows(f"enc.{i}.ln2", d) + _ffn_rows(f"enc.{i}.ffn", d, cfg.d_ffn))
+    return rows + _ln_rows("enc.final_ln", d)
+
+
+def decoder_layout(cfg):
+    """Decoder layers, final norm, position table and fusion logits, as
+    (name, shape, init) rows; the token table and LM head are tied or copied
+    by each constructor."""
+    d = cfg.d_model
+    rows = []
+    for i in range(cfg.decoder_layers):
+        rows += (_ln_rows(f"dec.{i}.ln1", d) + _attn_rows(f"dec.{i}.self", d)
+                 + _ln_rows(f"dec.{i}.ln2", d) + _attn_rows(f"dec.{i}.cross", d)
+                 + _ln_rows(f"dec.{i}.ln3", d) + _ffn_rows(f"dec.{i}.ffn", d, cfg.d_ffn))
+    rows += _ln_rows("dec.final_ln", d) + [("dec.embed.pos", (cfg.max_positions, d), trunc_normal)]
+    if cfg.cross_attention == FUSION:
+        rows += [(f"fusion.{i}", (cfg.encoder_layers + 1,), _fusion)
+                 for i in range(cfg.decoder_layers)]
+    return rows
+
+
+def _init_rows(store, rng, rows, dtype):
+    for name, shape, init in rows:
+        store.add(name, init(rng, shape, dtype))
 
 
 def init_mlm_encoder(cfg, seed, dtype=np.float64):
     """From-scratch MLM encoder; the vocabulary projection is tied to the
     input embedding (one tie group), with a separate output bias."""
-    rng = np.random.default_rng(seed)
     store = ParameterStore()
-    store.add("embed.tok", trunc_normal(rng, (cfg.vocab_size, cfg.d_model), dtype=dtype))
-    store.add("embed.pos", trunc_normal(rng, (cfg.max_positions, cfg.d_model), dtype=dtype))
-    _add_encoder_layers(store, rng, cfg, dtype)
+    _init_rows(store, np.random.default_rng(seed), encoder_layout(cfg), dtype)
     store.tie("mlm_head.w", "embed.tok")
     store.add("mlm_head.b", np.zeros(cfg.vocab_size, dtype=dtype))
     return store
@@ -150,11 +165,9 @@ def init_seq2seq(cfg, seed, dtype=np.float64):
         raise ValueError("seq2seq model requires decoder_layers >= 1")
     rng = np.random.default_rng(seed)
     store = ParameterStore()
-    store.add("embed.tok", trunc_normal(rng, (cfg.vocab_size, cfg.d_model), dtype=dtype))
-    store.add("embed.pos", trunc_normal(rng, (cfg.max_positions, cfg.d_model), dtype=dtype))
-    _add_encoder_layers(store, rng, cfg, dtype)
+    _init_rows(store, rng, encoder_layout(cfg), dtype)
     store.tie("dec.embed.tok", "embed.tok")
-    _add_decoder_layers(store, rng, cfg, dtype)
+    _init_rows(store, rng, decoder_layout(cfg), dtype)
     store.tie("lm_head.w", "embed.tok")
     store.add("lm_head.b", np.zeros(cfg.vocab_size, dtype=dtype))
     return store
@@ -317,24 +330,9 @@ def warm_start_seq2seq(donor, cfg, seed, dtype=np.float64):
     is tied (shared storage) to the encoder embedding; the LM head starts from
     the embedding values but is stored separately (untied) and trainable.
     """
-    rng = np.random.default_rng(seed)
-    store = ParameterStore()
-    encoder_names = [n for n in donor.names()
-                     if n.startswith(("embed.", "enc."))]
-    expected = _encoder_param_names(cfg)
-    missing = sorted(set(expected) - set(encoder_names))
-    if missing:
-        raise ValueError(f"donor is missing encoder parameters: {missing}")
-    for name in expected:
-        src = donor[name]
-        want = _encoder_param_shape(cfg, name)
-        if src.data.shape != want:
-            raise ValueError(
-                f"donor shape mismatch for {name}: {src.data.shape} vs expected {want}"
-            )
-        store.add(name, src.data.astype(dtype).copy())
+    store = _copy_encoder(donor, cfg, "donor", dtype)
     store.tie("dec.embed.tok", "embed.tok")
-    _add_decoder_layers(store, rng, cfg, dtype)
+    _init_rows(store, np.random.default_rng(seed), decoder_layout(cfg), dtype)
     store.add("lm_head.w", store["embed.tok"].data.copy())
     store.add("lm_head.b", np.zeros(cfg.vocab_size, dtype=dtype))
     return store
@@ -346,49 +344,32 @@ def extract_encoder(seq2seq_store, cfg):
     independently (untied)."""
     if cfg.encoder_layers < 1:
         raise ValueError("model has no encoder layers to extract")
-    store = ParameterStore()
-    for name in _encoder_param_names(cfg):
-        store.add(name, seq2seq_store[name].data.copy())
+    store = _copy_encoder(seq2seq_store, cfg, "seq2seq model")
     store.add("mlm_head.w", seq2seq_store["embed.tok"].data.copy())
     store.add("mlm_head.b", np.zeros(cfg.vocab_size, dtype=store["embed.tok"].data.dtype))
     return store
 
 
+def _copy_encoder(src, cfg, what, dtype=None):
+    """New store holding copies of the encoder rows of `cfg` taken from `src`;
+    raises ValueError naming every row `src` lacks or holds in another shape.
+    `dtype` None keeps the source dtype."""
+    rows = encoder_layout(cfg)
+    missing = [name for name, _, _ in rows if name not in src]
+    if missing:
+        raise ValueError(f"{what} is missing encoder parameters: {missing}")
+    wrong = [f"{name} {src[name].data.shape} vs expected {shape}"
+             for name, shape, _ in rows if src[name].data.shape != shape]
+    if wrong:
+        raise ValueError(f"{what} shape mismatch: {'; '.join(wrong)}")
+    store = ParameterStore()
+    for name, _, _ in rows:
+        store.add(name, np.array(src[name].data, dtype=dtype))
+    return store
+
+
 def _encoder_param_names(cfg):
-    names = ["embed.tok", "embed.pos"]
-    for i in range(cfg.encoder_layers):
-        for suffix in ("ln1.g", "ln1.b", "ln2.g", "ln2.b"):
-            names.append(f"enc.{i}.{suffix}")
-        for proj in ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo"):
-            names.append(f"enc.{i}.attn.{proj}")
-        for suffix in ("w1", "b1", "w2", "b2"):
-            names.append(f"enc.{i}.ffn.{suffix}")
-    names += ["enc.final_ln.g", "enc.final_ln.b"]
-    return names
-
-
-def _encoder_param_shape(cfg, name):
-    d, dff = cfg.d_model, cfg.d_ffn
-    if name == "embed.tok":
-        return (cfg.vocab_size, d)
-    if name == "embed.pos":
-        return (cfg.max_positions, d)
-    leaf = name.split(".")[-1]
-    if name.endswith((".ln1.g", ".ln1.b", ".ln2.g", ".ln2.b")) or name.startswith("enc.final_ln"):
-        return (d,)
-    if leaf in ("wq", "wk", "wv", "wo"):
-        return (d, d)
-    if leaf in ("bq", "bk", "bv", "bo"):
-        return (d,)
-    if leaf == "w1":
-        return (dff, d)
-    if leaf == "b1":
-        return (dff,)
-    if leaf == "w2":
-        return (d, dff)
-    if leaf == "b2":
-        return (d,)
-    raise KeyError(name)
+    return [name for name, _, _ in encoder_layout(cfg)]
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +391,11 @@ def attach_head(store, spec, d_model, seed, dtype=np.float64):
     """Add task-head parameters (MLP with gelu hidden layers) to a store copy."""
     rng = np.random.default_rng(seed)
     out = store.copy()
-    d_in = d_model
+    rows, d_in = [], d_model
     for j, width in enumerate(spec.hidden):
-        _add_linear(out, rng, f"head.{j}", width, d_in, dtype)
+        rows += _linear_rows(f"head.{j}", width, d_in)
         d_in = width
-    _add_linear(out, rng, "head.out", spec.label_count, d_in, dtype)
+    _init_rows(out, rng, rows + _linear_rows("head.out", spec.label_count, d_in), dtype)
     return out
 
 

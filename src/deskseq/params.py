@@ -110,7 +110,3 @@ class ParameterStore:
                 mapping[id(t)] = nt
                 clone._params[n] = nt
         return clone
-
-    def state_arrays(self):
-        """{owner -> array} snapshot (copies) for checkpointing."""
-        return {owner: t.data.copy() for owner, t in self.unique_items()}

@@ -140,7 +140,7 @@ class TrainPlan:
 # batching
 
 
-def _pad_batch(rows, fill):
+def pad_batch(rows, fill):
     width = max(len(r) for r in rows)
     out = np.full((len(rows), width), fill, dtype=np.int64)
     for i, r in enumerate(rows):
@@ -155,25 +155,24 @@ def make_mlm_batch(seqs, nc, vocab_size, rngs):
         inp, lab = D.mlm_corrupt(seq, nc, rng, vocab_size)
         inputs.append(inp)
         labels.append(lab)
-    tokens = _pad_batch(inputs, D.PAD)
-    labs = _pad_batch(labels, ag.IGNORE)
+    tokens = pad_batch(inputs, D.PAD)
+    labs = pad_batch(labels, ag.IGNORE)
     pad_mask = tokens != D.PAD
     return tokens, labs, pad_mask
 
 
+def pad_pairs(pairs):
+    """Pad (source, target) id pairs into (source, source mask, BOS-shifted
+    decoder input, labels ending in EOS)."""
+    src = pad_batch([s for s, _ in pairs], D.PAD)
+    dec_in = pad_batch([[D.BOS] + t for _, t in pairs], D.PAD)
+    labels = pad_batch([t + [D.EOS] for _, t in pairs], ag.IGNORE)
+    return src, src != D.PAD, dec_in, labels
+
+
 def make_denoise_batch(seqs, nc, rngs):
-    """Corrupt into (source, BOS-shifted decoder input, labels with EOS)."""
-    srcs, dec_ins, labels = [], [], []
-    for seq, rng in zip(seqs, rngs):
-        src, tgt = D.denoise_corrupt(seq, nc, rng)
-        srcs.append(src)
-        dec_ins.append([D.BOS] + tgt)
-        labels.append(tgt + [D.EOS])
-    src_tokens = _pad_batch(srcs, D.PAD)
-    src_mask = src_tokens != D.PAD
-    dec_in = _pad_batch(dec_ins, D.PAD)
-    labs = _pad_batch(labels, ag.IGNORE)
-    return src_tokens, src_mask, dec_in, labs
+    """Corrupt into (source, source mask, decoder input, labels); see `pad_pairs`."""
+    return pad_pairs([D.denoise_corrupt(seq, nc, rng) for seq, rng in zip(seqs, rngs)])
 
 
 def mlm_step_loss(cfg, store, tokens, labels, pad_mask, train_rng=None):
@@ -192,6 +191,19 @@ def denoise_step_loss(cfg, store, src_tokens, src_mask, dec_in, labels, train_rn
 
 # ---------------------------------------------------------------------------
 # the loop
+
+
+def train_step(store, loss, opt_state, lr, adam, where):
+    """One AdamW update of `store` from a scalar loss; returns the loss value.
+    Raises TrainingDiverged, naming `where`, before touching any parameter if
+    the loss is not finite."""
+    value = loss.item()
+    if not np.isfinite(value):
+        raise TrainingDiverged(f"non-finite loss at {where}")
+    store.zero_grad()
+    ag.backward(loss)
+    adam_step(store, store.gradient_map(), opt_state, lr, adam)
+    return value
 
 
 def run_stage(cfg, store, sequences, stage, seed, opt_state=None, adam=None,
@@ -222,14 +234,8 @@ def run_stage(cfg, store, sequences, stage, seed, opt_state=None, adam=None,
         else:
             src, src_mask, dec_in, labels = make_denoise_batch(batch_seqs, stage.noise, slot_rngs)
             loss = denoise_step_loss(cfg, store, src, src_mask, dec_in, labels, train_rng=drop_rng)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise TrainingDiverged(
-                f"non-finite loss at stage '{stage.name}' step {step_base + step}"
-            )
-        store.zero_grad()
-        ag.backward(loss)
-        adam_step(store, store.gradient_map(), opt_state, lr, adam)
+        value = train_step(store, loss, opt_state, lr, adam,
+                           f"stage '{stage.name}' step {step_base + step}")
         trace.append({"step": step_base + step, "stage": stage.name,
                       "lr": lr, "loss": value})
     return trace
@@ -280,23 +286,8 @@ def eval_denoise_loss(cfg, store, pairs, batch_size=16):
     """Teacher-forced mean token NLL over fixed (source, target) pairs."""
     total_nll, total_tok = 0.0, 0
     for i in range(0, len(pairs), batch_size):
-        chunk = pairs[i : i + batch_size]
-        src = _pad_batch([s for s, _ in chunk], D.PAD)
-        src_mask = src != D.PAD
-        dec_in = _pad_batch([[D.BOS] + t for _, t in chunk], D.PAD)
-        labels = _pad_batch([t + [D.EOS] for _, t in chunk], ag.IGNORE)
+        src, src_mask, dec_in, labels = pad_pairs(pairs[i : i + batch_size])
         loss = denoise_step_loss(cfg, store, src, src_mask, dec_in, labels)
-        n = int((labels != ag.IGNORE).sum())
-        total_nll += loss.item() * n
-        total_tok += n
-    return total_nll / max(total_tok, 1)
-
-
-def eval_mlm_loss(cfg, store, batches):
-    """Mean token NLL over pre-corrupted (tokens, labels, pad_mask) batches."""
-    total_nll, total_tok = 0.0, 0
-    for tokens, labels, pad_mask in batches:
-        loss = mlm_step_loss(cfg, store, tokens, labels, pad_mask)
         n = int((labels != ag.IGNORE).sum())
         total_nll += loss.item() * n
         total_tok += n

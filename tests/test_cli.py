@@ -256,6 +256,17 @@ class TestFinetuneEvaluate:
         summary = json.loads((tmp_path / "evald" / "eval_summary.json").read_text())
         assert 0.0 <= float(summary["metric"]) <= 1.0
 
+    def test_finetune_divergence_exits_with_runtime_code(self, tmp_path, capsys):
+        base = make_classification_task(tmp_path)
+        cfg, store, _, _ = C.load(base["checkpoint"])
+        store["enc.0.ffn.w1"].data[0, 0] = np.nan
+        C.save(tmp_path / "bad", cfg, store)
+        ftp = write_config(tmp_path / "ft.json", {
+            "seed": 0, "out": str(tmp_path / "tuned"), **base,
+            "checkpoint": str(tmp_path / "bad"), "finetune": {"head_hidden": [16]}})
+        assert cli.main(["finetune", "--config", ftp]) == cli.EXIT_RUNTIME
+        assert "non-finite loss at fine-tune step 0" in capsys.readouterr().err
+
     def test_evaluate_without_head_is_config_error(self, tmp_path, capsys):
         base = make_classification_task(tmp_path)
         evp = write_config(tmp_path / "ev.json", {

@@ -7,6 +7,7 @@ from deskseq import data as D
 from deskseq import evalft as E
 from deskseq import model as M
 from deskseq import synth as S
+from deskseq import train as T
 from deskseq.evalft import (FinetuneConfig, GenConfig, beam_search, bio_chunks,
                             entity_f1, perplexity, rouge, sciem)
 
@@ -273,3 +274,42 @@ class TestFinetune:
         assert record["best"] == min(record["epochs"])
         assert record["updates"] == 6  # 2 batches/epoch, capped by epochs
         assert perplexity(cfg, best, pairs[8:]) == record["best"]
+
+    @pytest.mark.parametrize("n_train,kw,updates,evals", [
+        (48, dict(max_updates=2, epochs=5), 2, 1),
+        # 3 updates/epoch budgeted, 4 batches/epoch run: the budget is spent in epoch 4
+        (50, dict(), 15, 4),
+    ])
+    def test_stops_after_the_epoch_that_spends_the_budget(self, n_train, kw, updates, evals):
+        cfg = tiny_cfg(decoder_layers=0, vocab_size=64)
+        train, dev = S.separable_classification(n_train=n_train, n_dev=8, n_labels=2,
+                                                seq_len=6, vocab_size=64, seed=3)
+        spec = M.HeadSpec(kind="classification", label_count=2, hidden=[8])
+        best, record = E.finetune_classifier(cfg, M.init_mlm_encoder(cfg, 0), spec, train, dev,
+                                             FinetuneConfig(batch_size=16, **kw), seed=0)
+        assert record["updates"] == updates
+        assert len(record["epochs"]) == evals
+        assert record["best"] == max(record["epochs"])
+        assert E._head_metric(cfg, best, spec, dev, "accuracy") == record["best"]
+
+    @pytest.mark.parametrize("kw", [dict(epochs=0), dict(max_updates=0)])
+    def test_empty_update_budget_rejected(self, kw):
+        with pytest.raises(ValueError, match="epochs >= 1 and max_updates >= 1"):
+            FinetuneConfig(**kw)
+
+    def test_non_finite_loss_raises_in_both_protocols(self):
+        cfg = tiny_cfg(vocab_size=64)
+        enc_cfg = tiny_cfg(decoder_layers=0, vocab_size=64)
+        encoder = M.init_mlm_encoder(enc_cfg, 0)
+        seq2seq = M.init_seq2seq(cfg, 0)
+        for store in (encoder, seq2seq):
+            store["enc.0.ffn.w1"].data[0, 0] = np.nan
+        train, dev = S.separable_classification(n_train=16, n_dev=4, n_labels=2,
+                                                seq_len=6, vocab_size=64, seed=3)
+        spec = M.HeadSpec(kind="classification", label_count=2, hidden=[8])
+        with pytest.raises(T.TrainingDiverged, match="non-finite loss at fine-tune step 0"):
+            E.finetune_classifier(enc_cfg, encoder, spec, train, dev, FinetuneConfig(), seed=0)
+        pairs = [([6, 7, 8], [9, 10]), ([11, 12], [13])] * 4
+        with pytest.raises(T.TrainingDiverged, match="non-finite loss at fine-tune step 0"):
+            E.finetune_seq2seq(cfg, seq2seq, pairs, pairs[:2],
+                               FinetuneConfig(metric="perplexity"), seed=0)

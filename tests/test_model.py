@@ -1,7 +1,12 @@
 """Model contracts: PreLN behavior, causality, fusion, tying, and surgery."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deskseq import autograd as ag
 from deskseq import model as M
@@ -222,6 +227,47 @@ class TestExtractEncoder:
         ag.backward(loss)
         adam_step(enc, enc.gradient_map(), OptimState(), lr=1e-2)
         assert not np.array_equal(enc["mlm_head.w"].data, enc["embed.tok"].data)
+
+    @pytest.mark.parametrize("kw,offender", [
+        (dict(d_ffn=24), "enc.0.ffn.w1 (32, 8) vs expected (24, 8)"),
+        (dict(encoder_layers=3), "enc.2.attn.wq"),
+    ])
+    def test_config_mismatch_lists_offenders(self, kw, offender):
+        s2s = M.init_seq2seq(small_cfg(d_ffn=32), 0)
+        with pytest.raises(ValueError, match=re.escape(offender)):
+            M.extract_encoder(s2s, small_cfg(dec=0, **kw))
+
+
+model_configs = st.builds(
+    lambda enc, dec, heads, head_dim, d_ffn, vocab, positions, fusion: M.ModelConfig(
+        encoder_layers=enc, decoder_layers=dec, d_model=heads * head_dim, d_ffn=d_ffn,
+        heads=heads, vocab_size=vocab, max_positions=positions,
+        cross_attention=M.FUSION if fusion else M.STANDARD),
+    st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+    st.integers(1, 12), st.integers(6, 24), st.integers(1, 10), st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=model_configs, seed=st.integers(0, 2**32 - 1))
+def test_layout_table_matches_init_and_surgery_round_trips(cfg, seed):
+    enc_rows = M.encoder_layout(cfg)
+    dec_rows = M.decoder_layout(cfg)
+    names = [name for name, _, _ in enc_rows + dec_rows]
+    assert len(names) == len(set(names))
+    assert M._encoder_param_names(cfg) == [name for name, _, _ in enc_rows]
+    enc_shapes = {name: shape for name, shape, _ in enc_rows}
+    enc_cfg = dataclasses.replace(cfg, decoder_layers=0, cross_attention=M.STANDARD)
+    donor = M.init_mlm_encoder(enc_cfg, seed)
+    assert {n: donor[n].shape for n in donor.names()
+            if not n.startswith("mlm_head.")} == enc_shapes
+    s2s = M.init_seq2seq(cfg, seed)
+    heads = ("dec.embed.tok", "lm_head.w", "lm_head.b")
+    assert {n: s2s[n].shape for n in s2s.names() if n not in heads} == {
+        **enc_shapes, **{name: shape for name, shape, _ in dec_rows}}
+    back = M.extract_encoder(M.warm_start_seq2seq(donor, cfg, seed + 1), enc_cfg)
+    for name in enc_shapes:
+        assert back[name].data.dtype == donor[name].data.dtype
+        assert back[name].data.tobytes() == donor[name].data.tobytes()
 
 
 class TestHeads:
