@@ -240,7 +240,8 @@ def cmd_cost(cfg, table1=False):
 # finetune / evaluate
 
 
-def _read_task(cfg, split):
+def _read_task(cfg, split, labels=None):
+    """(kind, items, labels) of a split; ids index `labels`, else the split's sorted labels."""
     task = _require(cfg, "task")
     kind = _require(task, "kind")
     path = _require(task, split)
@@ -248,24 +249,27 @@ def _read_task(cfg, split):
         raise ConfigError(f"task {split} file not found: {path}")
     rows = D.read_jsonl(path)
     vocab = D.Vocab.load(_require(cfg, "vocab"))
-    if kind == "classification":
-        labels = sorted({r["label"] for r in rows})
-        lab_id = {l: i for i, l in enumerate(labels)}
-        return kind, [(vocab.encode(D.tokenize(r["text"])), lab_id[r["label"]])
-                      for r in rows], labels
-    if kind == "labeling":
-        labels = sorted({l for r in rows for l in r["labels"]})
-        lab_id = {l: i for i, l in enumerate(labels)}
-        items = []
-        for r in rows:
-            ids = vocab.encode(r["tokens"])
-            starts = list(range(len(ids)))  # word-level tokens: one subword each
-            items.append((ids, starts, [lab_id[l] for l in r["labels"]]))
-        return kind, items, labels
     if kind == "generation":
         return kind, [(vocab.encode(D.tokenize(r["source"])),
                        vocab.encode(D.tokenize(r["target"]))) for r in rows], None
-    raise ConfigError(f"unknown task kind: {kind}")
+    if kind not in ("classification", "labeling"):
+        raise ConfigError(f"unknown task kind: {kind}")
+    seen = ({r["label"] for r in rows} if kind == "classification"
+            else {l for r in rows for l in r["labels"]})
+    labels = sorted(seen) if labels is None else labels
+    if not seen <= set(labels):
+        raise ConfigError(f"task {split} split has labels not in train: "
+                          f"{sorted(seen - set(labels))}")
+    lab_id = {l: i for i, l in enumerate(labels)}
+    if kind == "classification":
+        return kind, [(vocab.encode(D.tokenize(r["text"])), lab_id[r["label"]])
+                      for r in rows], labels
+    items = []
+    for r in rows:
+        ids = vocab.encode(r["tokens"])
+        starts = list(range(len(ids)))  # word-level tokens: one subword each
+        items.append((ids, starts, [lab_id[l] for l in r["labels"]]))
+    return kind, items, labels
 
 
 def cmd_finetune(cfg):
@@ -275,7 +279,7 @@ def cmd_finetune(cfg):
         raise ConfigError(f"config field 'checkpoint' names a missing dir: {ckpt}")
     mcfg, store, _, _ = C.load(ckpt)
     kind, train_set, labels = _read_task(cfg, "train")
-    _, dev_set, _ = _read_task(cfg, "dev")
+    _, dev_set, _ = _read_task(cfg, "dev", labels)
     seeds = cfg.get("seeds", [cfg["seed"]])
     fcfg = E.FinetuneConfig(**cfg.get("finetune", {}))
     os.makedirs(out, exist_ok=True)
@@ -339,10 +343,16 @@ def cmd_evaluate(cfg):
         if "head.out.w" not in store:
             raise ConfigError("checkpoint has no fine-tuned task head; "
                               "run finetune first")
-        spec = M.HeadSpec(kind=kind, label_count=len(labels),
-                          hidden=cfg.get("finetune", {}).get("head_hidden", [64]))
-        value = E._head_metric(mcfg, store, spec, eval_set,
-                               "accuracy" if kind == "classification" else "entity_f1")
+        spec = M.head_spec(store, kind)
+        if spec.label_count != len(labels):
+            raise ConfigError(f"task head has {spec.label_count} labels, "
+                              f"the eval split {len(labels)}")
+        preds = E.head_predictions(mcfg, store, spec, eval_set)
+        if kind == "classification":
+            value = float(np.mean([p == item[-1] for p, item in zip(preds, eval_set)]))
+        else:
+            value = E.entity_f1([[labels[i] for i in p] for p in preds],
+                                [[labels[i] for i in item[-1]] for item in eval_set])[2]
         summary = {"metric": repr(value)}
     D.write_jsonl(os.path.join(out, "eval_records.jsonl"), records)
     with open(os.path.join(out, "eval_summary.json"), "w", encoding="utf-8") as fh:

@@ -7,6 +7,7 @@ is frozen during fine-tuning by default.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -144,12 +145,9 @@ def _next_logprobs(cfg, store, enc_states, src_mask, prefixes):
     """Log-probabilities of the next token for each decoder prefix."""
     dec_in = T.pad_batch(prefixes, D.PAD)
     logits = M.decoder_forward(cfg, store, dec_in, enc_states, src_mask)
-    out = np.empty((len(prefixes), cfg.vocab_size))
-    for i, p in enumerate(prefixes):
-        row = logits.data[i, len(p) - 1]
-        z = row - row.max()
-        out[i] = z - np.log(np.exp(z).sum())
-    return out
+    last = logits.data[np.arange(len(prefixes)), [len(p) - 1 for p in prefixes]]
+    z = last - last.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
 def beam_search(cfg, store, src_ids, gc):
@@ -158,37 +156,34 @@ def beam_search(cfg, store, src_ids, gc):
     src = np.asarray([src_ids], dtype=np.int64)
     src_mask = src != D.PAD
     enc_states = M.encoder_forward(cfg, store, src, src_mask)
-    beams = [([D.BOS], 0.0)]  # (prefix, total logprob)
+    prefixes, scores = [[D.BOS]], np.zeros(1)  # live beams and their total logprobs
     finished = []
     for _ in range(gc.max_len):
-        prefixes = [p for p, _ in beams]
         # encoder memory is shared; tile states across live beams
-        tiled = [ag.Tensor(np.repeat(s.data, len(beams), axis=0)) for s in enc_states]
-        tiled_mask = np.repeat(src_mask, len(beams), axis=0)
+        tiled = [ag.Tensor(np.repeat(s.data, len(prefixes), axis=0)) for s in enc_states]
+        tiled_mask = np.repeat(src_mask, len(prefixes), axis=0)
         logprobs = _next_logprobs(cfg, store, tiled, tiled_mask, prefixes)
-        candidates = []
-        for bi, (prefix, score) in enumerate(beams):
-            for tok in range(cfg.vocab_size):
-                candidates.append((score + logprobs[bi, tok], tok, bi))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        next_beams = []
-        for cscore, tok, bi in candidates[: gc.beam_size * 2]:
-            if tok == D.EOS:
-                finished.append((beams[bi][0][1:], cscore))
+        total = (scores[:, None] + logprobs).ravel()
+        beam, token = np.divmod(np.arange(total.size), cfg.vocab_size)
+        # score descending, then token ascending, then beam ascending
+        order = np.lexsort((beam, token, -total))
+        keep = []
+        for k in order[: gc.beam_size * 2]:
+            if token[k] == D.EOS:
+                finished.append((prefixes[beam[k]][1:], total[k]))
             else:
-                next_beams.append((beams[bi][0] + [tok], cscore))
-            if len(next_beams) >= gc.beam_size:
-                break
-        if not next_beams:
+                keep.append(k)
+                if len(keep) == gc.beam_size:
+                    break
+        if not keep:
             break
-        beams = next_beams
-        if len(beams[0]) - 1 >= gc.max_len:
-            break
-    for prefix, score in beams:
+        prefixes = [prefixes[beam[k]] + [int(token[k])] for k in keep]
+        scores = total[keep]
+    for prefix, score in zip(prefixes, scores):
         if len(prefix) - 1 >= gc.max_len:
             finished.append((prefix[1:], score))
     if not finished:
-        finished = [(p[1:], s) for p, s in beams]
+        finished = [(p[1:], s) for p, s in zip(prefixes, scores)]
     finished.sort(key=lambda c: (-c[1], c[0]))
     return finished[0][0]
 
@@ -211,7 +206,7 @@ class FinetuneConfig:
     batch_size: int = 16
     epochs: int = 5
     max_updates: int = 1000
-    metric: str = "accuracy"  # accuracy | entity_f1 | sciem | perplexity
+    metric: str = "accuracy"  # accuracy (task heads) | perplexity | sciem (seq2seq)
     head_hidden: list = field(default_factory=lambda: [64])
     freeze: tuple = ("Embedding",)
     weight_decay: float = 0.1
@@ -236,7 +231,7 @@ def _finetune(ft, train_set, fcfg, seed, warmup_kind, batch_loss, dev_metric):
     """
     adam = AdamConfig(weight_decay=fcfg.weight_decay)
     opt = OptimState()
-    total = min(fcfg.max_updates, fcfg.epochs * max(1, len(train_set) // fcfg.batch_size))
+    total = min(fcfg.max_updates, fcfg.epochs * math.ceil(len(train_set) / fcfg.batch_size))
     sched = T.LrSchedule(peak=fcfg.peak_lr, total_steps=total,
                          warmup_steps=min(fcfg.warmup_steps, total), warmup_kind=warmup_kind)
     rng = np.random.default_rng(seed)
@@ -272,6 +267,8 @@ def finetune_classifier(cfg, store, spec, train_set, dev_set, fcfg, seed):
     """
     if not train_set or not dev_set:
         raise ValueError("empty train or validation split")
+    if fcfg.metric != "accuracy":
+        raise ValueError(f"metric {fcfg.metric} not valid for head fine-tuning")
     ft = M.attach_head(store, spec, cfg.d_model, seed)
     T.apply_freeze_plan(ft, fcfg.freeze)
     if "mlm_head.w" in ft:  # unused during fine-tuning; keep it out of the update
@@ -284,37 +281,33 @@ def finetune_classifier(cfg, store, spec, train_set, dev_set, fcfg, seed):
                      lambda: _head_metric(cfg, ft, spec, dev_set, fcfg.metric))
 
 
-def _head_loss(cfg, ft, spec, batch, train_rng=None):
+def _head_logits(cfg, store, spec, batch, train_rng=None):
+    """Task-head logits for a batch: one row per item, or per word (labeling)."""
     tokens = T.pad_batch([item[0] for item in batch], D.PAD)
-    if spec.kind == "classification":
-        starts = None
-        labels = np.array([lab for _, lab in batch], dtype=np.int64)
-    else:
-        starts = [ws for _, ws, _ in batch]
-        labels = np.concatenate([np.asarray(labs, dtype=np.int64) for _, _, labs in batch])
-    feats = M.head_features(cfg, ft, spec, tokens, tokens != D.PAD, word_starts=starts,
+    starts = None if spec.kind == "classification" else [item[1] for item in batch]
+    feats = M.head_features(cfg, store, spec, tokens, tokens != D.PAD, word_starts=starts,
                             train_rng=train_rng)
-    logits = M.head_forward(ft, spec, feats)
-    return ag.softmax_cross_entropy(logits, labels)
+    return M.head_forward(store, spec, feats)
+
+
+def _head_loss(cfg, ft, spec, batch, train_rng=None):
+    labels = np.hstack([item[-1] for item in batch]).astype(np.int64)  # one per logits row
+    return ag.softmax_cross_entropy(_head_logits(cfg, ft, spec, batch, train_rng), labels)
+
+
+def head_predictions(cfg, store, spec, items):
+    """Argmax label ids, one forward per item: an id, or a list of them (labeling)."""
+    preds = []
+    for item in items:
+        ids = np.argmax(_head_logits(cfg, store, spec, [item]).data, axis=1)
+        preds.append(int(ids[0]) if spec.kind == "classification" else ids.tolist())
+    return preds
 
 
 def _head_metric(cfg, ft, spec, dev_set, metric):
-    preds, golds = [], []
-    for item in dev_set:
-        tokens = np.asarray([item[0]], dtype=np.int64)
-        starts = None if spec.kind == "classification" else [item[1]]
-        feats = M.head_features(cfg, ft, spec, tokens, tokens != D.PAD, word_starts=starts)
-        logits = M.head_forward(ft, spec, feats).data
-        if spec.kind == "classification":
-            preds.append(int(np.argmax(logits[0])))
-        else:
-            preds.append(np.argmax(logits, axis=1).tolist())
-        golds.append(item[-1])
-    if metric == "accuracy":
-        return float(np.mean([p == g for p, g in zip(preds, golds)]))
-    if metric == "entity_f1":
-        return entity_f1(preds, golds)[2]
-    raise ValueError(f"metric {metric} not valid for head fine-tuning")
+    """Dev accuracy; `metric` is always "accuracy", kept for perfbench's tracing."""
+    preds = head_predictions(cfg, ft, spec, dev_set)
+    return float(np.mean([p == item[-1] for p, item in zip(preds, dev_set)]))
 
 
 def finetune_seq2seq(cfg, store, train_pairs, dev_pairs, fcfg, seed):

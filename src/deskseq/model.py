@@ -399,6 +399,14 @@ def attach_head(store, spec, d_model, seed, dtype=np.float64):
     return out
 
 
+def head_spec(store, kind):
+    """The HeadSpec of the `kind` head in `store`, read from its parameter shapes."""
+    hidden = []
+    while f"head.{len(hidden)}.w" in store:
+        hidden.append(store[f"head.{len(hidden)}.w"].data.shape[0])
+    return HeadSpec(kind=kind, label_count=store["head.out.w"].data.shape[0], hidden=hidden)
+
+
 def head_forward(store, spec, features):
     """Run the task head on selected feature rows [N, d] -> logits [N, labels]."""
     x = features

@@ -9,6 +9,7 @@ import pytest
 from deskseq import checkpoint as C
 from deskseq import cli
 from deskseq import data as D
+from deskseq import evalft as E
 from deskseq import model as M
 
 
@@ -236,6 +237,40 @@ def make_classification_task(tmp_path):
     }
 
 
+TAGS = {"a": "O", "b": "B-X", "c": "I-X", "d": "B-Y"}  # each word has one BIO tag
+
+
+def make_labeling_task(tmp_path):
+    """Vocab + BIO task files tagged by word + a tiny encoder checkpoint."""
+    vocab = D.build_vocab([list(TAGS)], budget=64)
+    vocab.save(tmp_path / "vocab.json")
+    rng = np.random.default_rng(0)
+    rows = []
+    for _ in range(40):
+        tokens = [str(w) for w in rng.choice(list(TAGS), size=5)]
+        rows.append({"tokens": tokens, "labels": [TAGS[t] for t in tokens]})
+    D.write_jsonl(tmp_path / "train.jsonl", rows[:32])
+    D.write_jsonl(tmp_path / "dev.jsonl", rows[32:])
+    assert {l for r in rows[32:] for l in r["labels"]} == set(TAGS.values())
+    cfg = M.ModelConfig(encoder_layers=1, decoder_layers=0, d_model=16,
+                        d_ffn=32, heads=2, vocab_size=64, max_positions=16)
+    C.save(tmp_path / "base", cfg, M.init_mlm_encoder(cfg, 0))
+    return {
+        "vocab": str(tmp_path / "vocab.json"),
+        "checkpoint": str(tmp_path / "base"),
+        "task": {"kind": "labeling", "train": str(tmp_path / "train.jsonl"),
+                 "dev": str(tmp_path / "dev.jsonl"),
+                 "eval": str(tmp_path / "dev.jsonl")},
+    }
+
+
+def finetune_config(tmp_path, base, **finetune):
+    return write_config(tmp_path / "ft.json", {
+        "seed": 0, "out": str(tmp_path / "tuned"), **base,
+        "finetune": {"epochs": 3, "batch_size": 8, "peak_lr": 3e-3, "warmup_steps": 2,
+                     "dropout": 0.0, "head_hidden": [16], **finetune}})
+
+
 class TestFinetuneEvaluate:
     def test_finetune_then_evaluate_classification(self, tmp_path):
         base = make_classification_task(tmp_path)
@@ -295,3 +330,80 @@ class TestFinetuneEvaluate:
         recs = D.read_jsonl(tmp_path / "o" / "eval_records.jsonl")
         assert len(recs) == 2
         assert all("pred" in r and "gold" in r for r in recs)
+
+    def test_finetune_then_evaluate_labeling_reports_entity_f1(self, tmp_path):
+        base = make_labeling_task(tmp_path)
+        assert cli.main(["finetune", "--config", finetune_config(tmp_path, base)]) == 0
+        tuned = tmp_path / "tuned" / "tuned_seed0"
+        evp = write_config(tmp_path / "ev.json", {
+            "seed": 0, "out": str(tmp_path / "evald"), **base, "checkpoint": str(tuned)})
+        assert cli.main(["evaluate", "--config", evp]) == cli.EXIT_OK
+        # oracle: per-item argmax predictions, scored on label names
+        cfg, store, _, _ = C.load(tuned)
+        spec = M.HeadSpec(kind="labeling", label_count=len(TAGS), hidden=[16])
+        names = sorted(TAGS.values())
+        vocab = D.Vocab.load(base["vocab"])
+        preds, golds = [], []
+        for row in D.read_jsonl(tmp_path / "dev.jsonl"):
+            ids = np.asarray([vocab.encode(row["tokens"])])
+            feats = M.head_features(cfg, store, spec, ids, ids != D.PAD,
+                                    word_starts=[list(range(ids.shape[1]))])
+            logits = M.head_forward(store, spec, feats).data
+            preds.append([names[i] for i in np.argmax(logits, axis=1)])
+            golds.append(row["labels"])
+        summary = json.loads((tmp_path / "evald" / "eval_summary.json").read_text())
+        assert summary == {"metric": repr(E.entity_f1(preds, golds)[2])}
+
+    def test_evaluate_reads_the_head_shape_from_the_checkpoint(self, tmp_path):
+        base = make_classification_task(tmp_path)
+        assert cli.main(["finetune", "--config", finetune_config(tmp_path, base)]) == 0
+        tuned = tmp_path / "tuned" / "tuned_seed0"
+        evp = write_config(tmp_path / "ev.json", {  # no "finetune" key
+            "seed": 0, "out": str(tmp_path / "evald"), **base, "checkpoint": str(tuned)})
+        assert cli.main(["evaluate", "--config", evp]) == cli.EXIT_OK
+        cfg, store, _, _ = C.load(tuned)
+        spec = M.HeadSpec(kind="classification", label_count=2, hidden=[16])
+        rows = D.read_jsonl(tmp_path / "dev.jsonl")
+        vocab = D.Vocab.load(base["vocab"])
+        items = [(vocab.encode(D.tokenize(r["text"])), ["alpha", "beta"].index(r["label"]))
+                 for r in rows]
+        preds = E.head_predictions(cfg, store, spec, items)
+        summary = json.loads((tmp_path / "evald" / "eval_summary.json").read_text())
+        assert summary == {"metric": repr(float(np.mean(
+            [p == lab for p, (_, lab) in zip(preds, items)])))}
+
+    def test_evaluate_rejects_a_split_with_other_labels_than_the_head(self, tmp_path, capsys):
+        base = make_classification_task(tmp_path)
+        assert cli.main(["finetune", "--config", finetune_config(tmp_path, base)]) == 0
+        rows = [r for r in D.read_jsonl(tmp_path / "dev.jsonl") if r["label"] == "alpha"]
+        D.write_jsonl(tmp_path / "eval.jsonl", rows)
+        evp = write_config(tmp_path / "ev.json", {
+            "seed": 0, "out": str(tmp_path / "evald"), **base,
+            "checkpoint": str(tmp_path / "tuned" / "tuned_seed0"),
+            "task": {"kind": "classification", "eval": str(tmp_path / "eval.jsonl")}})
+        assert cli.main(["evaluate", "--config", evp]) == cli.EXIT_CONFIG
+        assert "task head has 2 labels, the eval split 1" in capsys.readouterr().err
+
+    def test_dev_label_ids_come_from_the_train_split(self, tmp_path, capsys):
+        base = make_classification_task(tmp_path)
+        D.write_jsonl(tmp_path / "train.jsonl",
+                      [{"text": f"w{i}", "label": lab} for i, lab in enumerate("abc")])
+        D.write_jsonl(tmp_path / "dev.jsonl",
+                      [{"text": f"w{i}", "label": lab} for i, lab in enumerate("bc")])
+        _, _, labels = cli._read_task(base, "train")
+        _, dev_set, _ = cli._read_task(base, "dev", labels)
+        assert labels == ["a", "b", "c"]
+        assert [lab for _, lab in dev_set] == [1, 2]
+        # a dev label that train never saw is a config error
+        D.write_jsonl(tmp_path / "dev.jsonl", [{"text": "w0", "label": "d"}])
+        assert cli.main(["finetune", "--config", finetune_config(tmp_path, base)]) \
+            == cli.EXIT_CONFIG
+        assert "labels not in train: ['d']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metric", ["entity_f1", "sciem"])
+    def test_head_finetune_with_another_metric_is_config_error(self, tmp_path, capsys, metric):
+        base = make_labeling_task(tmp_path)
+        ftp = finetune_config(tmp_path, base, metric=metric)
+        assert cli.main(["finetune", "--config", ftp]) == cli.EXIT_CONFIG
+        assert f"metric {metric} not valid" in capsys.readouterr().err
+        assert not (tmp_path / "tuned" / "tuned_seed0").exists()

@@ -152,8 +152,11 @@ class TestBeamSearch:
     def test_wide_beam_matches_exhaustive_search(self):
         cfg = tiny_cfg()
         gc = GenConfig(beam_size=cfg.vocab_size, max_len=3)
-        for seed in range(5):
-            store = M.init_seq2seq(cfg, seed)
+        stores = [M.init_seq2seq(cfg, seed) for seed in range(6)]
+        # zeroed output head: every next token ties, so only the tie-break order decides
+        stores[5]["lm_head.w"].data[:] = 0.0
+        stores[5]["lm_head.b"].data[:] = 0.0
+        for seed, store in enumerate(stores):
             src = [6, 7, 8]
             got = beam_search(cfg, store, src, gc)
             want = _exhaustive_best(cfg, store, src, gc.max_len)
@@ -277,8 +280,8 @@ class TestFinetune:
 
     @pytest.mark.parametrize("n_train,kw,updates,evals", [
         (48, dict(max_updates=2, epochs=5), 2, 1),
-        # 3 updates/epoch budgeted, 4 batches/epoch run: the budget is spent in epoch 4
-        (50, dict(), 15, 4),
+        # 4 batches/epoch, the short last one included: each of the 5 epochs trains
+        (50, dict(), 20, 5),
     ])
     def test_stops_after_the_epoch_that_spends_the_budget(self, n_train, kw, updates, evals):
         cfg = tiny_cfg(decoder_layers=0, vocab_size=64)
@@ -291,6 +294,20 @@ class TestFinetune:
         assert len(record["epochs"]) == evals
         assert record["best"] == max(record["epochs"])
         assert E._head_metric(cfg, best, spec, dev, "accuracy") == record["best"]
+
+    @pytest.mark.parametrize("metric", ["entity_f1", "sciem"])
+    def test_head_finetune_rejects_other_metrics_before_training(self, metric, monkeypatch):
+        def train_step(*args, **kwargs):
+            raise AssertionError("trained before the metric was checked")
+
+        monkeypatch.setattr(T, "train_step", train_step)
+        cfg = tiny_cfg(decoder_layers=0, vocab_size=64)
+        train, dev = S.separable_classification(n_train=16, n_dev=4, n_labels=2,
+                                                seq_len=6, vocab_size=64, seed=3)
+        spec = M.HeadSpec(kind="classification", label_count=2, hidden=[8])
+        with pytest.raises(ValueError, match=f"metric {metric} not valid for head fine-tuning"):
+            E.finetune_classifier(cfg, M.init_mlm_encoder(cfg, 0), spec, train, dev,
+                                  FinetuneConfig(metric=metric), seed=0)
 
     @pytest.mark.parametrize("kw", [dict(epochs=0), dict(max_updates=0)])
     def test_empty_update_budget_rejected(self, kw):

@@ -280,6 +280,7 @@ class TestHeads:
         feats = M.head_features(cfg, ft, spec, tokens)
         logits = M.head_forward(ft, spec, feats)
         assert logits.shape == (3, 5)
+        assert M.head_spec(ft, spec.kind) == spec
 
     def test_labeling_selects_first_subwords(self, rng):
         cfg = small_cfg(dec=0)
@@ -296,6 +297,7 @@ class TestHeads:
         store = M.init_mlm_encoder(cfg, 0)
         spec = M.HeadSpec(kind="labeling", label_count=4, hidden=[])
         ft = M.attach_head(store, spec, cfg.d_model, 1)
+        assert M.head_spec(ft, spec.kind) == spec
         with pytest.raises(ValueError, match="word-boundary"):
             M.head_features(cfg, ft, spec, token_batch(rng, cfg, 1, 5))
 
