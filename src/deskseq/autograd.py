@@ -8,6 +8,8 @@ identical seeds and inputs give bit-identical values and gradients.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 from scipy.special import erf
 
@@ -53,9 +55,31 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_grad_enabled = True  # False inside `no_grad`: ops record no tape node
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run a block without recording the tape: every op output is a plain
+    tensor, whatever its inputs.  Nests; the previous mode comes back on exit,
+    exceptions included."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
+def grad_enabled():
+    """Whether ops record tape nodes: False inside `no_grad`."""
+    return _grad_enabled
+
+
 def _make(data, parents, backward_fn):
-    """Create an op output, recording the tape node only if some input needs grad."""
-    if any(p.requires_grad for p in parents):
+    """Create an op output, recording the tape node only if grad mode is on
+    and some input needs grad."""
+    if _grad_enabled and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward_fn)
     return Tensor(data)
 

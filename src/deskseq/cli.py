@@ -152,6 +152,10 @@ def load_packed(path):
     with open(os.path.join(path, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     flat = np.fromfile(os.path.join(path, "packed.bin"), dtype="<i4")
+    expected = sum(manifest["sequence_lengths"])
+    if flat.size != expected:
+        raise ConfigError(f"packed.bin holds {flat.size} ids but the manifest's "
+                          f"sequence_lengths sum to {expected}")
     seqs, pos = [], 0
     for length in manifest["sequence_lengths"]:
         seqs.append(flat[pos : pos + length].tolist())

@@ -141,44 +141,49 @@ class GenConfig:
             raise ValueError("max_len must be >= 1")
 
 
-def _next_logprobs(cfg, store, enc_states, src_mask, prefixes):
-    """Log-probabilities of the next token for each decoder prefix."""
-    dec_in = T.pad_batch(prefixes, D.PAD)
-    logits = M.decoder_forward(cfg, store, dec_in, enc_states, src_mask)
-    last = logits.data[np.arange(len(prefixes)), [len(p) - 1 for p in prefixes]]
-    z = last - last.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-
 def beam_search(cfg, store, src_ids, gc):
     """Length-bounded beam search by total log-probability; ties break on the
-    lower token id.  Returns the best output id sequence (without BOS/EOS)."""
+    lower token id.  Returns the best output id sequence (without BOS/EOS).
+
+    The encoder runs once; each step decodes only the live beams' newest
+    token against a `DecodeCache`, with no tape.  The search stops once a
+    finished sequence scores above every live beam: log-probabilities are
+    never positive, so no live beam could still overtake it.
+    """
+    if gc.max_len > cfg.max_positions:
+        raise ValueError(f"max_len {gc.max_len} exceeds max_positions {cfg.max_positions}")
     src = np.asarray([src_ids], dtype=np.int64)
     src_mask = src != D.PAD
-    enc_states = M.encoder_forward(cfg, store, src, src_mask)
+    cache = M.DecodeCache()
     prefixes, scores = [[D.BOS]], np.zeros(1)  # live beams and their total logprobs
     finished = []
-    for _ in range(gc.max_len):
-        # encoder memory is shared; tile states across live beams
-        tiled = [ag.Tensor(np.repeat(s.data, len(prefixes), axis=0)) for s in enc_states]
-        tiled_mask = np.repeat(src_mask, len(prefixes), axis=0)
-        logprobs = _next_logprobs(cfg, store, tiled, tiled_mask, prefixes)
-        total = (scores[:, None] + logprobs).ravel()
-        beam, token = np.divmod(np.arange(total.size), cfg.vocab_size)
-        # score descending, then token ascending, then beam ascending
-        order = np.lexsort((beam, token, -total))
-        keep = []
-        for k in order[: gc.beam_size * 2]:
-            if token[k] == D.EOS:
-                finished.append((prefixes[beam[k]][1:], total[k]))
-            else:
-                keep.append(k)
-                if len(keep) == gc.beam_size:
-                    break
-        if not keep:
-            break
-        prefixes = [prefixes[beam[k]] + [int(token[k])] for k in keep]
-        scores = total[keep]
+    with ag.no_grad():
+        enc_states = M.encoder_forward(cfg, store, src, src_mask)
+        for _ in range(gc.max_len):
+            newest = np.asarray([[p[-1]] for p in prefixes], dtype=np.int64)
+            logits = M.decoder_forward(cfg, store, newest, enc_states, src_mask,
+                                       cache=cache).data[:, 0]
+            z = logits - logits.max(axis=1, keepdims=True)
+            logprobs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+            total = (scores[:, None] + logprobs).ravel()
+            beam, token = np.divmod(np.arange(total.size), cfg.vocab_size)
+            # score descending, then token ascending, then beam ascending
+            order = np.lexsort((beam, token, -total))
+            keep = []
+            for k in order[: gc.beam_size * 2]:
+                if token[k] == D.EOS:
+                    finished.append((prefixes[beam[k]][1:], total[k]))
+                else:
+                    keep.append(k)
+                    if len(keep) == gc.beam_size:
+                        break
+            if not keep:
+                break
+            prefixes = [prefixes[beam[k]] + [int(token[k])] for k in keep]
+            scores = total[keep]
+            if finished and max(score for _, score in finished) > scores.max():
+                break
+            cache.select(beam[keep])
     for prefix, score in zip(prefixes, scores):
         if len(prefix) - 1 >= gc.max_len:
             finished.append((prefix[1:], score))
@@ -298,9 +303,10 @@ def _head_loss(cfg, ft, spec, batch, train_rng=None):
 def head_predictions(cfg, store, spec, items):
     """Argmax label ids, one forward per item: an id, or a list of them (labeling)."""
     preds = []
-    for item in items:
-        ids = np.argmax(_head_logits(cfg, store, spec, [item]).data, axis=1)
-        preds.append(int(ids[0]) if spec.kind == "classification" else ids.tolist())
+    with ag.no_grad():
+        for item in items:
+            ids = np.argmax(_head_logits(cfg, store, spec, [item]).data, axis=1)
+            preds.append(int(ids[0]) if spec.kind == "classification" else ids.tolist())
     return preds
 
 

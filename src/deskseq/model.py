@@ -177,21 +177,35 @@ def init_seq2seq(cfg, seed, dtype=np.float64):
 # forward passes
 
 
-def _attention(store, prefix, x_q, x_kv, heads, mask):
+def _attention(store, prefix, x_q, x_kv, heads, mask, cache=None):
     """Multi-head attention.  mask is an additive ndarray broadcastable to the
-    score shape [B, H, Tq, Tk], or None."""
+    score shape [B, H, Tq, Tk], or None.
+
+    `cache` (a dict, only with grad mode off) holds raw (keys, values) arrays
+    [B, H, T, hd] per prefix: the keys and values of `x_kv` are appended to
+    those cached under `prefix`, and `x_kv` None attends over the cached ones
+    alone.  Keys and values of batch 1 broadcast over the queries' batch.
+    """
     b, tq, d = x_q.shape
-    tk = x_kv.shape[1]
     hd = d // heads
 
-    def proj(x, w, bias, t):
+    def proj(x, w, bias):
         y = ag.add(ag.matmul(x, ag.transpose(store[w])), store[bias])
-        y = ag.reshape(y, (b, t, heads, hd))
+        y = ag.reshape(y, (x.shape[0], x.shape[1], heads, hd))
         return ag.transpose(y, (0, 2, 1, 3))  # [B, H, T, hd]
 
-    q = proj(x_q, f"{prefix}.wq", f"{prefix}.bq", tq)
-    k = proj(x_kv, f"{prefix}.wk", f"{prefix}.bk", tk)
-    v = proj(x_kv, f"{prefix}.wv", f"{prefix}.bv", tk)
+    q = proj(x_q, f"{prefix}.wq", f"{prefix}.bq")
+    if x_kv is not None:
+        k = proj(x_kv, f"{prefix}.wk", f"{prefix}.bk")
+        v = proj(x_kv, f"{prefix}.wv", f"{prefix}.bv")
+    if cache is not None:
+        if x_kv is not None:
+            k, v = k.data, v.data
+            if prefix in cache:
+                k = np.concatenate([cache[prefix][0], k], axis=2)
+                v = np.concatenate([cache[prefix][1], v], axis=2)
+            cache[prefix] = (k, v)
+        k, v = cache[prefix]
     scores = ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
     if mask is not None:
         scores = ag.add(scores, Tensor(mask))
@@ -210,13 +224,14 @@ def _maybe_dropout(x, p, rng):
     return ag.dropout(x, p, rng) if (p > 0.0 and rng is not None) else x
 
 
-def _check_tokens(cfg, tokens):
+def _check_tokens(cfg, tokens, start=0):
+    """Validate a [B, T] token batch whose positions start at `start`."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ag.ShapeError(f"token batch must be 2-D, got shape {tokens.shape}")
-    if tokens.shape[1] > cfg.max_positions:
+    if start + tokens.shape[1] > cfg.max_positions:
         raise ValueError(
-            f"sequence length {tokens.shape[1]} exceeds max_positions {cfg.max_positions}"
+            f"sequence length {start + tokens.shape[1]} exceeds max_positions {cfg.max_positions}"
         )
     if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab_size):
         raise ValueError(f"token id out of range [0, {cfg.vocab_size})")
@@ -230,8 +245,10 @@ def pad_attention_mask(pad_mask):
     return m[:, None, None, :]
 
 
-def causal_mask(s):
-    m = np.triu(np.full((s, s), NEG_INF), k=1)
+def causal_mask(s, start=0):
+    """Additive [1, 1, s, start + s] mask: query i, at position start + i,
+    sees keys 0 .. start + i."""
+    m = np.triu(np.full((s, start + s), NEG_INF), k=start + 1)
     return m[None, None, :, :]
 
 
@@ -270,46 +287,86 @@ def fuse_memory(states, logits):
     return ag.mix(states, ag.softmax(ag.as_tensor(logits)))
 
 
-def decoder_forward(cfg, store, target_in, enc_states, src_pad_mask=None, train_rng=None):
+class DecodeCache:
+    """Decoder state kept between `decoder_forward` calls that decode a few
+    positions at a time, with grad mode off.
+
+    `length` counts the positions decoded so far.  `self_kv` holds each
+    decoder layer's self-attention keys and values, one row per sequence;
+    `cross_kv` holds the cross-attention keys and values of the memory,
+    computed on the first call and kept at the batch of that call's encoder
+    states (batch 1 broadcasts over every sequence).
+    """
+
+    def __init__(self):
+        self.length = 0
+        self.self_kv = {}
+        self.cross_kv = {}
+
+    def select(self, rows):
+        """Keep the self-attention rows `rows`, in that order (beam ids that
+        survive a beam step; a row may repeat)."""
+        self.self_kv = {name: (k[rows], v[rows]) for name, (k, v) in self.self_kv.items()}
+
+
+def decoder_forward(cfg, store, target_in, enc_states, src_pad_mask=None, train_rng=None,
+                    cache=None):
     """Causal decoder with cross-attention over encoder memory; returns logits
-    [B, S, vocab]."""
+    [B, S, vocab].
+
+    With a `DecodeCache`, `target_in` holds only the positions after the
+    `cache.length` already decoded; their keys and values join the cache.
+    The cache keeps raw arrays, so it needs `autograd.no_grad()`.
+    """
     if cfg.decoder_layers < 1:
         raise ValueError("model has no decoder")
+    if cache is not None and ag.grad_enabled():
+        raise ValueError("decoder_forward with a cache runs only under autograd.no_grad(): "
+                         "cached keys and values carry no gradient")
     if enc_states is None or len(enc_states) != cfg.encoder_layers + 1:
         raise ValueError(
             f"expected {cfg.encoder_layers + 1} encoder states, got "
             f"{0 if enc_states is None else len(enc_states)}"
         )
-    target_in = _check_tokens(cfg, target_in)
+    start = 0 if cache is None else cache.length
+    target_in = _check_tokens(cfg, target_in, start)
     b, s = target_in.shape
     t_src = enc_states[0].shape[1]
     if src_pad_mask is None:
         src_pad_mask = np.ones((b, t_src), dtype=bool)
     p = cfg.dropout if train_rng is not None else 0.0
 
-    # the final encoder state enters cross-attention through the final LN,
-    # so one-hot fusion degenerates exactly to standard cross-attention
-    final_mem = encoder_output(store, enc_states)
-    if cfg.cross_attention == FUSION:
-        fusion_states = list(enc_states[:-1]) + [final_mem]
-        memories = [fuse_memory(fusion_states, store[f"fusion.{i}"])
-                    for i in range(cfg.decoder_layers)]
-    else:
-        memories = [final_mem] * cfg.decoder_layers
+    memories = [None] * cfg.decoder_layers  # None: cross keys and values are cached
+    if cache is None or not cache.cross_kv:
+        # the final encoder state enters cross-attention through the final LN,
+        # so one-hot fusion degenerates exactly to standard cross-attention
+        final_mem = encoder_output(store, enc_states)
+        if cfg.cross_attention == FUSION:
+            fusion_states = list(enc_states[:-1]) + [final_mem]
+            memories = [fuse_memory(fusion_states, store[f"fusion.{i}"])
+                        for i in range(cfg.decoder_layers)]
+        else:
+            memories = [final_mem] * cfg.decoder_layers
 
     x = ag.add(ag.embedding(store["dec.embed.tok"], target_in),
-               ag.embedding(store["dec.embed.pos"], np.arange(s)))
+               ag.embedding(store["dec.embed.pos"], np.arange(start, start + s)))
     x = _maybe_dropout(x, p, train_rng)
-    self_mask = causal_mask(s)
+    self_mask = causal_mask(s, start)
     cross_mask = pad_attention_mask(src_pad_mask)
+    self_kv = None if cache is None else cache.self_kv
+    cross_kv = None if cache is None else cache.cross_kv
     for i in range(cfg.decoder_layers):
         h = ag.layer_norm(x, store[f"dec.{i}.ln1.g"], store[f"dec.{i}.ln1.b"])
-        x = ag.add(x, _maybe_dropout(_attention(store, f"dec.{i}.self", h, h, cfg.heads, self_mask), p, train_rng))
+        x = ag.add(x, _maybe_dropout(
+            _attention(store, f"dec.{i}.self", h, h, cfg.heads, self_mask, self_kv), p, train_rng))
         h = ag.layer_norm(x, store[f"dec.{i}.ln2.g"], store[f"dec.{i}.ln2.b"])
         x = ag.add(x, _maybe_dropout(
-            _attention(store, f"dec.{i}.cross", h, memories[i], cfg.heads, cross_mask), p, train_rng))
+            _attention(store, f"dec.{i}.cross", h, memories[i], cfg.heads, cross_mask, cross_kv),
+            p, train_rng))
         h = ag.layer_norm(x, store[f"dec.{i}.ln3.g"], store[f"dec.{i}.ln3.b"])
         x = ag.add(x, _maybe_dropout(_ffn(store, f"dec.{i}.ffn", h), p, train_rng))
+    if cache is not None:
+        cache.length += s
     x = ag.layer_norm(x, store["dec.final_ln.g"], store["dec.final_ln.b"])
     return ag.add(ag.matmul(x, ag.transpose(store["lm_head.w"])), store["lm_head.b"])
 

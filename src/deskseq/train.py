@@ -285,10 +285,11 @@ def run_plan(plan, sequences, seed, donor=None, checkpoint_store=None,
 def eval_denoise_loss(cfg, store, pairs, batch_size=16):
     """Teacher-forced mean token NLL over fixed (source, target) pairs."""
     total_nll, total_tok = 0.0, 0
-    for i in range(0, len(pairs), batch_size):
-        src, src_mask, dec_in, labels = pad_pairs(pairs[i : i + batch_size])
-        loss = denoise_step_loss(cfg, store, src, src_mask, dec_in, labels)
-        n = int((labels != ag.IGNORE).sum())
-        total_nll += loss.item() * n
-        total_tok += n
+    with ag.no_grad():
+        for i in range(0, len(pairs), batch_size):
+            src, src_mask, dec_in, labels = pad_pairs(pairs[i : i + batch_size])
+            loss = denoise_step_loss(cfg, store, src, src_mask, dec_in, labels)
+            n = int((labels != ag.IGNORE).sum())
+            total_nll += loss.item() * n
+            total_tok += n
     return total_nll / max(total_tok, 1)

@@ -134,6 +134,23 @@ class TestPack:
                              "out": str(tmp_path / "o")})
         assert cli.main(["pack", "--config", cfgp]) == cli.EXIT_CONFIG
 
+    def test_truncated_packed_bin_rejected(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path / "corpus.jsonl")
+        packed = tmp_path / "packed"
+        cfgp = write_config(tmp_path / "pack.json",
+                            {"seed": 0, "corpus": corpus, "out": str(packed), "target_len": 8})
+        assert cli.main(["pack", "--config", cfgp]) == cli.EXIT_OK
+        total = sum(json.loads((packed / "manifest.json").read_text())["sequence_lengths"])
+        data = (packed / "packed.bin").read_bytes()
+        (packed / "packed.bin").write_bytes(data[:-8])
+        with pytest.raises(cli.ConfigError, match=f"holds {total - 2} ids .* sum to {total}"):
+            cli.load_packed(str(packed))
+        runp = write_config(tmp_path / "c.json", {
+            "seed": 1, "out": str(tmp_path / "run"), "plan": INLINE_PLAN,
+            "corpus": str(packed)})
+        assert cli.main(["pretrain", "--config", runp]) == cli.EXIT_CONFIG
+        assert f"sum to {total}" in capsys.readouterr().err
+
 
 class TestPretrain:
     def test_inline_plan_on_synthetic_corpus(self, tmp_path):
@@ -330,6 +347,21 @@ class TestFinetuneEvaluate:
         recs = D.read_jsonl(tmp_path / "o" / "eval_records.jsonl")
         assert len(recs) == 2
         assert all("pred" in r and "gold" in r for r in recs)
+
+    def test_evaluate_generation_max_len_past_positions_is_config_error(self, tmp_path, capsys):
+        vocab = D.build_vocab([["w0", "w1"]], budget=32)
+        vocab.save(tmp_path / "vocab.json")
+        D.write_jsonl(tmp_path / "eval.jsonl", [{"source": "w0", "target": "w1"}])
+        cfg = M.ModelConfig(encoder_layers=1, decoder_layers=1, d_model=16,
+                            d_ffn=32, heads=2, vocab_size=32, max_positions=16)
+        C.save(tmp_path / "s2s", cfg, M.init_seq2seq(cfg, 0))
+        evp = write_config(tmp_path / "ev.json", {
+            "seed": 0, "out": str(tmp_path / "o"),
+            "vocab": str(tmp_path / "vocab.json"),
+            "checkpoint": str(tmp_path / "s2s"), "max_len": 17,
+            "task": {"kind": "generation", "eval": str(tmp_path / "eval.jsonl")}})
+        assert cli.main(["evaluate", "--config", evp]) == cli.EXIT_CONFIG
+        assert "max_len 17 exceeds max_positions 16" in capsys.readouterr().err
 
     def test_finetune_then_evaluate_labeling_reports_entity_f1(self, tmp_path):
         base = make_labeling_task(tmp_path)

@@ -121,6 +121,15 @@ class TestEntityF1:
             entity_f1([["O"]], [["O", "O"]])
 
 
+def _full_next_logprobs(cfg, store, states, mask, prefix):
+    """Next-token log-probabilities after `prefix`, from the last row of a
+    full (uncached) `decoder_forward` over the whole prefix."""
+    logits = M.decoder_forward(cfg, store, np.asarray([prefix], dtype=np.int64), states, mask)
+    row = logits.data[0, -1]
+    z = row - row.max()
+    return z - np.log(np.exp(z).sum())
+
+
 def _exhaustive_best(cfg, store, src_ids, max_len):
     """Global argmax over all decodes: EOS-terminated sequences of length
     <= max_len plus unfinished length-max_len sequences, by total log-prob."""
@@ -137,7 +146,7 @@ def _exhaustive_best(cfg, store, src_ids, max_len):
         if len(prefix) - 1 == max_len:
             consider(prefix[1:], score)
             return
-        lp = E._next_logprobs(cfg, store, states, mask, [prefix])[0]
+        lp = _full_next_logprobs(cfg, store, states, mask, prefix)
         for tok in range(cfg.vocab_size):
             if tok == D.EOS:
                 consider(prefix[1:], score + lp[tok])
@@ -174,7 +183,7 @@ class TestBeamSearch:
         states = M.encoder_forward(cfg, store, srca, mask)
         prefix = [D.BOS]
         for _ in range(gc.max_len):
-            lp = E._next_logprobs(cfg, store, states, mask, [prefix])[0]
+            lp = _full_next_logprobs(cfg, store, states, mask, prefix)
             tok = int(np.argmax(lp))
             if tok == D.EOS:
                 break
@@ -194,6 +203,17 @@ class TestBeamSearch:
         store = M.init_seq2seq(cfg, 2)
         gc = GenConfig(beam_size=3, max_len=2)
         assert len(beam_search(cfg, store, [6], gc)) <= 2
+
+    def test_max_len_beyond_positions_rejected_before_encoding(self, monkeypatch):
+        cfg = tiny_cfg()
+        store = M.init_seq2seq(cfg, 0)
+
+        def no_encoder(*args, **kwargs):
+            raise AssertionError("encoder ran")
+
+        monkeypatch.setattr(M, "encoder_forward", no_encoder)
+        with pytest.raises(ValueError, match="max_len 17 exceeds max_positions 16"):
+            beam_search(cfg, store, [6, 7], GenConfig(beam_size=2, max_len=17))
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError, match="beam_size"):

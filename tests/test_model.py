@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deskseq import autograd as ag
+from deskseq import data as D
 from deskseq import model as M
 from deskseq.autograd import Tensor
 from deskseq.optim import AdamConfig, OptimState, adam_step
@@ -101,6 +102,25 @@ class TestDecoderForward:
         store = M.init_seq2seq(cfg, 0)
         with pytest.raises(ValueError, match="encoder states"):
             M.decoder_forward(cfg, store, token_batch(rng, cfg, 1, 3), None)
+
+    def test_cache_with_grad_enabled_rejected(self, rng):
+        cfg = small_cfg()
+        store = M.init_seq2seq(cfg, 0)
+        states = M.encoder_forward(cfg, store, token_batch(rng, cfg, 1, 3))
+        cache = M.DecodeCache()
+        with pytest.raises(ValueError, match="no_grad"):
+            M.decoder_forward(cfg, store, token_batch(rng, cfg, 1, 2), states, cache=cache)
+        assert cache.length == 0 and not cache.self_kv and not cache.cross_kv
+
+    def test_cache_past_max_positions_rejected(self, rng):
+        cfg = small_cfg()
+        store = M.init_seq2seq(cfg, 0)
+        with ag.no_grad():
+            states = M.encoder_forward(cfg, store, token_batch(rng, cfg, 1, 3))
+            cache = M.DecodeCache()
+            M.decoder_forward(cfg, store, token_batch(rng, cfg, 1, 15), states, cache=cache)
+            with pytest.raises(ValueError, match="sequence length 17 exceeds max_positions 16"):
+                M.decoder_forward(cfg, store, token_batch(rng, cfg, 1, 2), states, cache=cache)
 
 
 class TestFusion:
@@ -334,3 +354,47 @@ def test_full_seq2seq_gradients(rng):
     tensors = [t for _, t in store.unique_items()]
     store.zero_grad()
     finite_diff_check(make_loss, tensors, rng, samples_per_tensor=2)
+
+
+def _full_logits(cfg, store, prefixes, states, mask):
+    """Uncached decoder logits, with the batch-1 encoder output tiled per row."""
+    rows = len(prefixes)
+    tiled = [Tensor(np.repeat(x.data, rows, axis=0)) for x in states]
+    return M.decoder_forward(cfg, store, np.asarray(prefixes), tiled,
+                             np.repeat(mask, rows, axis=0)).data
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=model_configs, seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_cached_decoding_matches_full_decoder_forward(cfg, seed, data):
+    """Prefill k positions, then decode one or two positions at a time while
+    beams are re-indexed: every logits row equals the full decoder's within
+    1e-12."""
+    rng = np.random.default_rng(seed)
+    store = M.init_seq2seq(cfg, seed)
+    t_src = data.draw(st.integers(1, cfg.max_positions), label="t_src")
+    src = rng.integers(D.PAD + 1, cfg.vocab_size, size=(1, t_src))
+    src[0, 1:][rng.random(t_src - 1) < 0.5] = D.PAD
+    mask = src != D.PAD
+    n = data.draw(st.integers(1, cfg.max_positions), label="length")
+    k = data.draw(st.integers(1, n), label="prefill")
+    beams = data.draw(st.integers(1, 3), label="beams")
+    prefixes = rng.integers(0, cfg.vocab_size, size=(beams, k)).tolist()
+    states = M.encoder_forward(cfg, store, src, mask)
+    cache = M.DecodeCache()
+    with ag.no_grad():
+        got = M.decoder_forward(cfg, store, np.asarray(prefixes), states, mask, cache=cache).data
+    np.testing.assert_allclose(got, _full_logits(cfg, store, prefixes, states, mask),
+                               rtol=0, atol=1e-12)
+    while len(prefixes[0]) < n:
+        rows = data.draw(st.lists(st.integers(0, len(prefixes) - 1), min_size=1, max_size=3),
+                         label="kept rows")
+        width = data.draw(st.integers(1, min(2, n - len(prefixes[0]))), label="width")
+        new = rng.integers(0, cfg.vocab_size, size=(len(rows), width))
+        prefixes = [prefixes[r] + new[i].tolist() for i, r in enumerate(rows)]
+        cache.select(rows)
+        with ag.no_grad():
+            got = M.decoder_forward(cfg, store, new, states, mask, cache=cache).data
+        np.testing.assert_allclose(got, _full_logits(cfg, store, prefixes, states, mask)[:, -width:],
+                                   rtol=0, atol=1e-12)
+    assert cache.length == n

@@ -11,6 +11,33 @@ from deskseq.params import ParameterStore
 from conftest import finite_diff_check, rel_err
 
 
+class TestNoGrad:
+    def test_ops_record_no_tape(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        with ag.no_grad():
+            out = ag.softmax(ag.add(ag.matmul(w, w), w))
+        assert not out.requires_grad
+        assert out._backward is None and out._parents == ()
+        taped = ag.matmul(w, w)
+        assert taped.requires_grad and taped._backward is not None
+
+    def test_nests_and_restores_the_outer_mode(self):
+        assert ag.grad_enabled()
+        with ag.no_grad():
+            with ag.no_grad():
+                assert not ag.grad_enabled()
+            assert not ag.grad_enabled()
+        assert ag.grad_enabled()
+
+    def test_mode_restored_after_an_exception(self):
+        with pytest.raises(RuntimeError, match="boom"):
+            with ag.no_grad():
+                raise RuntimeError("boom")
+        assert ag.grad_enabled()
+        w = Tensor(np.ones(3), requires_grad=True)
+        assert ag.scale(w, 2.0)._backward is not None
+
+
 class TestMatmul:
     def test_identity(self):
         a = np.arange(8.0).reshape(2, 4)

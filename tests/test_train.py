@@ -5,10 +5,11 @@ import pytest
 
 from deskseq import checkpoint as C
 from deskseq import data as D
+from deskseq import evalft as E
 from deskseq import model as M
 from deskseq import train as T
 from deskseq.data import NoiseConfig
-from deskseq.optim import OptimState
+from deskseq.optim import AdamConfig, OptimState
 from deskseq.train import LrSchedule, PlanInit, TrainPlan, TrainStage, lr_at
 
 
@@ -312,3 +313,20 @@ class TestEvalLoss:
             totals += T.eval_denoise_loss(cfg, store, [p]) * n
             toks += n
         assert abs(whole - totals / toks) < 1e-9
+
+    def test_train_step_after_no_grad_evaluation_is_unchanged(self, rng):
+        cfg = small_cfg()
+        pairs = [(list(rng.integers(6, 32, size=5)), list(rng.integers(6, 32, size=3)))
+                 for _ in range(4)]
+        batch = T.pad_pairs(pairs)
+        results = []
+        for evaluate_first in (False, True):
+            store = M.init_seq2seq(cfg, 0)
+            if evaluate_first:
+                E.perplexity(cfg, store, pairs)
+                E.beam_search(cfg, store, pairs[0][0], E.GenConfig(beam_size=2, max_len=4))
+            T.train_step(store, T.denoise_step_loss(cfg, store, *batch), OptimState(), 1e-3,
+                         AdamConfig(), "step 0")
+            results.append({n: (store[n].grad.tobytes(), store[n].data.tobytes())
+                            for n in store.names() if store[n].grad is not None})
+        assert results[0] and results[0] == results[1]
