@@ -178,6 +178,27 @@ def matmul(a, b):
     return _make(out, (a, b), bwd)
 
 
+def linear(x, w, b):
+    """Projection x @ w.T + b of activations [..., d_in] by a weight stored
+    [d_out, d_in] and a bias [d_out], as one tape node.  The backward makes
+    the numpy calls of the transpose -> matmul -> add chain, so every gradient
+    equals that chain's bit for bit."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if w.data.ndim != 2:
+        raise ShapeError(f"linear weight must be 2-D [d_out, d_in], got {w.data.shape}")
+    if b.data.shape != w.data.shape[:1]:
+        raise ShapeError(f"linear bias {b.data.shape} does not match weight {w.data.shape}")
+    if x.data.ndim < 2 or x.data.shape[-1] != w.data.shape[1]:
+        raise ShapeError(f"linear input {x.data.shape} does not match weight {w.data.shape}")
+    out = np.matmul(x.data, w.data.T) + b.data
+
+    def bwd(g):
+        gw = _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.data.shape[::-1]).T
+        return np.matmul(g, w.data), gw, _unbroadcast(g, b.data.shape)
+
+    return _make(out, (x, w, b), bwd)
+
+
 def transpose(a, axes=None):
     a = as_tensor(a)
     if axes is None:

@@ -269,7 +269,10 @@ def _read_task(cfg, split, labels=None):
         return kind, [(vocab.encode(D.tokenize(r["text"])), lab_id[r["label"]])
                       for r in rows], labels
     items = []
-    for r in rows:
+    for n, r in enumerate(rows, 1):
+        if len(r["labels"]) != len(r["tokens"]):
+            raise ConfigError(f"task {split} row {n} has {len(r['tokens'])} tokens "
+                              f"but {len(r['labels'])} labels")
         ids = vocab.encode(r["tokens"])
         starts = list(range(len(ids)))  # word-level tokens: one subword each
         items.append((ids, starts, [lab_id[l] for l in r["labels"]]))
@@ -321,7 +324,6 @@ def cmd_evaluate(cfg):
     mcfg, store, _, _ = C.load(ckpt)
     kind, eval_set, labels = _read_task(cfg, "eval")
     vocab = D.Vocab.load(_require(cfg, "vocab"))
-    os.makedirs(out, exist_ok=True)
     records = []
     if kind == "generation":
         gc = E.GenConfig(beam_size=cfg.get("beam_size", 3),
@@ -358,6 +360,7 @@ def cmd_evaluate(cfg):
             value = E.entity_f1([[labels[i] for i in p] for p in preds],
                                 [[labels[i] for i in item[-1]] for item in eval_set])[2]
         summary = {"metric": repr(value)}
+    os.makedirs(out, exist_ok=True)  # after every config check: an exit 2 leaves no out/
     D.write_jsonl(os.path.join(out, "eval_records.jsonl"), records)
     with open(os.path.join(out, "eval_summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=1)

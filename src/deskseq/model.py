@@ -66,28 +66,28 @@ class ModelConfig:
 # initialization
 
 
-def trunc_normal(rng, shape, dtype, std=0.02):
+def trunc_normal(rng, shape, std=0.02):
     """normal(0, std) truncated at +-2 std via rejection resampling."""
     out = rng.normal(0.0, std, size=shape)
     bad = np.abs(out) > 2.0 * std
     while bad.any():
         out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
         bad = np.abs(out) > 2.0 * std
-    return out.astype(dtype)
+    return out
 
 
-def _ones(rng, shape, dtype):
-    return np.ones(shape, dtype=dtype)
+def _ones(rng, shape):
+    return np.ones(shape)
 
 
-def _zeros(rng, shape, dtype):
-    return np.zeros(shape, dtype=dtype)
+def _zeros(rng, shape):
+    return np.zeros(shape)
 
 
-def _fusion(rng, shape, dtype):
+def _fusion(rng, shape):
     """Mixing logits favoring the final encoder state, so training starts close
     to standard cross-attention while keeping nonzero gradients for all layers."""
-    logits = np.zeros(shape, dtype=dtype)
+    logits = np.zeros(shape)
     logits[-1] = 4.0
     return logits
 
@@ -143,33 +143,33 @@ def decoder_layout(cfg):
     return rows
 
 
-def _init_rows(store, rng, rows, dtype):
+def _init_rows(store, rng, rows):
     for name, shape, init in rows:
-        store.add(name, init(rng, shape, dtype))
+        store.add(name, init(rng, shape))
 
 
-def init_mlm_encoder(cfg, seed, dtype=np.float64):
+def init_mlm_encoder(cfg, seed):
     """From-scratch MLM encoder; the vocabulary projection is tied to the
     input embedding (one tie group), with a separate output bias."""
     store = ParameterStore()
-    _init_rows(store, np.random.default_rng(seed), encoder_layout(cfg), dtype)
+    _init_rows(store, np.random.default_rng(seed), encoder_layout(cfg))
     store.tie("mlm_head.w", "embed.tok")
-    store.add("mlm_head.b", np.zeros(cfg.vocab_size, dtype=dtype))
+    store.add("mlm_head.b", np.zeros(cfg.vocab_size))
     return store
 
 
-def init_seq2seq(cfg, seed, dtype=np.float64):
+def init_seq2seq(cfg, seed):
     """From-scratch seq2seq model; encoder embedding, decoder embedding and the
     LM head share one table (BART convention)."""
     if cfg.decoder_layers < 1:
         raise ValueError("seq2seq model requires decoder_layers >= 1")
     rng = np.random.default_rng(seed)
     store = ParameterStore()
-    _init_rows(store, rng, encoder_layout(cfg), dtype)
+    _init_rows(store, rng, encoder_layout(cfg))
     store.tie("dec.embed.tok", "embed.tok")
-    _init_rows(store, rng, decoder_layout(cfg), dtype)
+    _init_rows(store, rng, decoder_layout(cfg))
     store.tie("lm_head.w", "embed.tok")
-    store.add("lm_head.b", np.zeros(cfg.vocab_size, dtype=dtype))
+    store.add("lm_head.b", np.zeros(cfg.vocab_size))
     return store
 
 
@@ -190,8 +190,7 @@ def _attention(store, prefix, x_q, x_kv, heads, mask, cache=None):
     hd = d // heads
 
     def proj(x, w, bias):
-        y = ag.add(ag.matmul(x, ag.transpose(store[w])), store[bias])
-        y = ag.reshape(y, (x.shape[0], x.shape[1], heads, hd))
+        y = ag.reshape(ag.linear(x, store[w], store[bias]), (x.shape[0], x.shape[1], heads, hd))
         return ag.transpose(y, (0, 2, 1, 3))  # [B, H, T, hd]
 
     q = proj(x_q, f"{prefix}.wq", f"{prefix}.bq")
@@ -212,12 +211,12 @@ def _attention(store, prefix, x_q, x_kv, heads, mask, cache=None):
     attn = ag.softmax(scores, axis=-1)
     ctx = ag.matmul(attn, v)  # [B, H, Tq, hd]
     ctx = ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)), (b, tq, d))
-    return ag.add(ag.matmul(ctx, ag.transpose(store[f"{prefix}.wo"])), store[f"{prefix}.bo"])
+    return ag.linear(ctx, store[f"{prefix}.wo"], store[f"{prefix}.bo"])
 
 
 def _ffn(store, prefix, x):
-    h = ag.gelu(ag.add(ag.matmul(x, ag.transpose(store[f"{prefix}.w1"])), store[f"{prefix}.b1"]))
-    return ag.add(ag.matmul(h, ag.transpose(store[f"{prefix}.w2"])), store[f"{prefix}.b2"])
+    h = ag.gelu(ag.linear(x, store[f"{prefix}.w1"], store[f"{prefix}.b1"]))
+    return ag.linear(h, store[f"{prefix}.w2"], store[f"{prefix}.b2"])
 
 
 def _maybe_dropout(x, p, rng):
@@ -368,18 +367,18 @@ def decoder_forward(cfg, store, target_in, enc_states, src_pad_mask=None, train_
     if cache is not None:
         cache.length += s
     x = ag.layer_norm(x, store["dec.final_ln.g"], store["dec.final_ln.b"])
-    return ag.add(ag.matmul(x, ag.transpose(store["lm_head.w"])), store["lm_head.b"])
+    return ag.linear(x, store["lm_head.w"], store["lm_head.b"])
 
 
 def mlm_logits(store, enc_out):
-    return ag.add(ag.matmul(enc_out, ag.transpose(store["mlm_head.w"])), store["mlm_head.b"])
+    return ag.linear(enc_out, store["mlm_head.w"], store["mlm_head.b"])
 
 
 # ---------------------------------------------------------------------------
 # model surgery (Recipes 1 and 2)
 
 
-def warm_start_seq2seq(donor, cfg, seed, dtype=np.float64):
+def warm_start_seq2seq(donor, cfg, seed):
     """Build a seq2seq ParameterStore whose encoder is copied from a trained
     encoder-only model.
 
@@ -387,11 +386,11 @@ def warm_start_seq2seq(donor, cfg, seed, dtype=np.float64):
     is tied (shared storage) to the encoder embedding; the LM head starts from
     the embedding values but is stored separately (untied) and trainable.
     """
-    store = _copy_encoder(donor, cfg, "donor", dtype)
+    store = _copy_encoder(donor, cfg, "donor")
     store.tie("dec.embed.tok", "embed.tok")
-    _init_rows(store, np.random.default_rng(seed), decoder_layout(cfg), dtype)
+    _init_rows(store, np.random.default_rng(seed), decoder_layout(cfg))
     store.add("lm_head.w", store["embed.tok"].data.copy())
-    store.add("lm_head.b", np.zeros(cfg.vocab_size, dtype=dtype))
+    store.add("lm_head.b", np.zeros(cfg.vocab_size))
     return store
 
 
@@ -402,15 +401,15 @@ def extract_encoder(seq2seq_store, cfg):
     if cfg.encoder_layers < 1:
         raise ValueError("model has no encoder layers to extract")
     store = _copy_encoder(seq2seq_store, cfg, "seq2seq model")
-    store.add("mlm_head.w", seq2seq_store["embed.tok"].data.copy())
-    store.add("mlm_head.b", np.zeros(cfg.vocab_size, dtype=store["embed.tok"].data.dtype))
+    store.add("mlm_head.w", store["embed.tok"].data.copy())
+    store.add("mlm_head.b", np.zeros(cfg.vocab_size))
     return store
 
 
-def _copy_encoder(src, cfg, what, dtype=None):
-    """New store holding copies of the encoder rows of `cfg` taken from `src`;
-    raises ValueError naming every row `src` lacks or holds in another shape.
-    `dtype` None keeps the source dtype."""
+def _copy_encoder(src, cfg, what):
+    """New store holding float64 copies of the encoder rows of `cfg` taken
+    from `src`; raises ValueError naming every row `src` lacks or holds in
+    another shape."""
     rows = encoder_layout(cfg)
     missing = [name for name, _, _ in rows if name not in src]
     if missing:
@@ -421,7 +420,7 @@ def _copy_encoder(src, cfg, what, dtype=None):
         raise ValueError(f"{what} shape mismatch: {'; '.join(wrong)}")
     store = ParameterStore()
     for name, _, _ in rows:
-        store.add(name, np.array(src[name].data, dtype=dtype))
+        store.add(name, np.array(src[name].data, dtype=np.float64))
     return store
 
 
@@ -444,7 +443,7 @@ class HeadSpec:
             raise ValueError(f"unknown head kind: {self.kind}")
 
 
-def attach_head(store, spec, d_model, seed, dtype=np.float64):
+def attach_head(store, spec, d_model, seed):
     """Add task-head parameters (MLP with gelu hidden layers) to a store copy."""
     rng = np.random.default_rng(seed)
     out = store.copy()
@@ -452,7 +451,7 @@ def attach_head(store, spec, d_model, seed, dtype=np.float64):
     for j, width in enumerate(spec.hidden):
         rows += _linear_rows(f"head.{j}", width, d_in)
         d_in = width
-    _init_rows(out, rng, rows + _linear_rows("head.out", spec.label_count, d_in), dtype)
+    _init_rows(out, rng, rows + _linear_rows("head.out", spec.label_count, d_in))
     return out
 
 
@@ -468,8 +467,8 @@ def head_forward(store, spec, features):
     """Run the task head on selected feature rows [N, d] -> logits [N, labels]."""
     x = features
     for j in range(len(spec.hidden)):
-        x = ag.gelu(ag.add(ag.matmul(x, ag.transpose(store[f"head.{j}.w"])), store[f"head.{j}.b"]))
-    return ag.add(ag.matmul(x, ag.transpose(store["head.out.w"])), store["head.out.b"])
+        x = ag.gelu(ag.linear(x, store[f"head.{j}.w"], store[f"head.{j}.b"]))
+    return ag.linear(x, store["head.out.w"], store["head.out.b"])
 
 
 def head_features(cfg, store, spec, tokens, pad_mask=None, word_starts=None, train_rng=None):

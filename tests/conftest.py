@@ -39,6 +39,14 @@ def finite_diff_check(make_loss, tensors, rng, samples_per_tensor=4,
             )
 
 
+def composed_linear(x, w, b):
+    """The projection as three tape nodes (transpose, matmul, add): the
+    reference `autograd.linear` must equal bit for bit."""
+    from deskseq import autograd as ag
+
+    return ag.add(ag.matmul(x, ag.transpose(w)), b)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

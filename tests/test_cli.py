@@ -325,6 +325,7 @@ class TestFinetuneEvaluate:
             "seed": 0, "out": str(tmp_path / "evald"), **base})
         assert cli.main(["evaluate", "--config", evp]) == cli.EXIT_CONFIG
         assert "task head" in capsys.readouterr().err
+        assert not (tmp_path / "evald").exists()
 
     def test_evaluate_generation_reports_all_metrics(self, tmp_path):
         words = [f"w{i}" for i in range(12)]
@@ -362,6 +363,7 @@ class TestFinetuneEvaluate:
             "task": {"kind": "generation", "eval": str(tmp_path / "eval.jsonl")}})
         assert cli.main(["evaluate", "--config", evp]) == cli.EXIT_CONFIG
         assert "max_len 17 exceeds max_positions 16" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_finetune_then_evaluate_labeling_reports_entity_f1(self, tmp_path):
         base = make_labeling_task(tmp_path)
@@ -415,6 +417,22 @@ class TestFinetuneEvaluate:
             "task": {"kind": "classification", "eval": str(tmp_path / "eval.jsonl")}})
         assert cli.main(["evaluate", "--config", evp]) == cli.EXIT_CONFIG
         assert "task head has 2 labels, the eval split 1" in capsys.readouterr().err
+        assert not (tmp_path / "evald").exists()
+
+    @pytest.mark.parametrize("split", ["train", "dev", "eval"])
+    def test_labeling_row_with_unequal_tokens_and_labels_is_config_error(
+            self, tmp_path, capsys, split):
+        base = make_labeling_task(tmp_path)
+        path = tmp_path / f"{split}_bad.jsonl"
+        rows = D.read_jsonl(base["task"][split])
+        rows[2]["labels"] = rows[2]["labels"][:-1]
+        D.write_jsonl(path, rows)
+        base["task"][split] = str(path)
+        verb = "evaluate" if split == "eval" else "finetune"
+        cfgp = finetune_config(tmp_path, base)
+        assert cli.main([verb, "--config", cfgp]) == cli.EXIT_CONFIG
+        assert f"task {split} row 3 has 5 tokens but 4 labels" in capsys.readouterr().err
+        assert not (tmp_path / "tuned").exists()
 
     def test_dev_label_ids_come_from_the_train_split(self, tmp_path, capsys):
         base = make_classification_task(tmp_path)

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deskseq import autograd as ag
 from deskseq.autograd import IGNORE, ShapeError, Tensor
 from deskseq.optim import AdamConfig, OptimState, adam_step
 from deskseq.params import ParameterStore
 
-from conftest import finite_diff_check, rel_err
+from conftest import composed_linear, finite_diff_check, rel_err
 
 
 class TestNoGrad:
@@ -63,6 +65,61 @@ class TestMatmul:
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
             ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+
+
+def _linear_operands(seed, lead, d_in, d_out):
+    rng = np.random.default_rng(seed)
+    return (Tensor(rng.normal(size=(*lead, d_in)), requires_grad=True),
+            Tensor(rng.normal(size=(d_out, d_in)), requires_grad=True),
+            Tensor(rng.normal(size=d_out), requires_grad=True),
+            rng.normal(size=(*lead, d_out)))
+
+
+class TestLinear:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           lead=st.lists(st.integers(1, 5), min_size=1, max_size=2),
+           d_in=st.integers(1, 9), d_out=st.integers(1, 9))
+    def test_output_and_gradients_equal_the_composed_chain_bit_for_bit(
+            self, seed, lead, d_in, d_out):
+        """2-D and 3-D inputs: one node gives the bytes of transpose -> matmul -> add."""
+        results = []
+        for project in (ag.linear, composed_linear):
+            x, w, b, weights = _linear_operands(seed, lead, d_in, d_out)
+            out = project(x, w, b)
+            ag.backward(ag.sum_all(ag.mul(out, Tensor(weights))))
+            results.append([t.tobytes() for t in (out.data, x.grad, w.grad, b.grad)])
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("lead", [(4,), (2, 3)])
+    def test_finite_difference(self, rng, lead):
+        x, w, b, _ = _linear_operands(int(rng.integers(1000)), lead, 5, 3)
+        finite_diff_check(lambda: ag.sum_all(ag.square(ag.linear(x, w, b))), [x, w, b], rng)
+
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape, match", [
+        ((2, 4), (3,), (3,), "weight must be 2-D"),
+        ((2, 4), (3, 4, 1), (3,), "weight must be 2-D"),
+        ((2, 4), (3, 4), (4,), "bias"),
+        ((2, 4), (3, 4), (1, 3), "bias"),
+        ((4,), (3, 4), (3,), "input"),
+        ((2, 5), (3, 4), (3,), "input"),
+        ((2, 2, 3), (3, 4), (3,), "input"),
+    ])
+    def test_each_mismatched_operand_raises(self, x_shape, w_shape, b_shape, match):
+        with pytest.raises(ShapeError, match=match):
+            ag.linear(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)),
+                      Tensor(np.ones(b_shape)))
+
+    def test_records_one_node_and_none_under_no_grad(self, rng):
+        x, w, b, _ = _linear_operands(0, (2, 3), 4, 5)
+        out = ag.linear(x, w, b)
+        assert out._parents == (x, w, b)
+        assert all(p._backward is None for p in out._parents)
+        with ag.no_grad():
+            out = ag.linear(x, w, b)
+        assert not out.requires_grad
+        assert out._backward is None and out._parents == ()
+        np.testing.assert_array_equal(out.data, composed_linear(x, w, b).data)
 
 
 class TestLayerNorm:
