@@ -193,10 +193,67 @@ def linear(x, w, b):
     out = np.matmul(x.data, w.data.T) + b.data
 
     def bwd(g):
-        gw = _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.data.shape[::-1]).T
-        return np.matmul(g, w.data), gw, _unbroadcast(g, b.data.shape)
+        gx = np.matmul(g, w.data) if x.requires_grad else None
+        gw = (_unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.data.shape[::-1]).T
+              if w.requires_grad else None)
+        return gx, gw, _unbroadcast(g, b.data.shape) if b.requires_grad else None
 
     return _make(out, (x, w, b), bwd)
+
+
+def attention(q, k, v, heads, mask=None):
+    """Multi-head scaled dot-product attention of projected queries [B, Tq, d]
+    over keys and values [B or 1, Tk, d], as one tape node returning the
+    merged context [B, Tq, d].  `mask` is an additive array broadcastable to
+    the scores [B, heads, Tq, Tk], or None.
+
+    Forward and backward make the numpy calls of the chain split heads ->
+    matmul -> scale -> add mask -> softmax -> matmul -> merge heads, so the
+    output and every gradient equal that chain's bit for bit.  Only the
+    softmax output is kept for backward."""
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.data.ndim != 3 or q.data.shape[-1] % heads:
+        raise ShapeError(f"attention queries {q.data.shape} do not split into {heads} heads")
+    if (k.data.shape != v.data.shape or k.data.ndim != 3 or k.data.shape[-1] != q.data.shape[-1]
+            or k.data.shape[0] not in (1, q.data.shape[0])):
+        raise ShapeError(f"attention keys {k.data.shape} and values {v.data.shape} "
+                         f"do not match queries {q.data.shape}")
+    b, tq, d = q.data.shape
+    hd = d // heads
+
+    def split(x):  # [B, T, d] -> [B, H, T, hd], a view
+        return x.reshape(x.shape[0], x.shape[1], heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(x):  # [B, H, T, hd] -> [B, T, d], a copy
+        return x.transpose(0, 2, 1, 3).reshape(x.shape[0], x.shape[2], d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    s = 1.0 / np.sqrt(hd)
+    scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * s
+    if mask is not None:
+        scores = scores + mask
+    z = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    y = e / e.sum(axis=-1, keepdims=True)
+    out = merge(np.matmul(y, vh))
+
+    def bwd(g):
+        # the chain's context gradient is C-ordered [B, H, Tq, hd]; matmul on
+        # a strided view of it would not give the same bytes
+        gctx = np.ascontiguousarray(g.reshape(b, tq, heads, hd).transpose(0, 2, 1, 3))
+        ga = np.matmul(gctx, np.swapaxes(vh, -1, -2))
+        gs = y * (ga - (ga * y).sum(axis=-1, keepdims=True)) * s
+        gq = gk = gv = None
+        if q.requires_grad:
+            gq = merge(np.matmul(gs, kh))
+        if k.requires_grad:  # reduced as the chain's transposed keys [B, H, hd, Tk]
+            gkt = np.matmul(np.swapaxes(qh, -1, -2), gs)
+            gk = merge(np.swapaxes(_unbroadcast(gkt, np.swapaxes(kh, -1, -2).shape), -1, -2))
+        if v.requires_grad:
+            gv = merge(_unbroadcast(np.matmul(np.swapaxes(y, -1, -2), gctx), vh.shape))
+        return gq, gk, gv
+
+    return _make(out, (q, k, v), bwd)
 
 
 def transpose(a, axes=None):
@@ -246,10 +303,11 @@ def layer_norm(x, gain, bias, eps=1e-5):
         )
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # the reductions np.mean and np.var make, with the centring done once
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv
+    xhat = xc * inv
     out = xhat * gain.data + bias.data
 
     def bwd(g):

@@ -97,6 +97,7 @@ def cmd_pretrain(cfg):
     scale = cfg.get("scale", {})
     plan = P.desk_plan(preset, **scale) if isinstance(preset, str) else _plan_from_dict(preset)
     sequences = _load_sequences(cfg)
+    _check_corpus(plan, sequences)
     donor = checkpoint_store = None
     if plan.init.kind == "warm_start":
         donor_path = cfg.get("donor") or plan.init.path
@@ -126,6 +127,25 @@ def cmd_pretrain(cfg):
            provenance={"plan": plan.name, "stage": "final", "seed": cfg["seed"]},
            opt_state=opt_state)
     return EXIT_OK
+
+
+def _check_corpus(plan, sequences):
+    """Reject a corpus the plan's model cannot read, before step 0 and before
+    any output exists: a token id outside the vocabulary, or a sequence longer
+    than the positions (one fewer for de-noising, whose decoder input gains BOS)."""
+    cfg = plan.model
+    limit, why = cfg.max_positions, "max_positions"
+    if any(st.objective == T.DENOISE for st in plan.stages):
+        limit, why = limit - 1, f"max_positions {limit} less the de-noising BOS"
+    for n, seq in enumerate(sequences):
+        if len(seq) > limit:
+            raise ConfigError(f"corpus sequence {n} has {len(seq)} tokens, "
+                              f"more than {limit} ({why})")
+        ids = np.asarray(seq)
+        bad = ids[(ids < 0) | (ids >= cfg.vocab_size)]
+        if bad.size:
+            raise ConfigError(f"corpus sequence {n} holds token id {bad[0]}, "
+                              f"outside [0, vocab_size {cfg.vocab_size})")
 
 
 def _plan_from_dict(d):

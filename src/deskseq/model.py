@@ -178,39 +178,29 @@ def init_seq2seq(cfg, seed):
 
 
 def _attention(store, prefix, x_q, x_kv, heads, mask, cache=None):
-    """Multi-head attention.  mask is an additive ndarray broadcastable to the
-    score shape [B, H, Tq, Tk], or None.
+    """Multi-head attention: the q/k/v projections, one `autograd.attention`
+    node and the output projection.  mask is an additive ndarray broadcastable
+    to the score shape [B, H, Tq, Tk], or None.
 
-    `cache` (a dict, only with grad mode off) holds raw (keys, values) arrays
-    [B, H, T, hd] per prefix: the keys and values of `x_kv` are appended to
-    those cached under `prefix`, and `x_kv` None attends over the cached ones
-    alone.  Keys and values of batch 1 broadcast over the queries' batch.
+    `cache` (a dict, only with grad mode off) holds raw projected (keys,
+    values) arrays [B, T, d] per prefix: the keys and values of `x_kv` are
+    appended to those cached under `prefix`, and `x_kv` None attends over the
+    cached ones alone.  Keys and values of batch 1 broadcast over the queries'
+    batch.
     """
-    b, tq, d = x_q.shape
-    hd = d // heads
-
-    def proj(x, w, bias):
-        y = ag.reshape(ag.linear(x, store[w], store[bias]), (x.shape[0], x.shape[1], heads, hd))
-        return ag.transpose(y, (0, 2, 1, 3))  # [B, H, T, hd]
-
-    q = proj(x_q, f"{prefix}.wq", f"{prefix}.bq")
+    q = ag.linear(x_q, store[f"{prefix}.wq"], store[f"{prefix}.bq"])
     if x_kv is not None:
-        k = proj(x_kv, f"{prefix}.wk", f"{prefix}.bk")
-        v = proj(x_kv, f"{prefix}.wv", f"{prefix}.bv")
+        k = ag.linear(x_kv, store[f"{prefix}.wk"], store[f"{prefix}.bk"])
+        v = ag.linear(x_kv, store[f"{prefix}.wv"], store[f"{prefix}.bv"])
     if cache is not None:
         if x_kv is not None:
             k, v = k.data, v.data
             if prefix in cache:
-                k = np.concatenate([cache[prefix][0], k], axis=2)
-                v = np.concatenate([cache[prefix][1], v], axis=2)
+                k = np.concatenate([cache[prefix][0], k], axis=1)
+                v = np.concatenate([cache[prefix][1], v], axis=1)
             cache[prefix] = (k, v)
         k, v = cache[prefix]
-    scores = ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-    if mask is not None:
-        scores = ag.add(scores, Tensor(mask))
-    attn = ag.softmax(scores, axis=-1)
-    ctx = ag.matmul(attn, v)  # [B, H, Tq, hd]
-    ctx = ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)), (b, tq, d))
+    ctx = ag.attention(q, k, v, heads, mask)
     return ag.linear(ctx, store[f"{prefix}.wo"], store[f"{prefix}.bo"])
 
 
@@ -291,10 +281,10 @@ class DecodeCache:
     positions at a time, with grad mode off.
 
     `length` counts the positions decoded so far.  `self_kv` holds each
-    decoder layer's self-attention keys and values, one row per sequence;
-    `cross_kv` holds the cross-attention keys and values of the memory,
-    computed on the first call and kept at the batch of that call's encoder
-    states (batch 1 broadcasts over every sequence).
+    decoder layer's projected self-attention keys and values [B, T, d], one
+    row per sequence; `cross_kv` holds the cross-attention keys and values of
+    the memory, computed on the first call and kept at the batch of that
+    call's encoder states (batch 1 broadcasts over every sequence).
     """
 
     def __init__(self):

@@ -50,3 +50,24 @@ def composed_linear(x, w, b):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def composed_attention(q, k, v, heads, mask=None):
+    """Multi-head attention as the chain of tape nodes split heads -> matmul ->
+    scale -> add mask -> softmax -> matmul -> merge heads: the reference
+    `autograd.attention` must equal bit for bit."""
+    from deskseq import autograd as ag
+
+    q, k, v = ag.as_tensor(q), ag.as_tensor(k), ag.as_tensor(v)
+    b, tq, d = q.shape
+    hd = d // heads
+
+    def split(x):
+        return ag.transpose(ag.reshape(x, (x.shape[0], x.shape[1], heads, hd)), (0, 2, 1, 3))
+
+    scores = ag.scale(ag.matmul(split(q), ag.transpose(split(k), (0, 1, 3, 2))),
+                      1.0 / np.sqrt(hd))
+    if mask is not None:
+        scores = ag.add(scores, ag.Tensor(mask))
+    ctx = ag.matmul(ag.softmax(scores, axis=-1), split(v))
+    return ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)), (b, tq, d))

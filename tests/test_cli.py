@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -227,6 +228,38 @@ class TestPretrain:
                        "vocab_size": 64}})
         assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
         assert "donor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("objective, limit", [("mlm", 40), ("denoise", 39)])
+    def test_sequence_past_the_positions_is_config_error(self, tmp_path, capsys,
+                                                         objective, limit):
+        """MLM reads max_positions tokens; a de-noising decoder input gains
+        BOS, so it reads one fewer.  One more is rejected before step 0."""
+        plan = INLINE_PLAN
+        if objective == "denoise":
+            plan = {**INLINE_PLAN, "model": {**INLINE_PLAN["model"], "decoder_layers": 1},
+                    "stages": [{**INLINE_PLAN["stages"][0], "objective": "denoise",
+                                "noise": {"mode": "span_mask"}}]}
+        for seq_len, code in ((limit + 1, cli.EXIT_CONFIG), (limit, cli.EXIT_OK)):
+            out = tmp_path / f"run{seq_len}"
+            cfgp = write_config(tmp_path / f"c{seq_len}.json", {
+                "seed": 0, "out": str(out), "plan": plan,
+                "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": seq_len,
+                           "vocab_size": 64}})
+            assert cli.main(["pretrain", "--config", cfgp]) == code
+            assert out.exists() == (code == cli.EXIT_OK)
+        err = capsys.readouterr().err
+        assert f"has {limit + 1} tokens, more than {limit} (max_positions" in err
+
+    def test_token_id_past_the_vocabulary_is_config_error(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path / "c.json", {
+            "seed": 0, "out": str(tmp_path / "run"), "plan": INLINE_PLAN,
+            "corpus": {"kind": "patterned", "n_seqs": 24, "seq_len": 12,
+                       "vocab_size": 128}})
+        assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "run").exists()
+        found = re.search(r"token id (\d+), outside \[0, vocab_size 64\)",
+                          capsys.readouterr().err)
+        assert found and int(found.group(1)) >= 64
 
 
 def make_classification_task(tmp_path):

@@ -14,7 +14,7 @@ from deskseq import model as M
 from deskseq.autograd import Tensor
 from deskseq.optim import AdamConfig, OptimState, adam_step
 
-from conftest import composed_linear, finite_diff_check
+from conftest import composed_attention, composed_linear, finite_diff_check
 
 
 def small_cfg(dec=2, fusion=False, **kw):
@@ -362,30 +362,39 @@ def _gradients(store, make_loss):
     return store.gradient_map()
 
 
-@pytest.mark.parametrize("fusion", [False, True])
-def test_linear_gradients_equal_the_composed_projection(rng, monkeypatch, fusion):
-    """Every projection is one `linear` node; gradients of denoise and MLM
-    losses keep the bytes of the transpose -> matmul -> add projection, except
-    where three contributions to one tied table now sum in another order."""
+def _loss_cases(rng, fusion):
+    """Warm-started and from-scratch seq2seq models under the denoise loss,
+    and the MLM donor under the MLM loss: {case: (store, loss)}."""
     cfg = small_cfg(fusion=fusion)
     enc_cfg = dataclasses.replace(cfg, decoder_layers=0, cross_attention=M.STANDARD)
     src = token_batch(rng, cfg, 2, 5)
+    src[1, 3:] = D.PAD
+    real = src != D.PAD
     tgt_in = token_batch(rng, cfg, 2, 4)
     labels = rng.integers(0, cfg.vocab_size, size=8)
     mlm_labels = rng.integers(0, cfg.vocab_size, size=10)
 
     def denoise(store):
-        logits = M.decoder_forward(cfg, store, tgt_in, M.encoder_forward(cfg, store, src))
+        states = M.encoder_forward(cfg, store, src, real)
+        logits = M.decoder_forward(cfg, store, tgt_in, states, real)
         return ag.softmax_cross_entropy(ag.reshape(logits, (-1, cfg.vocab_size)), labels)
 
     def mlm(store):
-        out = M.encoder_output(store, M.encoder_forward(enc_cfg, store, src))
+        out = M.encoder_output(store, M.encoder_forward(enc_cfg, store, src, real))
         logits = M.mlm_logits(store, out)
         return ag.softmax_cross_entropy(ag.reshape(logits, (-1, cfg.vocab_size)), mlm_labels)
 
     donor = M.init_mlm_encoder(enc_cfg, 3)
-    cases = {"warm": (M.warm_start_seq2seq(donor, cfg, 4), denoise),
-             "scratch": (M.init_seq2seq(cfg, 5), denoise), "mlm": (donor, mlm)}
+    return {"warm": (M.warm_start_seq2seq(donor, cfg, 4), denoise),
+            "scratch": (M.init_seq2seq(cfg, 5), denoise), "mlm": (donor, mlm)}
+
+
+@pytest.mark.parametrize("fusion", [False, True])
+def test_linear_gradients_equal_the_composed_projection(rng, monkeypatch, fusion):
+    """Every projection is one `linear` node; gradients of denoise and MLM
+    losses keep the bytes of the transpose -> matmul -> add projection, except
+    where three contributions to one tied table now sum in another order."""
+    cases = _loss_cases(rng, fusion)
     fused = {k: _gradients(store, lambda: loss(store)) for k, (store, loss) in cases.items()}
     monkeypatch.setattr(ag, "linear", composed_linear)
     chain = {k: _gradients(store, lambda: loss(store)) for k, (store, loss) in cases.items()}
@@ -397,6 +406,21 @@ def test_linear_gradients_equal_the_composed_projection(rng, monkeypatch, fusion
                 assert np.abs(fused[case][name] - g).max() <= 1e-12 * np.abs(g).max()
             else:
                 assert fused[case][name].tobytes() == g.tobytes(), (case, name)
+
+
+@pytest.mark.parametrize("fusion", [False, True])
+def test_attention_gradients_equal_the_composed_chain(rng, monkeypatch, fusion):
+    """Every attention is one `attention` node; gradients of denoise and MLM
+    losses, with pad masks, keep the bytes of the split-heads -> ... ->
+    merge-heads chain on every model, the from-scratch tied table included."""
+    cases = _loss_cases(rng, fusion)
+    fused = {k: _gradients(store, lambda: loss(store)) for k, (store, loss) in cases.items()}
+    monkeypatch.setattr(ag, "attention", composed_attention)
+    chain = {k: _gradients(store, lambda: loss(store)) for k, (store, loss) in cases.items()}
+    for case in cases:
+        assert fused[case].keys() == chain[case].keys()
+        for name, g in chain[case].items():
+            assert fused[case][name].tobytes() == g.tobytes(), (case, name)
 
 
 def _full_logits(cfg, store, prefixes, states, mask):

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deskseq import autograd as ag
+from deskseq import model as M
 from deskseq.autograd import IGNORE, ShapeError, Tensor
 from deskseq.optim import AdamConfig, OptimState, adam_step
 from deskseq.params import ParameterStore
 
-from conftest import composed_linear, finite_diff_check, rel_err
+from conftest import composed_attention, composed_linear, finite_diff_check, rel_err
 
 
 class TestNoGrad:
@@ -121,6 +122,93 @@ class TestLinear:
         assert out._backward is None and out._parents == ()
         np.testing.assert_array_equal(out.data, composed_linear(x, w, b).data)
 
+    @pytest.mark.parametrize("frozen", [0, 1, 2])
+    def test_an_operand_without_grad_gets_none_and_the_others_keep_their_bytes(self, frozen):
+        operands = _linear_operands(1, (2, 3), 4, 5)
+        out = ag.linear(*operands[:3])
+        full = out._backward(operands[3])
+        operands[frozen].requires_grad = False
+        grads = out._backward(operands[3])
+        for i, (g, ref) in enumerate(zip(grads, full)):
+            assert g is None if i == frozen else g.tobytes() == ref.tobytes()
+
+
+def _attention_operands(seed, batch, kv_batch, tq, tk, heads, hd):
+    rng = np.random.default_rng(seed)
+    d = heads * hd
+    return (Tensor(rng.normal(size=(batch, tq, d)), requires_grad=True),
+            Tensor(rng.normal(size=(kv_batch, tk, d)), requires_grad=True),
+            Tensor(rng.normal(size=(kv_batch, tk, d)), requires_grad=True),
+            rng.normal(size=(batch, tq, d)))
+
+
+class TestAttention:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), heads=st.sampled_from([1, 2, 4]),
+           hd=st.integers(1, 4), batch=st.integers(1, 3), kv_one=st.booleans(),
+           tq=st.integers(1, 6), tk=st.integers(1, 6),
+           mask_kind=st.sampled_from(["none", "pad", "causal"]))
+    def test_output_and_gradients_equal_the_composed_chain_bit_for_bit(
+            self, seed, heads, hd, batch, kv_one, tq, tk, mask_kind):
+        """Pad masks [B,1,1,T], causal masks with a start offset (tq new
+        queries after tk - tq cached keys) and batch-1 keys and values."""
+        mask = None
+        if mask_kind == "pad":
+            real = np.random.default_rng(seed).random((batch, tk)) < 0.7
+            real[:, 0] = True
+            mask = M.pad_attention_mask(real)
+        elif mask_kind == "causal":
+            tq = min(tq, tk)
+            mask = M.causal_mask(tq, tk - tq)
+        results = []
+        for attend in (ag.attention, composed_attention):
+            q, k, v, weights = _attention_operands(seed, batch, 1 if kv_one else batch,
+                                                   tq, tk, heads, hd)
+            out = attend(q, k, v, heads, mask)
+            ag.backward(ag.sum_all(ag.mul(out, Tensor(weights))))
+            results.append([t.tobytes() for t in (out.data, q.grad, k.grad, v.grad)])
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("kv_batch", [2, 1])
+    def test_finite_difference(self, rng, kv_batch):
+        q, k, v, _ = _attention_operands(3, 2, kv_batch, 3, 4, 2, 3)
+        mask = M.causal_mask(3, 1)
+        finite_diff_check(lambda: ag.sum_all(ag.square(ag.attention(q, k, v, 2, mask))),
+                          [q, k, v], rng)
+
+    @pytest.mark.parametrize("q_shape, kv_shapes, heads, match", [
+        ((2, 3, 6), ((2, 4, 6), (2, 4, 6)), 4, "4 heads"),
+        ((2, 3, 6), ((2, 4, 4), (2, 4, 4)), 2, "keys"),
+        ((2, 3, 6), ((2, 4, 6), (2, 4, 4)), 2, "keys"),
+        ((2, 3, 6), ((2, 4, 6), (2, 5, 6)), 2, "keys"),
+        ((2, 3, 6), ((3, 4, 6), (3, 4, 6)), 2, "keys"),
+        ((3, 6), ((4, 6), (4, 6)), 2, "queries"),
+    ])
+    def test_mismatched_shapes_raise(self, q_shape, kv_shapes, heads, match):
+        with pytest.raises(ShapeError, match=match):
+            ag.attention(Tensor(np.ones(q_shape)), Tensor(np.ones(kv_shapes[0])),
+                         Tensor(np.ones(kv_shapes[1])), heads)
+
+    def test_records_one_node_and_none_under_no_grad(self):
+        q, k, v, _ = _attention_operands(0, 2, 2, 3, 4, 2, 2)
+        out = ag.attention(q, k, v, 2)
+        assert out._parents == (q, k, v)
+        with ag.no_grad():
+            out = ag.attention(q, k, v, 2)
+        assert not out.requires_grad
+        assert out._backward is None and out._parents == ()
+        np.testing.assert_array_equal(out.data, composed_attention(q, k, v, 2).data)
+
+    @pytest.mark.parametrize("frozen", [0, 1, 2])
+    def test_an_operand_without_grad_gets_none_and_the_others_keep_their_bytes(self, frozen):
+        operands = _attention_operands(2, 2, 1, 3, 4, 2, 2)
+        out = ag.attention(*operands[:3], 2)
+        full = out._backward(operands[3])
+        operands[frozen].requires_grad = False
+        grads = out._backward(operands[3])
+        for i, (g, ref) in enumerate(zip(grads, full)):
+            assert g is None if i == frozen else g.tobytes() == ref.tobytes()
+
 
 class TestLayerNorm:
     def test_constant_row_maps_to_bias(self):
@@ -143,6 +231,20 @@ class TestLayerNorm:
         expect = (x[0] - mu) / np.sqrt(var + eps) * g + b
         out = ag.layer_norm(Tensor(x), Tensor(g), Tensor(b), eps=eps)
         np.testing.assert_allclose(out.data[0], expect, rtol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), offset=st.sampled_from([0.0, 5.0]))
+    def test_forward_equals_the_np_mean_np_var_formula_bit_for_bit(
+            self, seed, shape, scale, offset):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=shape) * scale + offset
+        g, b = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        mean = x.mean(axis=-1, keepdims=True)
+        xhat = (x - mean) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5))
+        out = ag.layer_norm(Tensor(x), Tensor(g), Tensor(b))
+        assert out.data.tobytes() == (xhat * g + b).tobytes()
 
 
 class TestCrossEntropy:

@@ -7,6 +7,8 @@ from deskseq import checkpoint as C
 from deskseq import data as D
 from deskseq import evalft as E
 from deskseq import model as M
+from deskseq import presets as P
+from deskseq import synth as S
 from deskseq import train as T
 from deskseq.data import NoiseConfig
 from deskseq.optim import AdamConfig, OptimState
@@ -330,3 +332,37 @@ class TestEvalLoss:
             results.append({n: (store[n].grad.tobytes(), store[n].data.tobytes())
                             for n in store.names() if store[n].grad is not None})
         assert results[0] and results[0] == results[1]
+
+
+def _tape_nodes(loss):
+    """Recorded nodes reachable from `loss`: the nodes `backward` runs."""
+    seen, stack = set(), [loss]
+    while stack:
+        t = stack.pop()
+        if t._backward is not None and id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)
+
+
+def test_desk_update_tape_node_budget():
+    """One desk 12-layer update (8 x 24 tokens, dropout on) records at most
+    these nodes: each projection is one `linear` node and each attention one
+    `attention` node.  Splitting either back into pieces fails here."""
+    batch = S.pair_language(8, doc_len=24, seed=0)
+    slot_rngs = [np.random.default_rng(i) for i in range(8)]
+    mlm = P.desk_plan("roberta-12e")
+    donor = M.init_mlm_encoder(mlm.model, 0)
+    tokens, labels, pad_mask = T.make_mlm_batch(batch, mlm.stages[0].noise,
+                                                mlm.model.vocab_size, slot_rngs)
+    counts = {"mlm": _tape_nodes(T.mlm_step_loss(mlm.model, donor, tokens, labels, pad_mask,
+                                                 train_rng=np.random.default_rng(0)))}
+    s2s = P.desk_plan("2stage-bart-12e12d-unfrz")
+    store = M.warm_start_seq2seq(donor, s2s.model, 1)
+    for stage, key in zip(s2s.stages, ("frozen", "unfrozen")):
+        T.apply_freeze_plan(store, stage.freeze)
+        loss = T.denoise_step_loss(s2s.model, store,
+                                   *T.make_denoise_batch(batch, stage.noise, slot_rngs),
+                                   train_rng=np.random.default_rng(0))
+        counts[key] = _tape_nodes(loss)
+    assert counts["mlm"] <= 176 and counts["frozen"] <= 271 and counts["unfrozen"] <= 445, counts
