@@ -136,8 +136,9 @@ def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
 
-    def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+    def bwd(g):  # None for an operand without grad, as in `linear`
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _make(out, (a, b), bwd)
 
@@ -146,8 +147,9 @@ def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
 
-    def bwd(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+    def bwd(g):  # a dropout's keep mask gets None: no unused g * a product
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return _make(out, (a, b), bwd)
 
@@ -268,16 +270,6 @@ def reshape(a, shape):
     a = as_tensor(a)
     src = a.data.shape
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(src),))
-
-
-def sum_all(a):
-    a = as_tensor(a)
-    return _make(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
-
-
-def square(a):
-    a = as_tensor(a)
-    return _make(a.data * a.data, (a,), lambda g: (2.0 * a.data * g,))
 
 
 def gelu(a):

@@ -43,6 +43,7 @@ def _load_config(path, overrides):
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON ({exc})") from exc
+    _object(cfg, "the config")
     if cfg.get("version") != CONFIG_VERSION:
         raise ConfigError(f"config field 'version' must be {CONFIG_VERSION!r}, "
                           f"got {cfg.get('version')!r}")
@@ -53,6 +54,21 @@ def _load_config(path, overrides):
     if "seed" not in cfg:
         raise ConfigError("config field 'seed' is required (no implicit randomness)")
     return cfg
+
+
+def _object(d, what):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(d).__name__}")
+    return d
+
+
+def _build(fn, d, what, *args):
+    """`fn(*args, **d)` for the config object `d`: a key that `fn` does not
+    take, or a required one left out, is a config error that names it."""
+    try:
+        return fn(*args, **_object(d, f"config field '{what}'"))
+    except TypeError as exc:
+        raise ConfigError(f"config field '{what}': {exc}") from exc
 
 
 def _require(cfg, field):
@@ -94,8 +110,8 @@ def _load_sequences(cfg):
 def cmd_pretrain(cfg):
     out = _require(cfg, "out")
     preset = _require(cfg, "plan")
-    scale = cfg.get("scale", {})
-    plan = P.desk_plan(preset, **scale) if isinstance(preset, str) else _plan_from_dict(preset)
+    plan = (_build(P.desk_plan, cfg.get("scale", {}), "scale", preset)
+            if isinstance(preset, str) else _plan_from_dict(preset))
     sequences = _load_sequences(cfg)
     _check_corpus(plan, sequences)
     donor = checkpoint_store = None
@@ -149,18 +165,17 @@ def _check_corpus(plan, sequences):
 
 
 def _plan_from_dict(d):
-    model = M.ModelConfig.from_dict(_require(d, "model"))
+    """An inline plan: each part gets only the keys given, so its defaults hold."""
+    model = _build(M.ModelConfig, _require(_object(d, "an inline plan"), "model"), "model")
     stages = []
-    for s in _require(d, "stages"):
-        lr = T.LrSchedule(**_require(s, "lr"))
-        noise = D.NoiseConfig(**s.get("noise", {}))
-        stages.append(T.TrainStage(
-            name=_require(s, "name"), objective=_require(s, "objective"),
-            steps=_require(s, "steps"), lr=lr, noise=noise,
-            freeze=tuple(s.get("freeze", ())), lr_offset=s.get("lr_offset", 0),
-            batch_size=s.get("batch_size", 8),
-            batch_tokens=s.get("batch_tokens", 1_000_000)))
-    init = T.PlanInit(**d.get("init", {}))
+    for n, s in enumerate(_require(d, "stages")):
+        stage = dict(_object(s, f"stage {n}"))
+        stage["lr"] = _build(T.LrSchedule, _require(s, "lr"), "lr")
+        stage["noise"] = _build(D.NoiseConfig, s.get("noise", {}), "noise")
+        if "freeze" in s:
+            stage["freeze"] = tuple(s["freeze"])
+        stages.append(_build(T.TrainStage, stage, f"stage {n}"))
+    init = _build(T.PlanInit, d.get("init", {}), "init")
     return T.TrainPlan(name=_require(d, "name"), model=model, stages=stages, init=init)
 
 
@@ -308,7 +323,7 @@ def cmd_finetune(cfg):
     kind, train_set, labels = _read_task(cfg, "train")
     _, dev_set, _ = _read_task(cfg, "dev", labels)
     seeds = cfg.get("seeds", [cfg["seed"]])
-    fcfg = E.FinetuneConfig(**cfg.get("finetune", {}))
+    fcfg = _build(E.FinetuneConfig, cfg.get("finetune", {}), "finetune")
     os.makedirs(out, exist_ok=True)
     values = []
     for seed in seeds:

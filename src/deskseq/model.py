@@ -414,10 +414,6 @@ def _copy_encoder(src, cfg, what):
     return store
 
 
-def _encoder_param_names(cfg):
-    return [name for name, _, _ in encoder_layout(cfg)]
-
-
 # ---------------------------------------------------------------------------
 # task heads
 

@@ -23,10 +23,10 @@ class AdamConfig:
 class OptimState:
     slots: dict = field(default_factory=dict)  # owner -> {"m", "v", "t"}
 
-    def slot(self, owner, shape, dtype):
+    def slot(self, owner, shape):
         s = self.slots.get(owner)
         if s is None:
-            s = {"m": np.zeros(shape, dtype=dtype), "v": np.zeros(shape, dtype=dtype), "t": 0}
+            s = {"m": np.zeros(shape), "v": np.zeros(shape), "t": 0}
             self.slots[owner] = s
         return s
 
@@ -49,7 +49,7 @@ def adam_step(store, grads, state, lr, cfg=AdamConfig()):
             raise ValueError(
                 f"gradient shape {g.shape} does not match parameter {owner} shape {p.data.shape}"
             )
-        s = state.slot(owner, p.data.shape, p.data.dtype)
+        s = state.slot(owner, p.data.shape)
         s["t"] += 1
         t = s["t"]
         s["m"] = cfg.beta1 * s["m"] + (1.0 - cfg.beta1) * g

@@ -206,16 +206,13 @@ def train_step(store, loss, opt_state, lr, adam, where):
     return value
 
 
-def run_stage(cfg, store, sequences, stage, seed, opt_state=None, adam=None,
-              step_base=0):
+def run_stage(cfg, store, sequences, stage, seed, opt_state=None, step_base=0):
     """Execute exactly stage.steps optimizer updates; returns the per-step
     trace [(step, stage, lr, loss)].  Mutates `store` and `opt_state`."""
     if not sequences:
         raise ValueError("run_stage needs a nonempty sequence list")
     if opt_state is None:
         opt_state = OptimState()
-    if adam is None:
-        adam = AdamConfig()
     apply_freeze_plan(store, stage.freeze)
     trace = []
     for step in range(stage.steps):
@@ -234,7 +231,7 @@ def run_stage(cfg, store, sequences, stage, seed, opt_state=None, adam=None,
         else:
             src, src_mask, dec_in, labels = make_denoise_batch(batch_seqs, stage.noise, slot_rngs)
             loss = denoise_step_loss(cfg, store, src, src_mask, dec_in, labels, train_rng=drop_rng)
-        value = train_step(store, loss, opt_state, lr, adam,
+        value = train_step(store, loss, opt_state, lr, AdamConfig(),
                            f"stage '{stage.name}' step {step_base + step}")
         trace.append({"step": step_base + step, "stage": stage.name,
                       "lr": lr, "loss": value})
@@ -260,8 +257,7 @@ def init_plan_store(plan, seed, donor=None, checkpoint_store=None):
     return M.init_seq2seq(cfg, seed)
 
 
-def run_plan(plan, sequences, seed, donor=None, checkpoint_store=None,
-             adam=None, on_stage_end=None):
+def run_plan(plan, sequences, seed, donor=None, checkpoint_store=None, on_stage_end=None):
     """Run all stages in order; returns (store, per-stage traces, opt_state)."""
     store = init_plan_store(plan, seed, donor=donor, checkpoint_store=checkpoint_store)
     opt_state = OptimState()
@@ -270,7 +266,7 @@ def run_plan(plan, sequences, seed, donor=None, checkpoint_store=None,
     for k, stage in enumerate(plan.stages):
         stage_seed = int(np.random.SeedSequence([seed, 1000 + k]).generate_state(1)[0])
         trace = run_stage(plan.model, store, sequences, stage, stage_seed,
-                          opt_state=opt_state, adam=adam, step_base=step_base)
+                          opt_state=opt_state, step_base=step_base)
         traces.append(trace)
         step_base += stage.steps
         if on_stage_end is not None:

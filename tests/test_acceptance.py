@@ -22,7 +22,7 @@ from deskseq import train as T
 from deskseq.autograd import IGNORE, Tensor
 from deskseq.optim import OptimState, adam_step
 
-from conftest import finite_diff_check
+from conftest import finite_diff_check, square
 from test_cli import INLINE_PLAN, make_classification_task, tree_bytes, write_config
 from test_evalft import _exhaustive_best
 
@@ -81,7 +81,7 @@ def test_gradient_suite():
                 h = ag.gelu(h)
                 h = ag.matmul(h, w)
                 h = ag.layer_norm(h, g, b)
-                h = ag.mix([h, ag.scale(h, 0.5), ag.square(h)], ag.softmax(mix_w))
+                h = ag.mix([h, ag.scale(h, 0.5), square(h)], ag.softmax(mix_w))
                 return ag.softmax_cross_entropy(h, labels)
 
             finite_diff_check(make_loss, [w, x, g, b, emb, mix_w], rng,
@@ -119,7 +119,7 @@ def test_tying_and_freezing_suite():
         assert ["dec.embed.tok", "embed.tok"] in store.tie_groups()
         assert store["lm_head.w"] is not store["embed.tok"]
         np.testing.assert_array_equal(store["lm_head.w"].data, store["embed.tok"].data)
-        for name in M._encoder_param_names(s2s_cfg):
+        for name, _, _ in M.encoder_layout(s2s_cfg):
             np.testing.assert_array_equal(store[name].data, donor[name].data)
         # extraction: fresh untied token-prediction head copied from embedding
         enc = M.extract_encoder(M.init_seq2seq(s2s_cfg, 2), enc_cfg)

@@ -12,6 +12,7 @@ from deskseq import cli
 from deskseq import data as D
 from deskseq import evalft as E
 from deskseq import model as M
+from deskseq.optim import OptimState
 
 
 def write_config(path, body):
@@ -66,6 +67,46 @@ class TestConfigHandling:
     def test_cost_requires_config_or_table_flag(self, capsys):
         assert cli.main(["cost"]) == cli.EXIT_CONFIG
         assert "--table1" in capsys.readouterr().err
+
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps([{"version": cli.CONFIG_VERSION, "seed": 1}]))
+        assert cli.main(["pretrain", "--config", str(p)]) == cli.EXIT_CONFIG
+        assert "must be a JSON object, got list" in capsys.readouterr().err
+
+    def test_unknown_scale_key_is_config_error(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path / "c.json", {
+            "seed": 0, "out": str(tmp_path / "run"), "plan": "roberta-12e",
+            "scale": {"d_model": 16, "bogus": 1},
+            "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12}})
+        assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config field 'scale'" in err and "'bogus'" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("part", ["model", "stage", "lr", "noise", "init"])
+    def test_unknown_inline_plan_key_is_config_error(self, tmp_path, capsys, part):
+        stage = INLINE_PLAN["stages"][0]
+        plan = {**INLINE_PLAN, "init": {}}
+        if part in ("model", "init"):
+            plan[part] = {**plan[part], "bogus": 1}
+        elif part == "stage":
+            plan["stages"] = [{**stage, "bogus": 1}]
+        else:
+            plan["stages"] = [{**stage, part: {**stage[part], "bogus": 1}}]
+        cfgp = write_config(tmp_path / "c.json", {
+            "seed": 0, "out": str(tmp_path / "run"), "plan": plan,
+            "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})
+        assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config field '{'stage 0' if part == 'stage' else part}'" in err
+        assert "'bogus'" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_inline_stage_keeps_the_train_stage_defaults(self):
+        stage = cli._plan_from_dict(INLINE_PLAN).stages[0]
+        assert (stage.freeze, stage.lr_offset, stage.batch_tokens) == ((), 0, 1_000_000)
+        assert stage.batch_size == 4
 
 
 class TestCost:
@@ -351,6 +392,44 @@ class TestFinetuneEvaluate:
             "checkpoint": str(tmp_path / "bad"), "finetune": {"head_hidden": [16]}})
         assert cli.main(["finetune", "--config", ftp]) == cli.EXIT_RUNTIME
         assert "non-finite loss at fine-tune step 0" in capsys.readouterr().err
+
+    def test_unknown_finetune_key_is_config_error(self, tmp_path, capsys):
+        base = make_classification_task(tmp_path)
+        assert cli.main(["finetune", "--config",
+                         finetune_config(tmp_path, base, bogus=1)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config field 'finetune'" in err and "'bogus'" in err
+        assert not (tmp_path / "tuned").exists()
+
+    @pytest.mark.parametrize("fault", ["empty dir", "no params.bin", "no optim.bin",
+                                       "short params.bin", "long optim.bin", "format 1"])
+    @pytest.mark.parametrize("verb", ["finetune", "evaluate"])
+    def test_malformed_checkpoint_is_config_error(self, tmp_path, capsys, fault, verb):
+        base = make_classification_task(tmp_path)
+        cfg, store, _, _ = C.load(base["checkpoint"])
+        opt = OptimState()
+        opt.slot("embed.tok", store["embed.tok"].shape)["t"] = 1
+        ckpt = tmp_path / "ckpt"
+        C.save(ckpt, cfg, store, opt_state=opt)
+        if fault == "empty dir":
+            for f in ckpt.iterdir():
+                f.unlink()
+        elif fault.startswith("no "):
+            (ckpt / fault[3:]).unlink()
+        elif fault == "format 1":
+            manifest = json.loads((ckpt / "manifest.json").read_text())
+            (ckpt / "manifest.json").write_text(json.dumps({**manifest, "format_version": 1}))
+        else:
+            f = ckpt / fault.split()[1]
+            data = f.read_bytes()
+            f.write_bytes(data[:-8] if fault.startswith("short") else data + data[:8])
+        cfgp = finetune_config(tmp_path, {**base, "checkpoint": str(ckpt)})
+        assert cli.main([verb, "--config", cfgp]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert {"empty dir": "holds no manifest.json", "format 1": "checkpoint format: 1"}.get(
+            fault, "bytes its manifest lists") in err
+        assert not (tmp_path / "tuned").exists()
 
     def test_evaluate_without_head_is_config_error(self, tmp_path, capsys):
         base = make_classification_task(tmp_path)

@@ -180,7 +180,7 @@ class TestWarmStart:
 
     def test_encoder_copied_bit_exactly(self):
         donor, store, cfg = self._donor_and_model()
-        for name in M._encoder_param_names(cfg):
+        for name, _, _ in M.encoder_layout(cfg):
             np.testing.assert_array_equal(store[name].data, donor[name].data)
 
     def test_decoder_embedding_tied_to_encoder_embedding(self):
@@ -226,7 +226,7 @@ class TestExtractEncoder:
         cfg = small_cfg()
         s2s = M.init_seq2seq(cfg, 0)
         enc = M.extract_encoder(s2s, cfg)
-        for name in M._encoder_param_names(cfg):
+        for name, _, _ in M.encoder_layout(cfg):
             np.testing.assert_array_equal(enc[name].data, s2s[name].data)
         assert not [n for n in enc.names() if n.startswith("dec.")]
         assert not [n for n in enc.names() if n.startswith("lm_head.")]
@@ -274,7 +274,6 @@ def test_layout_table_matches_init_and_surgery_round_trips(cfg, seed):
     dec_rows = M.decoder_layout(cfg)
     names = [name for name, _, _ in enc_rows + dec_rows]
     assert len(names) == len(set(names))
-    assert M._encoder_param_names(cfg) == [name for name, _, _ in enc_rows]
     enc_shapes = {name: shape for name, shape, _ in enc_rows}
     enc_cfg = dataclasses.replace(cfg, decoder_layers=0, cross_attention=M.STANDARD)
     donor = M.init_mlm_encoder(enc_cfg, seed)

@@ -11,7 +11,8 @@ from deskseq.autograd import IGNORE, ShapeError, Tensor
 from deskseq.optim import AdamConfig, OptimState, adam_step
 from deskseq.params import ParameterStore
 
-from conftest import composed_attention, composed_linear, finite_diff_check, rel_err
+from conftest import (composed_attention, composed_linear, finite_diff_check, rel_err, square,
+                      sum_all)
 
 
 class TestNoGrad:
@@ -88,14 +89,14 @@ class TestLinear:
         for project in (ag.linear, composed_linear):
             x, w, b, weights = _linear_operands(seed, lead, d_in, d_out)
             out = project(x, w, b)
-            ag.backward(ag.sum_all(ag.mul(out, Tensor(weights))))
+            ag.backward(sum_all(ag.mul(out, Tensor(weights))))
             results.append([t.tobytes() for t in (out.data, x.grad, w.grad, b.grad)])
         assert results[0] == results[1]
 
     @pytest.mark.parametrize("lead", [(4,), (2, 3)])
     def test_finite_difference(self, rng, lead):
         x, w, b, _ = _linear_operands(int(rng.integers(1000)), lead, 5, 3)
-        finite_diff_check(lambda: ag.sum_all(ag.square(ag.linear(x, w, b))), [x, w, b], rng)
+        finite_diff_check(lambda: sum_all(square(ag.linear(x, w, b))), [x, w, b], rng)
 
     @pytest.mark.parametrize("x_shape, w_shape, b_shape, match", [
         ((2, 4), (3,), (3,), "weight must be 2-D"),
@@ -165,7 +166,7 @@ class TestAttention:
             q, k, v, weights = _attention_operands(seed, batch, 1 if kv_one else batch,
                                                    tq, tk, heads, hd)
             out = attend(q, k, v, heads, mask)
-            ag.backward(ag.sum_all(ag.mul(out, Tensor(weights))))
+            ag.backward(sum_all(ag.mul(out, Tensor(weights))))
             results.append([t.tobytes() for t in (out.data, q.grad, k.grad, v.grad)])
         assert results[0] == results[1]
 
@@ -173,7 +174,7 @@ class TestAttention:
     def test_finite_difference(self, rng, kv_batch):
         q, k, v, _ = _attention_operands(3, 2, kv_batch, 3, 4, 2, 3)
         mask = M.causal_mask(3, 1)
-        finite_diff_check(lambda: ag.sum_all(ag.square(ag.attention(q, k, v, 2, mask))),
+        finite_diff_check(lambda: sum_all(square(ag.attention(q, k, v, 2, mask))),
                           [q, k, v], rng)
 
     @pytest.mark.parametrize("q_shape, kv_shapes, heads, match", [
@@ -295,7 +296,7 @@ class TestCrossEntropy:
 class TestBackward:
     def test_sum_of_squares(self):
         x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-        loss = ag.sum_all(ag.square(x))
+        loss = sum_all(square(x))
         ag.backward(loss)
         np.testing.assert_allclose(x.grad, [2.0, 4.0, 6.0])
 
@@ -306,10 +307,25 @@ class TestBackward:
     def test_frozen_parameter_receives_no_gradient(self):
         w = Tensor(np.ones((2, 2)), requires_grad=False)
         x = Tensor(np.ones((2, 2)), requires_grad=True)
-        loss = ag.sum_all(ag.matmul(x, w))
+        loss = sum_all(ag.matmul(x, w))
         ag.backward(loss)
         assert w.grad is None
         assert x.grad is not None
+
+    @pytest.mark.parametrize("op", [ag.add, ag.mul])
+    @pytest.mark.parametrize("frozen", [0, 1])
+    def test_add_and_mul_give_none_to_an_operand_without_grad(self, rng, op, frozen):
+        """`linear`'s rule: a dropout's keep mask forms no unused product, and
+        the other operand's gradient keeps its bytes (broadcast included)."""
+        operands = [Tensor(rng.normal(size=(2, 3)), requires_grad=True),
+                    Tensor(rng.normal(size=3), requires_grad=True)]
+        g = rng.normal(size=(2, 3))
+        out = op(*operands)
+        full = out._backward(g)
+        operands[frozen].requires_grad = False
+        grads = out._backward(g)
+        for i, (got, ref) in enumerate(zip(grads, full)):
+            assert got is None if i == frozen else got.tobytes() == ref.tobytes()
 
     def test_two_layer_mlp_finite_difference(self, rng):
         w1 = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
@@ -334,26 +350,26 @@ def test_primitive_gradients_many_seeds(seed):
     m, k, n = rng.integers(2, 6, size=3)
     a = Tensor(rng.normal(size=(m, k)), requires_grad=True)
     b = Tensor(rng.normal(size=(k, n)), requires_grad=True)
-    finite_diff_check(lambda: ag.sum_all(ag.square(ag.matmul(a, b))), [a, b], rng)
+    finite_diff_check(lambda: sum_all(square(ag.matmul(a, b))), [a, b], rng)
 
     d = int(rng.integers(3, 8))
     x = Tensor(rng.normal(size=(3, d)), requires_grad=True)
     g = Tensor(rng.normal(size=d), requires_grad=True)
     bias = Tensor(rng.normal(size=d), requires_grad=True)
-    finite_diff_check(lambda: ag.sum_all(ag.square(ag.layer_norm(x, g, bias))),
+    finite_diff_check(lambda: sum_all(square(ag.layer_norm(x, g, bias))),
                       [x, g, bias], rng)
 
     s = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
     weights = Tensor(rng.normal(size=(2, 5)))
-    finite_diff_check(lambda: ag.sum_all(ag.mul(ag.softmax(s), weights)), [s], rng)
+    finite_diff_check(lambda: sum_all(ag.mul(ag.softmax(s), weights)), [s], rng)
 
     table = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
     ids = rng.integers(0, 7, size=(2, 3))
-    finite_diff_check(lambda: ag.sum_all(ag.square(ag.embedding(table, ids))),
+    finite_diff_check(lambda: sum_all(square(ag.embedding(table, ids))),
                       [table], rng)
 
     ge = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    finite_diff_check(lambda: ag.sum_all(ag.square(ag.gelu(ge))), [ge], rng)
+    finite_diff_check(lambda: sum_all(square(ag.gelu(ge))), [ge], rng)
 
     logits = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     labels = rng.integers(0, 5, size=4)
@@ -363,7 +379,7 @@ def test_primitive_gradients_many_seeds(seed):
     states = [Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(3)]
     mix_w = Tensor(rng.normal(size=3), requires_grad=True)
     finite_diff_check(
-        lambda: ag.sum_all(ag.square(ag.mix(states, ag.softmax(mix_w)))),
+        lambda: sum_all(square(ag.mix(states, ag.softmax(mix_w)))),
         states + [mix_w], rng)
 
 

@@ -1,7 +1,12 @@
 """Schedules, freeze plans, staged training, and checkpoint round trips."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deskseq import checkpoint as C
 from deskseq import data as D
@@ -12,6 +17,7 @@ from deskseq import synth as S
 from deskseq import train as T
 from deskseq.data import NoiseConfig
 from deskseq.optim import AdamConfig, OptimState
+from deskseq.params import ParameterStore
 from deskseq.train import LrSchedule, PlanInit, TrainPlan, TrainStage, lr_at
 
 
@@ -299,6 +305,123 @@ class TestCheckpoints:
         mpath.write_text(json.dumps(m))
         with pytest.raises(ValueError, match="unsupported checkpoint format"):
             C.load(tmp_path / "ck")
+
+
+    def test_checkpoint_is_three_files_and_float64_only(self, tmp_path):
+        cfg = small_cfg(dec=0)
+        store = M.init_mlm_encoder(cfg, 0)
+        opt = OptimState()
+        opt.slot("embed.tok", store["embed.tok"].shape)
+        C.save(tmp_path / "ck", cfg, store, opt_state=opt)
+        assert sorted(f.name for f in (tmp_path / "ck").iterdir()) == [
+            "manifest.json", "optim.bin", "params.bin"]
+        store["embed.pos"].data = store["embed.pos"].data.astype(np.float32)
+        with pytest.raises(ValueError, match="must be float64, got float32"):
+            C.save(tmp_path / "f4", cfg, store)
+
+    def test_a_failed_save_leaves_the_previous_checkpoint_whole(self, tmp_path, monkeypatch):
+        cfg = small_cfg(dec=0)
+        store, opt = M.init_mlm_encoder(cfg, 0), OptimState()
+        for owner, t in store.unique_items()[:3]:
+            opt.slot(owner, t.shape)["t"] = 2
+        C.save(tmp_path / "ck", cfg, store, opt_state=opt)
+        newer = store.copy()
+        for _, t in newer.unique_items():
+            t.data += 1.0
+        real_write = C._write
+
+        def write_two_then_fail(path, arrays):
+            def two_then_fail():
+                it = iter(arrays)
+                yield next(it)
+                yield next(it)
+                raise OSError("disk full")
+            return real_write(path, two_then_fail() if path.endswith("optim.bin") else arrays)
+
+        monkeypatch.setattr(C, "_write", write_two_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            C.save(tmp_path / "ck", cfg, newer, opt_state=opt)
+        monkeypatch.undo()
+        _, loaded, _, lopt = C.load(tmp_path / "ck")
+        for n in store.names():
+            assert loaded[n].data.tobytes() == store[n].data.tobytes()
+        assert sorted(lopt.slots) == sorted(opt.slots)
+        C.save(tmp_path / "ck", cfg, newer, opt_state=opt)  # the next save replaces it
+        _, loaded, _, _ = C.load(tmp_path / "ck")
+        assert loaded["embed.tok"].data.tobytes() == newer["embed.tok"].data.tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+
+    def test_refuses_to_replace_a_dir_that_is_not_a_checkpoint(self, tmp_path):
+        cfg = small_cfg(dec=0)
+        (tmp_path / "notes").mkdir()
+        (tmp_path / "notes" / "keep.txt").write_text("x")
+        with pytest.raises(ValueError, match="no manifest.json"):
+            C.save(tmp_path / "notes", cfg, M.init_mlm_encoder(cfg, 0))
+        assert (tmp_path / "notes" / "keep.txt").read_text() == "x"
+        assert not (tmp_path / "notes.partial").exists()
+
+    def test_format_1_and_malformed_checkpoints_are_rejected(self, tmp_path):
+        import json
+        cfg = small_cfg(dec=0)
+        C.save(tmp_path / "ck", cfg, M.init_mlm_encoder(cfg, 0))
+        mpath = tmp_path / "ck" / "manifest.json"
+        m = json.loads(mpath.read_text())
+        mpath.write_text(json.dumps({**m, "format_version": 1}))
+        with pytest.raises(ValueError, match="unsupported checkpoint format: 1"):
+            C.load(tmp_path / "ck")
+        mpath.write_text(json.dumps({**m, "optim": {"embed.tok": 1}}))
+        with pytest.raises(ValueError, match="optim.bin is missing"):
+            C.load(tmp_path / "ck")
+        mpath.unlink()
+        with pytest.raises(ValueError, match="holds no manifest.json"):
+            C.load(tmp_path / "ck")
+
+
+@st.composite
+def checkpoint_states(draw):
+    """A store with random shapes, tie groups and trainable flags, and an
+    optimizer holding slots with assorted step counts for some owners."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    store, opt = ParameterStore(), OptimState()
+    for i in range(draw(st.integers(1, 5))):
+        shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+        store.add(f"p{i}.w", rng.normal(size=shape), trainable=draw(st.booleans()))
+        for j in range(draw(st.integers(0, 2))):  # aliases sort before or after p{i}
+            store.tie(draw(st.sampled_from([f"a{i}.{j}", f"z{i}.{j}"])), f"p{i}.w")
+    for owner, t in store.unique_items():
+        if draw(st.booleans()):
+            slot = opt.slot(owner, t.shape)
+            slot["m"], slot["v"] = rng.normal(size=t.shape), rng.random(size=t.shape)
+            slot["t"] = draw(st.integers(0, 10**6))
+    return store, opt
+
+
+@settings(max_examples=60, deadline=None)
+@given(state=checkpoint_states(), with_optim=st.booleans())
+def test_save_load_save_is_byte_identical_and_loads_what_was_saved(state, with_optim):
+    store, opt = state
+    opt = opt if with_optim else None
+    cfg = small_cfg(dec=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = os.path.join(tmp, "a"), os.path.join(tmp, "b")
+        C.save(a, cfg, store, provenance={"k": 1}, opt_state=opt)
+        _, loaded, manifest, lopt = C.load(a)
+        C.save(b, cfg, loaded, provenance=manifest["provenance"], opt_state=lopt)
+        assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+        for f in os.listdir(a):
+            with open(os.path.join(a, f), "rb") as fa, open(os.path.join(b, f), "rb") as fb:
+                assert fa.read() == fb.read()
+    assert loaded.names() == store.names() and loaded.tie_groups() == store.tie_groups()
+    assert loaded.trainable() == store.trainable()
+    for n in store.names():
+        assert loaded[n].data.shape == store[n].data.shape
+        assert loaded[n].data.tobytes() == store[n].data.tobytes()
+    assert (lopt is None) == (opt is None)
+    for owner, slot in (opt.slots.items() if opt else ()):
+        got = lopt.slots[owner]
+        assert got["t"] == slot["t"]
+        assert got["m"].tobytes() == slot["m"].tobytes()
+        assert got["v"].tobytes() == slot["v"].tobytes()
 
 
 class TestEvalLoss:
