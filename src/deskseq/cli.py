@@ -64,10 +64,11 @@ def _object(d, what):
 
 def _build(fn, d, what, *args):
     """`fn(*args, **d)` for the config object `d`: a key that `fn` does not
-    take, or a required one left out, is a config error that names it."""
+    take, a required one left out, or a value it rejects is a config error
+    that names `what`."""
     try:
         return fn(*args, **_object(d, f"config field '{what}'"))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"config field '{what}': {exc}") from exc
 
 
@@ -77,9 +78,23 @@ def _require(cfg, field):
     return cfg[field]
 
 
-def _write_trace(path, trace):
-    D.write_jsonl(path, [{"step": r["step"], "stage": r["stage"],
-                          "lr": repr(r["lr"]), "loss": repr(r["loss"])} for r in trace])
+def _write_json(path, obj):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
+def _checkpoint(cfg, field, fallback=None):
+    """(model config, store) of the checkpoint dir named by config field `field`,
+    else by `fallback`; an absent, missing or unreadable one is a ConfigError."""
+    path = cfg.get(field) or fallback
+    if not path or not os.path.isdir(path):  # C.load("") would read ./manifest.json
+        raise ConfigError(f"config field '{field}' must name a checkpoint dir, got {path!r}")
+    try:
+        mcfg, store, _, _ = C.load(path)
+    except ValueError as exc:
+        raise ConfigError(f"config field '{field}': {exc}") from exc
+    return mcfg, store
 
 
 # ---------------------------------------------------------------------------
@@ -88,18 +103,14 @@ def _write_trace(path, trace):
 
 def _load_sequences(cfg):
     src = _require(cfg, "corpus")
-    if isinstance(src, dict):  # built-in synthetic corpora
-        kind = src.get("kind")
-        if kind == "patterned":
-            return synth.patterned_sequences(
-                n_seqs=src.get("n_seqs", 64), seq_len=src.get("seq_len", 32),
-                vocab_size=src.get("vocab_size", 256), seed=cfg["seed"])
-        if kind == "pairs":
-            return synth.pair_language(
-                src.get("n_docs", 128), alphabet=src.get("alphabet", 32),
-                doc_len=src.get("doc_len", 24), seed=cfg["seed"],
-                vocab_size=src.get("vocab_size", 256))
-        raise ConfigError(f"unknown synthetic corpus kind: {kind}")
+    if isinstance(src, dict):  # a synthetic corpus: its generator's keyword arguments
+        spec = dict(src)
+        kind = spec.pop("kind", None)
+        if kind not in ("patterned", "pairs"):
+            raise ConfigError(f"unknown synthetic corpus kind: {kind}")
+        gen = synth.patterned_sequences if kind == "patterned" else synth.pair_language
+        # the config's seed draws the corpus: a "seed" key in the spec clashes with it
+        return _build(lambda **kw: gen(seed=cfg["seed"], **kw), spec, "corpus")
     if not os.path.exists(src):
         raise ConfigError(f"config field 'corpus' names a missing path: {src}")
     if os.path.isdir(src):  # packed dataset directory from `pack`
@@ -116,21 +127,15 @@ def cmd_pretrain(cfg):
     _check_corpus(plan, sequences)
     donor = checkpoint_store = None
     if plan.init.kind == "warm_start":
-        donor_path = cfg.get("donor") or plan.init.path
-        if not donor_path or not os.path.isdir(donor_path):
-            raise ConfigError(f"config field 'donor' must name a checkpoint dir "
-                              f"for warm-start plan {plan.name}")
-        _, donor, _, _ = C.load(donor_path)
+        _, donor = _checkpoint(cfg, "donor", plan.init.path)
     elif plan.init.kind in ("checkpoint", "extract"):
-        base_path = cfg.get("base") or plan.init.path
-        if not base_path or not os.path.isdir(base_path):
-            raise ConfigError(f"config field 'base' must name a checkpoint dir "
-                              f"for plan {plan.name}")
-        _, checkpoint_store, _, _ = C.load(base_path)
-    os.makedirs(out, exist_ok=True)
+        _, checkpoint_store = _checkpoint(cfg, "base", plan.init.path)
 
     def on_stage_end(k, stage, store, opt_state, trace):
-        _write_trace(os.path.join(out, f"trace_{k}_{stage.name}.jsonl"), trace)
+        os.makedirs(out, exist_ok=True)  # at the first write: a plan that cannot start leaves no out/
+        D.write_jsonl(os.path.join(out, f"trace_{k}_{stage.name}.jsonl"),
+                      [{"step": r["step"], "stage": r["stage"], "lr": repr(r["lr"]),
+                        "loss": repr(r["loss"])} for r in trace])
         C.save(os.path.join(out, f"ckpt_stage{k}"), plan.model, store,
                provenance={"plan": plan.name, "stage": stage.name,
                            "stage_index": k, "seed": cfg["seed"]},
@@ -172,8 +177,6 @@ def _plan_from_dict(d):
         stage = dict(_object(s, f"stage {n}"))
         stage["lr"] = _build(T.LrSchedule, _require(s, "lr"), "lr")
         stage["noise"] = _build(D.NoiseConfig, s.get("noise", {}), "noise")
-        if "freeze" in s:
-            stage["freeze"] = tuple(s["freeze"])
         stages.append(_build(T.TrainStage, stage, f"stage {n}"))
     init = _build(T.PlanInit, d.get("init", {}), "init")
     return T.TrainPlan(name=_require(d, "name"), model=model, stages=stages, init=init)
@@ -229,9 +232,7 @@ def cmd_pack(cfg):
         "upsample_weights": {k: repr(v) for k, v in
                              D.upsample_weights(lang_counts, alpha).items()},
     }
-    with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(os.path.join(out, "manifest.json"), manifest)
     return EXIT_OK
 
 
@@ -240,38 +241,34 @@ def cmd_pack(cfg):
 
 
 def cmd_cost(cfg, table1=False):
-    plans = P.registry_plans() if (table1 or cfg.get("plans") == "table1") else \
-        [_plan_from_dict(d) for d in cfg.get("plans", [])]
+    table1 = table1 or cfg.get("plans") == "table1"
+    plans = P.registry_plans() if table1 else [_plan_from_dict(d) for d in cfg.get("plans", [])]
     costs = [costmod.tu_cost(p) for p in plans]
     table = costmod.cost_table(costs)
     records = costmod.cost_records(costs)
-    report = {"table": table, "plans": records}
-    if plans and (table1 or cfg.get("plans") == "table1"):
+    print(table)
+    if table1:
         baseline = [P.registry_plan("roberta-12e"), P.registry_plan("bart-12e12d")]
         candidates = [P.registry_plan("2stage-bart-12e12d"),
                       P.registry_plan("2stage-bart-12e12d-unfrz")]
         cmp = costmod.compare_recipes(candidates, baseline)
-        report["savings"] = {
+        savings = {
             "baseline_tu": costmod.render_tu(cmp["baseline_tu"]),
             "rows": [{"plan": r["plan"], "total_tu": costmod.render_tu(r["total_tu"]),
                       "savings": costmod.render_percent(r["savings"])}
                      for r in cmp["rows"]],
         }
-    print(table)
-    if "savings" in report:
-        for row in report["savings"]["rows"]:
+        for row in savings["rows"]:
             print(f"{row['plan']}: {row['total_tu']} TU, saves {row['savings']} "
-                  f"vs baseline {report['savings']['baseline_tu']} TU")
+                  f"vs baseline {savings['baseline_tu']} TU")
     out = cfg.get("out")
     if out:
         os.makedirs(out, exist_ok=True)
         with open(os.path.join(out, "cost.txt"), "w", encoding="utf-8") as fh:
             fh.write(table + "\n")
         D.write_jsonl(os.path.join(out, "cost.jsonl"), records)
-        if "savings" in report:
-            with open(os.path.join(out, "savings.json"), "w", encoding="utf-8") as fh:
-                json.dump(report["savings"], fh, sort_keys=True, indent=1)
-                fh.write("\n")
+        if table1:
+            _write_json(os.path.join(out, "savings.json"), savings)
     return EXIT_OK
 
 
@@ -287,6 +284,8 @@ def _read_task(cfg, split, labels=None):
     if not os.path.exists(path):
         raise ConfigError(f"task {split} file not found: {path}")
     rows = D.read_jsonl(path)
+    if not rows:
+        raise ConfigError(f"task {split} file is empty: {path}")
     vocab = D.Vocab.load(_require(cfg, "vocab"))
     if kind == "generation":
         return kind, [(vocab.encode(D.tokenize(r["source"])),
@@ -316,10 +315,7 @@ def _read_task(cfg, split, labels=None):
 
 def cmd_finetune(cfg):
     out = _require(cfg, "out")
-    ckpt = _require(cfg, "checkpoint")
-    if not os.path.isdir(ckpt):
-        raise ConfigError(f"config field 'checkpoint' names a missing dir: {ckpt}")
-    mcfg, store, _, _ = C.load(ckpt)
+    mcfg, store = _checkpoint(cfg, "checkpoint")
     kind, train_set, labels = _read_task(cfg, "train")
     _, dev_set, _ = _read_task(cfg, "dev", labels)
     seeds = cfg.get("seeds", [cfg["seed"]])
@@ -342,44 +338,32 @@ def cmd_finetune(cfg):
                         "best": repr(record["best"]),
                         "epochs": [repr(v) for v in record["epochs"]]}])
     agg = E.aggregate_seeds(values)
-    with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump({"task": kind, "metric": fcfg.metric,
-                   "mean": repr(agg["mean"]), "std": repr(agg["std"]),
-                   "seeds": {str(s): repr(v) for s, v in zip(seeds, values)}},
-                  fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(os.path.join(out, "report.json"),
+                {"task": kind, "metric": fcfg.metric,
+                 "mean": repr(agg["mean"]), "std": repr(agg["std"]),
+                 "seeds": {str(s): repr(v) for s, v in zip(seeds, values)}})
     return EXIT_OK
 
 
 def cmd_evaluate(cfg):
     out = _require(cfg, "out")
-    ckpt = _require(cfg, "checkpoint")
-    if not os.path.isdir(ckpt):
-        raise ConfigError(f"config field 'checkpoint' names a missing dir: {ckpt}")
-    mcfg, store, _, _ = C.load(ckpt)
+    mcfg, store = _checkpoint(cfg, "checkpoint")
     kind, eval_set, labels = _read_task(cfg, "eval")
     vocab = D.Vocab.load(_require(cfg, "vocab"))
     records = []
     if kind == "generation":
         gc = E.GenConfig(beam_size=cfg.get("beam_size", 3),
                          max_len=cfg.get("max_len", mcfg.max_positions - 1))
-        r1s, r2s, rls, ems = [], [], [], []
+        scores = []  # one (sciem, rouge1, rouge2, rougeL) per item
         for src, tgt in eval_set:
-            hyp = E.beam_search(mcfg, store, src, gc)
-            hyp_text = " ".join(vocab.decode(hyp))
+            hyp_text = " ".join(vocab.decode(E.beam_search(mcfg, store, src, gc)))
             gold_text = " ".join(vocab.decode(tgt))
-            em = E.sciem(hyp_text, gold_text)
-            r1, r2, rl = E.rouge(hyp_text, gold_text)
+            em, r1, r2, rl = E.sciem(hyp_text, gold_text), *E.rouge(hyp_text, gold_text)
+            scores.append((em, r1, r2, rl))
             records.append({"pred": hyp_text, "gold": gold_text, "sciem": em,
                             "rouge1": repr(r1), "rouge2": repr(r2), "rougeL": repr(rl)})
-            ems.append(em)
-            r1s.append(r1)
-            r2s.append(r2)
-            rls.append(rl)
-        summary = {"sciem": repr(float(np.mean(ems))),
-                   "rouge1": repr(float(np.mean(r1s))),
-                   "rouge2": repr(float(np.mean(r2s))),
-                   "rougeL": repr(float(np.mean(rls)))}
+        summary = {k: repr(float(np.mean(col))) for k, col in
+                   zip(("sciem", "rouge1", "rouge2", "rougeL"), zip(*scores))}
     else:
         if "head.out.w" not in store:
             raise ConfigError("checkpoint has no fine-tuned task head; "
@@ -397,9 +381,7 @@ def cmd_evaluate(cfg):
         summary = {"metric": repr(value)}
     os.makedirs(out, exist_ok=True)  # after every config check: an exit 2 leaves no out/
     D.write_jsonl(os.path.join(out, "eval_records.jsonl"), records)
-    with open(os.path.join(out, "eval_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(os.path.join(out, "eval_summary.json"), summary)
     return EXIT_OK
 
 
@@ -411,16 +393,13 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="deskseq",
                                      description="desk-scale pre-training workbench")
     sub = parser.add_subparsers(dest="command", required=True)
-    for verb in ("pretrain", "finetune", "evaluate", "pack"):
+    for verb in ("pretrain", "finetune", "evaluate", "pack", "cost"):
         p = sub.add_parser(verb)
-        p.add_argument("--config", required=True)
+        p.add_argument("--config", required=verb != "cost", default=None)
+        if verb == "cost":
+            p.add_argument("--table1", action="store_true")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-    p = sub.add_parser("cost")
-    p.add_argument("--config", default=None)
-    p.add_argument("--table1", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
     return parser
 
 

@@ -41,12 +41,10 @@ def _ngram_counts(tokens, n):
 def _overlap_f1(pred, gold, n):
     pc, gc = _ngram_counts(pred, n), _ngram_counts(gold, n)
     overlap = sum(min(c, gc.get(g, 0)) for g, c in pc.items())
-    p_total = max(sum(pc.values()), 0)
-    g_total = max(sum(gc.values()), 0)
     if overlap == 0:
         return 0.0
-    p = overlap / p_total
-    r = overlap / g_total
+    p = overlap / sum(pc.values())
+    r = overlap / sum(gc.values())
     return 2 * p * r / (p + r)
 
 
@@ -318,7 +316,8 @@ def _head_metric(cfg, ft, spec, dev_set, metric):
 
 def finetune_seq2seq(cfg, store, train_pairs, dev_pairs, fcfg, seed):
     """Fine-tune a seq2seq model on fixed (source ids, target ids) pairs,
-    selecting the best checkpoint by teacher-forced perplexity or SCIEM."""
+    selecting the best checkpoint by teacher-forced perplexity or by SCIEM on
+    the output ids (as id strings, "12 3" would match "1 23")."""
     if not train_pairs or not dev_pairs:
         raise ValueError("empty train or validation split")
     if fcfg.metric not in ("perplexity", "sciem"):
@@ -331,8 +330,7 @@ def finetune_seq2seq(cfg, store, train_pairs, dev_pairs, fcfg, seed):
         if fcfg.metric == "perplexity":
             return perplexity(cfg, ft, dev_pairs)
         gc = GenConfig(beam_size=3, max_len=cfg.max_positions - 1)
-        return float(np.mean([sciem(" ".join(map(str, beam_search(cfg, ft, s, gc))),
-                                    " ".join(map(str, t)))
+        return float(np.mean([list(beam_search(cfg, ft, s, gc)) == list(t)
                               for s, t in dev_pairs]))
 
     return _finetune(ft, train_pairs, fcfg, seed, "exponential",

@@ -20,7 +20,7 @@ init, and init, warm start and extraction all read them):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -422,7 +422,7 @@ def _copy_encoder(src, cfg, what):
 class HeadSpec:
     kind: str  # "classification" | "labeling"
     label_count: int
-    hidden: list = field(default_factory=lambda: [512])
+    hidden: list  # widths of the gelu hidden layers
 
     def __post_init__(self):
         if self.kind not in ("classification", "labeling"):

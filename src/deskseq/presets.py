@@ -48,11 +48,8 @@ def registry_plans():
     for dec, noise, suffix in [(12, DROP_NOISE, ""), (12, MASK_NOISE, "-mask"),
                                (2, DROP_NOISE, ""), (2, MASK_NOISE, "-mask"),
                                (1, MASK_NOISE, "-mask")]:
-        name = f"bart-12e{dec}d{suffix}"
-        if any(p.name == name for p in plans):
-            continue
         plans.append(T.TrainPlan(
-            name=name, model=_registry_cfg(12, dec),
+            name=f"bart-12e{dec}d{suffix}", model=_registry_cfg(12, dec),
             stages=[_registry_stage("denoise", T.DENOISE, noise, REGISTRY_STEPS)]))
     plans.append(T.TrainPlan(
         name="bart-12e12d+mlm", model=_registry_cfg(12, 0),

@@ -114,6 +114,10 @@ class TrainStage:
             raise ValueError("stage step count must be positive")
         if self.objective not in (MLM, DENOISE):
             raise ValueError(f"unknown objective: {self.objective}")
+        self.freeze = tuple(self.freeze)
+        unknown = [tag for tag in self.freeze if tag not in FREEZE_TAGS]
+        if unknown:
+            raise ValueError(f"unknown freeze tag: {unknown[0]}")
 
 
 @dataclass

@@ -12,6 +12,7 @@ from deskseq import cli
 from deskseq import data as D
 from deskseq import evalft as E
 from deskseq import model as M
+from deskseq import synth as S
 from deskseq.optim import OptimState
 
 
@@ -302,6 +303,68 @@ class TestPretrain:
                           capsys.readouterr().err)
         assert found and int(found.group(1)) >= 64
 
+    @pytest.mark.parametrize("spec, fragment", [
+        ({"kind": "patterned", "n_seq": 3}, "'n_seq'"),
+        ({"kind": "pairs", "n_doc": 3}, "'n_doc'"),
+        ({"kind": "pairs", "map_seed": 3}, "'map_seed'"),
+        ({"kind": "patterned", "seed": 3}, "'seed'"),
+        ({"kind": "patterned", "n_seqs": 90}, "90 sequences need 270 tokens"),
+        ({"kind": "pairs", "alphabet": 200}, "alphabet too large"),
+    ])
+    def test_bad_synthetic_corpus_spec_is_config_error(self, tmp_path, capsys, spec, fragment):
+        cfgp = write_config(tmp_path / "c.json", {
+            "seed": 0, "out": str(tmp_path / "run"), "plan": INLINE_PLAN, "corpus": spec})
+        assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config field 'corpus'" in err and fragment in err
+        assert not (tmp_path / "run").exists()
+
+    def test_synthetic_corpus_defaults_are_the_generators(self):
+        """A spec gives only the keys it sets: `kind` alone draws with the
+        generator's own defaults and the config's seed."""
+        assert cli._load_sequences({"seed": 5, "corpus": {"kind": "patterned"}}) == \
+            S.patterned_sequences(n_seqs=64, seq_len=32, vocab_size=256, seed=5)
+        assert cli._load_sequences({"seed": 5, "corpus": {"kind": "pairs"}}) == \
+            S.pair_language(128, alphabet=32, doc_len=24, seed=5, vocab_size=256)
+        assert cli._load_sequences({"seed": 5, "corpus": {"kind": "pairs", "doc_len": 8}}) == \
+            S.pair_language(128, doc_len=8, seed=5)
+
+    def test_unknown_freeze_tag_is_config_error_before_out(self, tmp_path, capsys):
+        plan = {**INLINE_PLAN, "stages": [{**INLINE_PLAN["stages"][0], "freeze": ["Encodr"]}]}
+        cfgp = write_config(tmp_path / "c.json", {
+            "seed": 0, "out": str(tmp_path / "run"), "plan": plan,
+            "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})
+        assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
+        assert "config field 'stage 0': unknown freeze tag: Encodr" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_incompatible_donor_leaves_no_out(self, tmp_path, capsys):
+        donor_cfg = M.ModelConfig(**{**INLINE_PLAN["model"], "d_model": 8, "d_ffn": 16})
+        C.save(tmp_path / "donor", donor_cfg, M.init_mlm_encoder(donor_cfg, 0))
+        plan = {**INLINE_PLAN, "init": {"kind": "warm_start"},
+                "model": {**INLINE_PLAN["model"], "decoder_layers": 1},
+                "stages": [{**INLINE_PLAN["stages"][0], "objective": "denoise",
+                            "noise": {"mode": "span_mask"}}]}
+        cfgp = write_config(tmp_path / "c.json", {
+            "seed": 0, "out": str(tmp_path / "run"), "plan": plan,
+            "donor": str(tmp_path / "donor"),
+            "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})
+        assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
+        assert "donor shape mismatch" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("field, init", [("donor", "warm_start"), ("base", "checkpoint")])
+    def test_unreadable_init_checkpoint_names_its_field(self, tmp_path, capsys, field, init):
+        (tmp_path / "empty").mkdir()
+        plan = {**INLINE_PLAN, "init": {"kind": init}}
+        cfgp = write_config(tmp_path / "c.json", {
+            "seed": 0, "out": str(tmp_path / "run"), "plan": plan,
+            field: str(tmp_path / "empty"),
+            "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})
+        assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
+        assert f"config field '{field}': not a checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 def make_classification_task(tmp_path):
     """Vocab + label-by-marker-word task files + a tiny encoder checkpoint."""
@@ -438,6 +501,14 @@ class TestFinetuneEvaluate:
         assert cli.main(["evaluate", "--config", evp]) == cli.EXIT_CONFIG
         assert "task head" in capsys.readouterr().err
         assert not (tmp_path / "evald").exists()
+
+    @pytest.mark.parametrize("verb, split", [("finetune", "dev"), ("evaluate", "eval")])
+    def test_empty_task_split_is_config_error(self, tmp_path, capsys, verb, split):
+        base = make_classification_task(tmp_path)
+        (tmp_path / "dev.jsonl").write_text("")
+        assert cli.main([verb, "--config", finetune_config(tmp_path, base)]) == cli.EXIT_CONFIG
+        assert f"task {split} file is empty" in capsys.readouterr().err
+        assert not (tmp_path / "tuned").exists()
 
     def test_evaluate_generation_reports_all_metrics(self, tmp_path):
         words = [f"w{i}" for i in range(12)]

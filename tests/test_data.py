@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deskseq import data as D
 from deskseq.autograd import IGNORE
@@ -104,6 +106,33 @@ class TestPacking:
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError, match="target_len"):
             D.pack_documents([([10], "en")], target_len=1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(docs=st.lists(st.tuples(st.lists(st.integers(NUM_SPECIALS, 99), min_size=1, max_size=30),
+                                   st.sampled_from(["en", "fr"])), min_size=1, max_size=12),
+           target=st.integers(2, 24))
+    def test_packing_properties(self, docs, target):
+        """Content in order, length and language per sequence, and documents
+        split only where a sequence ends: unpack returns each document whole,
+        or in pieces cut at sequence ends."""
+        seqs = D.pack_documents(docs, target)
+        content = [i for ids, _ in docs for i in ids]
+        assert [i for s in seqs for i in s.ids if i != DOC] == content
+        langs = iter(lang for ids, lang in docs for _ in ids)
+        doc_cuts = set(np.cumsum([len(ids) for ids, _ in docs]))
+        seq_cuts, piece_cuts = set(), set()
+        done = 0
+        for s in seqs:
+            assert 0 < len(s.ids) <= target
+            assert {next(langs) for i in s.ids if i != DOC} == {s.lang}
+            for piece in s.unpack():
+                assert piece
+                done += len(piece)
+                piece_cuts.add(done)
+            seq_cuts.add(done)
+        assert piece_cuts == doc_cuts | seq_cuts
+        if len(seqs) == 1:
+            assert seqs[0].unpack() == [ids for ids, _ in docs]
 
 
 class TestMlmCorrupt:
@@ -241,6 +270,21 @@ class TestDenoiseCorrupt:
         nc = NoiseConfig(mode=D.SPAN_DROP)
         with pytest.raises(ValueError, match="empty"):
             D.denoise_corrupt([], nc, np.random.default_rng(0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(ids=st.lists(st.one_of(st.integers(NUM_SPECIALS, 99), st.just(DOC)),
+                        min_size=1, max_size=40),
+           mode=st.sampled_from([D.SPAN_DROP, D.SPAN_MASK]),
+           ratio=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_target_is_the_input_and_no_span_touches_a_separator(self, ids, mode, ratio, seed):
+        log = []
+        src, tgt = D.denoise_corrupt(ids, NoiseConfig(mode=mode, corruption_ratio=ratio),
+                                     np.random.default_rng(seed), span_log=log)
+        assert tgt == ids
+        for s, e in log:
+            assert 0 <= s < e <= len(ids)
+            assert DOC not in ids[s:e]  # a span covering or crossing [DOC] would hold it
+        assert src.count(DOC) == ids.count(DOC)
 
 
 class TestNoiseConfig:

@@ -298,6 +298,16 @@ class TestFinetune:
         assert record["updates"] == 6  # 2 batches/epoch, capped by epochs
         assert perplexity(cfg, best, pairs[8:]) == record["best"]
 
+    def test_seq2seq_sciem_selection_compares_ids(self, monkeypatch):
+        """As strings "12 3" and "1 23" are one SCIEM match; as ids they differ."""
+        assert sciem("12 3", "1 23")
+        monkeypatch.setattr(E, "beam_search", lambda *args: [12, 3])
+        cfg = tiny_cfg(vocab_size=30)
+        fcfg = FinetuneConfig(batch_size=2, epochs=1, metric="sciem", dropout=0.0)
+        _, record = E.finetune_seq2seq(cfg, M.init_seq2seq(cfg, 0), [([6, 7], [1, 23])],
+                                       [([6, 7], [1, 23])], fcfg, seed=0)
+        assert record["best"] == 0.0
+
     @pytest.mark.parametrize("n_train,kw,updates,evals", [
         (48, dict(max_updates=2, epochs=5), 2, 1),
         # 4 batches/epoch, the short last one included: each of the 5 epochs trains

@@ -106,6 +106,10 @@ class TestFreezePlans:
         with pytest.raises(ValueError, match="unknown freeze tag"):
             T.apply_freeze_plan(store, ("Attention",))
 
+    def test_stage_with_unknown_tag_is_rejected_when_built(self):
+        with pytest.raises(ValueError, match="unknown freeze tag: Encodr"):
+            stage(T.MLM, 1, freeze=("Encoder", "Encodr"))
+
     def test_tag_matching_nothing_rejected(self):
         store = M.init_mlm_encoder(small_cfg(dec=0), 0)
         with pytest.raises(ValueError, match="matches no parameters"):
