@@ -84,17 +84,17 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _checkpoint(cfg, field, fallback=None):
-    """(model config, store) of the checkpoint dir named by config field `field`,
-    else by `fallback`; an absent, missing or unreadable one is a ConfigError."""
+def _read(cfg, field, load, fallback=None):
+    """`load(path)` of the path named by config field `field`, else by
+    `fallback`; an absent or missing path, or one that `load` cannot read, is
+    a ConfigError that names the field."""
     path = cfg.get(field) or fallback
-    if not path or not os.path.isdir(path):  # C.load("") would read ./manifest.json
-        raise ConfigError(f"config field '{field}' must name a checkpoint dir, got {path!r}")
+    if not isinstance(path, str) or not os.path.exists(path):  # an int names a file descriptor
+        raise ConfigError(f"config field '{field}' must name an existing path, got {path!r}")
     try:
-        mcfg, store, _, _ = C.load(path)
-    except ValueError as exc:
+        return load(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # a file not of its kind
         raise ConfigError(f"config field '{field}': {exc}") from exc
-    return mcfg, store
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +111,7 @@ def _load_sequences(cfg):
         gen = synth.patterned_sequences if kind == "patterned" else synth.pair_language
         # the config's seed draws the corpus: a "seed" key in the spec clashes with it
         return _build(lambda **kw: gen(seed=cfg["seed"], **kw), spec, "corpus")
-    if not os.path.exists(src):
-        raise ConfigError(f"config field 'corpus' names a missing path: {src}")
-    if os.path.isdir(src):  # packed dataset directory from `pack`
-        return load_packed(src)
-    raise ConfigError("'corpus' must be a packed dataset dir or a synthetic spec")
+    return _read(cfg, "corpus", load_packed)  # a packed dataset dir from `pack`
 
 
 def cmd_pretrain(cfg):
@@ -125,11 +121,18 @@ def cmd_pretrain(cfg):
             if isinstance(preset, str) else _plan_from_dict(preset))
     sequences = _load_sequences(cfg)
     _check_corpus(plan, sequences)
-    donor = checkpoint_store = None
-    if plan.init.kind == "warm_start":
-        _, donor = _checkpoint(cfg, "donor", plan.init.path)
-    elif plan.init.kind in ("checkpoint", "extract"):
-        _, checkpoint_store = _checkpoint(cfg, "base", plan.init.path)
+    donor = None
+    if plan.init.kind != "random":
+        field = "donor" if plan.init.kind == "warm_start" else "base"
+        source, donor, _, _ = _read(cfg, field, C.load, plan.init.path)
+        # row shapes show every size but the head count; a checkpoint is continued
+        # as the plan's model, so all of its config but dropout must be the plan's
+        keys = (["heads"] if plan.init.kind != "checkpoint"
+                else [k for k in source.to_dict() if k != "dropout"])
+        diff = [f"{k} {getattr(source, k)!r} vs the plan's {getattr(plan.model, k)!r}"
+                for k in keys if getattr(source, k) != getattr(plan.model, k)]
+        if diff:
+            raise ConfigError(f"config field '{field}': model differs: {'; '.join(diff)}")
 
     def on_stage_end(k, stage, store, opt_state, trace):
         os.makedirs(out, exist_ok=True)  # at the first write: a plan that cannot start leaves no out/
@@ -142,7 +145,6 @@ def cmd_pretrain(cfg):
                opt_state=opt_state)
 
     store, traces, opt_state = T.run_plan(plan, sequences, cfg["seed"], donor=donor,
-                                          checkpoint_store=checkpoint_store,
                                           on_stage_end=on_stage_end)
     C.save(os.path.join(out, "ckpt_final"), plan.model, store,
            provenance={"plan": plan.name, "stage": "final", "seed": cfg["seed"]},
@@ -203,12 +205,9 @@ def load_packed(path):
 
 def cmd_pack(cfg):
     out = _require(cfg, "out")
-    corpus_path = _require(cfg, "corpus")
-    if not os.path.exists(corpus_path):
-        raise ConfigError(f"config field 'corpus' names a missing path: {corpus_path}")
     target_len = cfg.get("target_len", 64)
     alpha = cfg.get("alpha", 0.3)
-    docs = D.read_corpus(corpus_path)
+    docs = _read(cfg, "corpus", D.read_corpus)
     vocab = D.build_vocab((toks for toks, _ in docs), cfg.get("vocab_budget", 256))
     id_docs = [(vocab.encode(toks), lang) for toks, lang in docs]
     packed = D.pack_documents(id_docs, target_len)
@@ -241,7 +240,6 @@ def cmd_pack(cfg):
 
 
 def cmd_cost(cfg, table1=False):
-    table1 = table1 or cfg.get("plans") == "table1"
     plans = P.registry_plans() if table1 else [_plan_from_dict(d) for d in cfg.get("plans", [])]
     costs = [costmod.tu_cost(p) for p in plans]
     table = costmod.cost_table(costs)
@@ -280,13 +278,10 @@ def _read_task(cfg, split, labels=None):
     """(kind, items, labels) of a split; ids index `labels`, else the split's sorted labels."""
     task = _require(cfg, "task")
     kind = _require(task, "kind")
-    path = _require(task, split)
-    if not os.path.exists(path):
-        raise ConfigError(f"task {split} file not found: {path}")
-    rows = D.read_jsonl(path)
+    rows = _read(task, split, D.read_jsonl)
     if not rows:
-        raise ConfigError(f"task {split} file is empty: {path}")
-    vocab = D.Vocab.load(_require(cfg, "vocab"))
+        raise ConfigError(f"task {split} file is empty: {task[split]}")
+    vocab = _read(cfg, "vocab", D.Vocab.load)
     if kind == "generation":
         return kind, [(vocab.encode(D.tokenize(r["source"])),
                        vocab.encode(D.tokenize(r["target"]))) for r in rows], None
@@ -315,12 +310,11 @@ def _read_task(cfg, split, labels=None):
 
 def cmd_finetune(cfg):
     out = _require(cfg, "out")
-    mcfg, store = _checkpoint(cfg, "checkpoint")
+    mcfg, store, _, _ = _read(cfg, "checkpoint", C.load)
     kind, train_set, labels = _read_task(cfg, "train")
     _, dev_set, _ = _read_task(cfg, "dev", labels)
     seeds = cfg.get("seeds", [cfg["seed"]])
     fcfg = _build(E.FinetuneConfig, cfg.get("finetune", {}), "finetune")
-    os.makedirs(out, exist_ok=True)
     values = []
     for seed in seeds:
         if kind == "generation":
@@ -330,6 +324,7 @@ def cmd_finetune(cfg):
                               hidden=fcfg.head_hidden)
             tuned, record = E.finetune_classifier(mcfg, store, spec, train_set,
                                                   dev_set, fcfg, seed)
+        os.makedirs(out, exist_ok=True)  # at the first write: a config fault leaves no out/
         values.append(record["best"])
         C.save(os.path.join(out, f"tuned_seed{seed}"), mcfg, tuned,
                provenance={"task": kind, "seed": seed, "metric": record["metric"]})
@@ -347,9 +342,9 @@ def cmd_finetune(cfg):
 
 def cmd_evaluate(cfg):
     out = _require(cfg, "out")
-    mcfg, store = _checkpoint(cfg, "checkpoint")
+    mcfg, store, _, _ = _read(cfg, "checkpoint", C.load)
     kind, eval_set, labels = _read_task(cfg, "eval")
-    vocab = D.Vocab.load(_require(cfg, "vocab"))
+    vocab = _read(cfg, "vocab", D.Vocab.load)
     records = []
     if kind == "generation":
         gc = E.GenConfig(beam_size=cfg.get("beam_size", 3),

@@ -376,11 +376,9 @@ def warm_start_seq2seq(donor, cfg, seed):
     is tied (shared storage) to the encoder embedding; the LM head starts from
     the embedding values but is stored separately (untied) and trainable.
     """
-    store = _copy_encoder(donor, cfg, "donor")
+    store = _copy_encoder(donor, cfg, "donor", "lm_head")
     store.tie("dec.embed.tok", "embed.tok")
     _init_rows(store, np.random.default_rng(seed), decoder_layout(cfg))
-    store.add("lm_head.w", store["embed.tok"].data.copy())
-    store.add("lm_head.b", np.zeros(cfg.vocab_size))
     return store
 
 
@@ -390,20 +388,22 @@ def extract_encoder(seq2seq_store, cfg):
     independently (untied)."""
     if cfg.encoder_layers < 1:
         raise ValueError("model has no encoder layers to extract")
-    store = _copy_encoder(seq2seq_store, cfg, "seq2seq model")
-    store.add("mlm_head.w", store["embed.tok"].data.copy())
-    store.add("mlm_head.b", np.zeros(cfg.vocab_size))
-    return store
+    return _copy_encoder(seq2seq_store, cfg, "seq2seq model", "mlm_head")
 
 
-def _copy_encoder(src, cfg, what):
+def _copy_encoder(src, cfg, what, head):
     """New store holding float64 copies of the encoder rows of `cfg` taken
-    from `src`; raises ValueError naming every row `src` lacks or holds in
-    another shape."""
+    from `src`, plus an untied `{head}.w` copied from the token embedding and
+    a zero `{head}.b`; raises ValueError naming every row `src` lacks, holds
+    in another shape, or holds past the encoder of `cfg`."""
     rows = encoder_layout(cfg)
     missing = [name for name, _, _ in rows if name not in src]
     if missing:
         raise ValueError(f"{what} is missing encoder parameters: {missing}")
+    extra = sorted({n for n in src.names() if n.startswith("enc.")} - {n for n, _, _ in rows})
+    if extra:
+        raise ValueError(f"{what} has encoder parameters past the model's "
+                         f"{cfg.encoder_layers} layers: {extra}")
     wrong = [f"{name} {src[name].data.shape} vs expected {shape}"
              for name, shape, _ in rows if src[name].data.shape != shape]
     if wrong:
@@ -411,6 +411,8 @@ def _copy_encoder(src, cfg, what):
     store = ParameterStore()
     for name, _, _ in rows:
         store.add(name, np.array(src[name].data, dtype=np.float64))
+    store.add(f"{head}.w", store["embed.tok"].data.copy())
+    store.add(f"{head}.b", np.zeros(cfg.vocab_size))
     return store
 
 

@@ -45,32 +45,27 @@ class ParameterStore:
     def names(self):
         return sorted(self._params)
 
+    def _groups(self):
+        """Sorted name lists, one per shared tensor, in owner order."""
+        by_id: dict[int, list[str]] = {}
+        for n in sorted(self._params):
+            by_id.setdefault(id(self._params[n]), []).append(n)
+        return list(by_id.values())
+
     def owner(self, name):
-        target = self._params[name]
-        return min(n for n, t in self._params.items() if t is target)
+        return self.group_of(name)[0]
 
     def group_of(self, name):
         target = self._params[name]
-        return sorted(n for n, t in self._params.items() if t is target)
+        return next(g for g in self._groups() if self._params[g[0]] is target)
 
     def tie_groups(self):
         """All name groups sharing storage, size > 1, sorted canonically."""
-        by_id: dict[int, list[str]] = {}
-        for n, t in self._params.items():
-            by_id.setdefault(id(t), []).append(n)
-        return sorted(sorted(g) for g in by_id.values() if len(g) > 1)
+        return [g for g in self._groups() if len(g) > 1]
 
     def unique_items(self):
         """(owner_name, tensor) pairs, one per storage, sorted by owner."""
-        seen = set()
-        items = []
-        for n in sorted(self._params):
-            t = self._params[n]
-            if id(t) in seen:
-                continue
-            seen.add(id(t))
-            items.append((n, t))
-        return items
+        return [(g[0], self._params[g[0]]) for g in self._groups()]
 
     def trainable(self):
         return {n: t.requires_grad for n, t in self._params.items()}
@@ -99,14 +94,10 @@ class ParameterStore:
     def copy(self):
         """Deep copy preserving tie structure and trainability."""
         clone = ParameterStore()
-        mapping = {}
-        for n in sorted(self._params):
-            t = self._params[n]
-            if id(t) in mapping:
-                clone._params[n] = mapping[id(t)]
-            else:
-                nt = Tensor(t.data.copy())
-                nt.requires_grad = t.requires_grad
-                mapping[id(t)] = nt
+        for group in self._groups():
+            t = self._params[group[0]]
+            nt = Tensor(t.data.copy())
+            nt.requires_grad = t.requires_grad
+            for n in group:
                 clone._params[n] = nt
         return clone

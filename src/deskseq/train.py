@@ -122,8 +122,12 @@ class TrainStage:
 
 @dataclass
 class PlanInit:
-    kind: str = "random"  # "random" | "checkpoint" | "warm_start"
+    kind: str = "random"  # "random" | "checkpoint" | "warm_start" | "extract"
     path: str | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("random", "checkpoint", "warm_start", "extract"):
+            raise ValueError(f"unknown init kind: {self.kind}")
 
 
 @dataclass
@@ -242,28 +246,27 @@ def run_stage(cfg, store, sequences, stage, seed, opt_state=None, step_base=0):
     return trace
 
 
-def init_plan_store(plan, seed, donor=None, checkpoint_store=None):
-    cfg = plan.model
-    if plan.init.kind == "warm_start":
-        if donor is None:
-            raise ValueError("warm-start plan requires a donor encoder store")
+def init_plan_store(plan, seed, donor=None):
+    """The store `plan` starts from: a random init from `seed`, else one built
+    from the `donor` store: the checkpoint to continue (`checkpoint`), the MLM
+    encoder to warm-start from (`warm_start`) or the seq2seq model to extract
+    the encoder of (`extract`)."""
+    cfg, kind = plan.model, plan.init.kind
+    if kind == "random":
+        init = M.init_mlm_encoder if cfg.decoder_layers == 0 else M.init_seq2seq
+        return init(cfg, seed)
+    if donor is None:
+        raise ValueError(f"{kind} plan requires a donor store")
+    if kind == "warm_start":
         return M.warm_start_seq2seq(donor, cfg, seed)
-    if plan.init.kind == "checkpoint":
-        if checkpoint_store is None:
-            raise ValueError("checkpoint plan requires a loaded store")
-        return checkpoint_store
-    if plan.init.kind == "extract":
-        if checkpoint_store is None:
-            raise ValueError("extraction plan requires a loaded seq2seq store")
-        return M.extract_encoder(checkpoint_store, cfg)
-    if cfg.decoder_layers == 0:
-        return M.init_mlm_encoder(cfg, seed)
-    return M.init_seq2seq(cfg, seed)
+    if kind == "extract":
+        return M.extract_encoder(donor, cfg)
+    return donor
 
 
-def run_plan(plan, sequences, seed, donor=None, checkpoint_store=None, on_stage_end=None):
+def run_plan(plan, sequences, seed, donor=None, on_stage_end=None):
     """Run all stages in order; returns (store, per-stage traces, opt_state)."""
-    store = init_plan_store(plan, seed, donor=donor, checkpoint_store=checkpoint_store)
+    store = init_plan_store(plan, seed, donor)
     opt_state = OptimState()
     traces = []
     step_base = 0

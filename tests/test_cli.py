@@ -3,9 +3,13 @@
 import json
 import os
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deskseq import checkpoint as C
 from deskseq import cli
@@ -129,6 +133,14 @@ class TestCost:
             assert cli.main(["cost", "--table1", "--out", str(tmp_path / d)]) == 0
         capsys.readouterr()
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
+    def test_plans_must_be_a_list_of_inline_plans(self, tmp_path, capsys):
+        """`--table1` is the one way to ask for the registry."""
+        cfgp = write_config(tmp_path / "c.json", {
+            "seed": 0, "out": str(tmp_path / "o"), "plans": "table1"})
+        assert cli.main(["cost", "--config", cfgp]) == cli.EXIT_CONFIG
+        assert "an inline plan must be a JSON object, got str" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 CORPUS = [
@@ -365,6 +377,72 @@ class TestPretrain:
         assert f"config field '{field}': not a checkpoint" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_unknown_init_kind_is_config_error(self, tmp_path, capsys):
+        plan = {**INLINE_PLAN, "init": {"kind": "warm-start"}}
+        cfgp = write_config(tmp_path / "c.json", {
+            "seed": 0, "out": str(tmp_path / "run"), "plan": plan,
+            "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})
+        assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
+        assert "config field 'init': unknown init kind: warm-start" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("change, fragment", [
+        ({"heads": 4}, "heads 4 vs the plan's 2"),
+        ({"d_ffn": 16}, "d_ffn 16 vs the plan's 32"),
+        ({"max_positions": 48}, "max_positions 48 vs the plan's 40"),
+        ({"dropout": 0.1}, None),
+    ])
+    def test_checkpoint_base_must_be_the_plans_model(self, tmp_path, capsys, change, fragment):
+        """A checkpoint is continued as the plan's model: every config field
+        but dropout must match."""
+        base_cfg = M.ModelConfig(**{**INLINE_PLAN["model"], **change})
+        C.save(tmp_path / "base", base_cfg, M.init_mlm_encoder(base_cfg, 0))
+        cfgp = write_config(tmp_path / "c.json", {
+            "seed": 0, "out": str(tmp_path / "run"),
+            "plan": {**INLINE_PLAN, "init": {"kind": "checkpoint"}},
+            "base": str(tmp_path / "base"),
+            "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})
+        code = cli.main(["pretrain", "--config", cfgp])
+        assert (tmp_path / "run").exists() == (fragment is None)
+        if fragment is None:
+            assert code == cli.EXIT_OK
+        else:
+            assert code == cli.EXIT_CONFIG
+            assert f"config field 'base': model differs: {fragment}" in capsys.readouterr().err
+
+
+@settings(max_examples=16, deadline=None)
+@given(kind=st.sampled_from(["warm_start", "extract"]),
+       donor_layers=st.integers(1, 2), plan_layers=st.integers(1, 2),
+       donor_heads=st.sampled_from([1, 2, 4]), plan_heads=st.sampled_from([1, 2, 4]))
+def test_donor_starts_a_plan_iff_layers_and_heads_match(kind, donor_layers, plan_layers,
+                                                        donor_heads, plan_heads):
+    """Row shapes show neither a head count nor, for a deeper donor, the
+    layers the plan would drop: either mismatch is exit 2 with no out/."""
+    model = INLINE_PLAN["model"]
+    warm = kind == "warm_start"
+    donor_cfg = M.ModelConfig(**{**model, "encoder_layers": donor_layers, "heads": donor_heads,
+                                 "decoder_layers": 0 if warm else 1})
+    plan = {**INLINE_PLAN, "init": {"kind": kind},
+            "model": {**model, "encoder_layers": plan_layers, "heads": plan_heads,
+                      "decoder_layers": 1 if warm else 0}}
+    if warm:
+        plan["stages"] = [{**INLINE_PLAN["stages"][0], "objective": "denoise", "steps": 1,
+                           "lr": {"peak": 1e-3, "total_steps": 1},
+                           "noise": {"mode": "span_mask"}}]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        init = M.init_mlm_encoder if warm else M.init_seq2seq
+        C.save(tmp / "donor", donor_cfg, init(donor_cfg, 0))
+        cfgp = write_config(tmp / "c.json", {
+            "seed": 0, "out": str(tmp / "run"), "plan": plan,
+            "donor" if warm else "base": str(tmp / "donor"),
+            "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})
+        match = donor_layers == plan_layers and donor_heads == plan_heads
+        assert cli.main(["pretrain", "--config", cfgp]) == (
+            cli.EXIT_OK if match else cli.EXIT_CONFIG)
+        assert (tmp / "run").exists() == match
+
 
 def make_classification_task(tmp_path):
     """Vocab + label-by-marker-word task files + a tiny encoder checkpoint."""
@@ -501,6 +579,53 @@ class TestFinetuneEvaluate:
         assert cli.main(["evaluate", "--config", evp]) == cli.EXIT_CONFIG
         assert "task head" in capsys.readouterr().err
         assert not (tmp_path / "evald").exists()
+
+    @pytest.mark.parametrize("verb, split", [("finetune", "train"), ("finetune", "dev"),
+                                             ("evaluate", "eval")])
+    def test_missing_task_split_names_its_field(self, tmp_path, capsys, verb, split):
+        base = make_classification_task(tmp_path)
+        base["task"][split] = str(tmp_path / "nope.jsonl")
+        assert cli.main([verb, "--config", finetune_config(tmp_path, base)]) == cli.EXIT_CONFIG
+        assert f"config field '{split}' must name an existing path" in capsys.readouterr().err
+        assert not (tmp_path / "tuned").exists()
+
+    @pytest.mark.parametrize("fault", ["missing", "not JSON", "tokens not a list"])
+    @pytest.mark.parametrize("verb", ["finetune", "evaluate"])
+    def test_unreadable_vocab_is_config_error(self, tmp_path, capsys, fault, verb):
+        base = make_classification_task(tmp_path)
+        if fault == "missing":
+            os.remove(base["vocab"])
+        else:
+            (tmp_path / "vocab.json").write_text(
+                "{nope" if fault == "not JSON" else json.dumps({"tokens": 5}))
+        assert cli.main([verb, "--config", finetune_config(tmp_path, base)]) == cli.EXIT_CONFIG
+        assert "config error: config field 'vocab'" in capsys.readouterr().err
+        assert not (tmp_path / "tuned").exists()
+
+    @pytest.mark.parametrize("task, fault", [
+        ("classification", "unknown freeze tag: Embeding"),
+        ("generation", "metric accuracy not valid for seq2seq fine-tuning"),
+    ])
+    def test_finetune_config_fault_leaves_no_out(self, tmp_path, capsys, task, fault):
+        """`finetune` creates out/ at its first write, after the first seed's
+        fine-tune, so a fault found when that starts leaves none."""
+        if task == "classification":
+            cfgp = finetune_config(tmp_path, make_classification_task(tmp_path),
+                                   freeze=["Embeding"])
+        else:
+            vocab = D.build_vocab([["w0", "w1", "w2"]], budget=32)
+            vocab.save(tmp_path / "vocab.json")
+            D.write_jsonl(tmp_path / "pairs.jsonl", [{"source": "w0 w1", "target": "w2"}])
+            cfg = M.ModelConfig(encoder_layers=1, decoder_layers=1, d_model=16,
+                                d_ffn=32, heads=2, vocab_size=32, max_positions=16)
+            C.save(tmp_path / "s2s", cfg, M.init_seq2seq(cfg, 0))
+            cfgp = finetune_config(tmp_path, {
+                "vocab": str(tmp_path / "vocab.json"), "checkpoint": str(tmp_path / "s2s"),
+                "task": {"kind": "generation", "train": str(tmp_path / "pairs.jsonl"),
+                         "dev": str(tmp_path / "pairs.jsonl")}})
+        assert cli.main(["finetune", "--config", cfgp]) == cli.EXIT_CONFIG
+        assert fault in capsys.readouterr().err
+        assert not (tmp_path / "tuned").exists()
 
     @pytest.mark.parametrize("verb, split", [("finetune", "dev"), ("evaluate", "eval")])
     def test_empty_task_split_is_config_error(self, tmp_path, capsys, verb, split):

@@ -220,6 +220,13 @@ class TestWarmStart:
         with pytest.raises(ValueError, match="enc.0.ffn.w1"):
             M.warm_start_seq2seq(donor, bad_cfg, 1)
 
+    def test_donor_with_more_layers_rejected(self):
+        """Every donor row fits a 1-layer model, but its second layer would be
+        dropped while its final norm, trained after that layer, is kept."""
+        donor = M.init_mlm_encoder(small_cfg(dec=0), 0)
+        with pytest.raises(ValueError, match=re.escape("past the model's 1 layers: ['enc.1.")):
+            M.warm_start_seq2seq(donor, small_cfg(encoder_layers=1), 1)
+
 
 class TestExtractEncoder:
     def test_encoder_copied_and_no_decoder_names(self):
@@ -251,6 +258,7 @@ class TestExtractEncoder:
     @pytest.mark.parametrize("kw,offender", [
         (dict(d_ffn=24), "enc.0.ffn.w1 (32, 8) vs expected (24, 8)"),
         (dict(encoder_layers=3), "enc.2.attn.wq"),
+        (dict(encoder_layers=1), "past the model's 1 layers: ['enc.1."),
     ])
     def test_config_mismatch_lists_offenders(self, kw, offender):
         s2s = M.init_seq2seq(small_cfg(d_ffn=32), 0)

@@ -230,9 +230,42 @@ class TestRunPlan:
                          stages=[stage(T.MLM, 2)],
                          init=PlanInit(kind="extract"))
         store, traces, _ = T.run_plan(plan, toy_sequences(rng), seed=1,
-                                      checkpoint_store=s2s)
+                                      donor=s2s)
         assert "mlm_head.w" in store.names()
         assert not [n for n in store.names() if n.startswith("dec.")]
+
+    def test_unknown_init_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown init kind: warm-start"):
+            PlanInit(kind="warm-start")
+
+    @pytest.mark.parametrize("kind", ["random", "checkpoint", "warm_start", "extract"])
+    def test_init_plan_store_with_and_without_a_donor(self, kind):
+        """Every kind but random starts from the one donor store, and names
+        its kind when there is none; random init ignores a donor."""
+        cfg = small_cfg(dec=0) if kind == "extract" else small_cfg()
+        plan = TrainPlan(name="p", model=cfg, stages=[stage(T.MLM, 1)],
+                         init=PlanInit(kind=kind))
+        donor = (M.init_mlm_encoder(small_cfg(dec=0), 0) if kind == "warm_start"
+                 else M.init_seq2seq(small_cfg(), 0))
+        if kind == "random":
+            want = M.init_seq2seq(cfg, 3)
+            for given_donor in (None, donor):
+                store = T.init_plan_store(plan, 3, given_donor)
+                assert store.names() == want.names()
+                assert all(np.array_equal(store[n].data, want[n].data) for n in want.names())
+            return
+        with pytest.raises(ValueError, match=f"{kind} plan requires a donor store"):
+            T.init_plan_store(plan, 3)
+        store = T.init_plan_store(plan, 3, donor)
+        if kind == "checkpoint":
+            assert store is donor
+            return
+        head = "lm_head" if kind == "warm_start" else "mlm_head"
+        for name, _, _ in M.encoder_layout(cfg):
+            np.testing.assert_array_equal(store[name].data, donor[name].data)
+        np.testing.assert_array_equal(store[f"{head}.w"].data, store["embed.tok"].data)
+        assert store[f"{head}.w"] is not store["embed.tok"]
+        assert not store[f"{head}.b"].data.any()
 
 
 class TestCheckpoints:
