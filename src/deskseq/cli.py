@@ -274,19 +274,45 @@ def cmd_cost(cfg, table1=False):
 # finetune / evaluate
 
 
+# the fields of a task row, by kind: each a string or a list of strings
+_ROW_FIELDS = {"generation": {"source": str, "target": str},
+               "classification": {"text": str, "label": str},
+               "labeling": {"tokens": list, "labels": list}}
+
+
 def _read_task(cfg, split, labels=None):
     """(kind, items, labels) of a split; ids index `labels`, else the split's sorted labels."""
     task = _require(cfg, "task")
     kind = _require(task, "kind")
+    if kind not in _ROW_FIELDS:
+        raise ConfigError(f"unknown task kind: {kind}")
     rows = _read(task, split, D.read_jsonl)
     if not rows:
         raise ConfigError(f"task {split} file is empty: {task[split]}")
+    for n, r in enumerate(rows, 1):
+        where = f"task {split} row {n} ({task[split]})"
+        if not isinstance(r, dict):
+            raise ConfigError(f"{where} must be a JSON object, got {type(r).__name__}")
+        for key, typ in _ROW_FIELDS[kind].items():
+            value = r.get(key)
+            if not (isinstance(value, typ)
+                    and (typ is str or all(isinstance(v, str) for v in value))):
+                raise ConfigError(f"{where} field '{key}' must be "
+                                  f"{'a string' if typ is str else 'a list of strings'}, "
+                                  f"got {value!r}")
+        # an encoder input without a token gives no state to score or decode from
+        if kind == "labeling":
+            if not r["tokens"]:
+                raise ConfigError(f"{where} has no tokens")
+            if len(r["labels"]) != len(r["tokens"]):
+                raise ConfigError(f"{where} has {len(r['tokens'])} tokens "
+                                  f"but {len(r['labels'])} labels")
+        elif not D.tokenize(r["text" if kind == "classification" else "source"]):
+            raise ConfigError(f"{where} has no tokens")
     vocab = _read(cfg, "vocab", D.Vocab.load)
     if kind == "generation":
         return kind, [(vocab.encode(D.tokenize(r["source"])),
                        vocab.encode(D.tokenize(r["target"]))) for r in rows], None
-    if kind not in ("classification", "labeling"):
-        raise ConfigError(f"unknown task kind: {kind}")
     seen = ({r["label"] for r in rows} if kind == "classification"
             else {l for r in rows for l in r["labels"]})
     labels = sorted(seen) if labels is None else labels
@@ -297,15 +323,9 @@ def _read_task(cfg, split, labels=None):
     if kind == "classification":
         return kind, [(vocab.encode(D.tokenize(r["text"])), lab_id[r["label"]])
                       for r in rows], labels
-    items = []
-    for n, r in enumerate(rows, 1):
-        if len(r["labels"]) != len(r["tokens"]):
-            raise ConfigError(f"task {split} row {n} has {len(r['tokens'])} tokens "
-                              f"but {len(r['labels'])} labels")
-        ids = vocab.encode(r["tokens"])
-        starts = list(range(len(ids)))  # word-level tokens: one subword each
-        items.append((ids, starts, [lab_id[l] for l in r["labels"]]))
-    return kind, items, labels
+    # word-level tokens: one subword each, so word i starts at position i
+    return kind, [(vocab.encode(r["tokens"]), list(range(len(r["tokens"]))),
+                   [lab_id[l] for l in r["labels"]]) for r in rows], labels
 
 
 def cmd_finetune(cfg):

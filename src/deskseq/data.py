@@ -291,8 +291,11 @@ def read_corpus(path):
             try:
                 rec = json.loads(line)
                 text, lang = rec["text"], rec["lang"]
+                if not (isinstance(text, str) and isinstance(lang, str)):
+                    raise TypeError(f"'text' and 'lang' must be strings, got {text!r}, {lang!r}")
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"malformed corpus record at line {lineno}: {exc}") from exc
+                raise ValueError(f"malformed corpus record at {path} line {lineno}: "
+                                 f"{exc}") from exc
             docs.append((tokenize(text), lang))
     return docs
 

@@ -298,13 +298,26 @@ def _head_loss(cfg, ft, spec, batch, train_rng=None):
     return ag.softmax_cross_entropy(_head_logits(cfg, ft, spec, batch, train_rng), labels)
 
 
+_HEAD_CHUNK = 16  # items per encoder forward when predicting
+
+
 def head_predictions(cfg, store, spec, items):
-    """Argmax label ids, one forward per item: an id, or a list of them (labeling)."""
+    """Argmax label ids per item: an id, or a list of them (labeling).
+
+    One forward per `_HEAD_CHUNK` items, padded to the chunk's longest.  A
+    logit can differ from a one-item forward's in the last bits (a BLAS
+    result depends on a matmul's row count); (config, seed) still fixes it.
+    """
     preds = []
     with ag.no_grad():
-        for item in items:
-            ids = np.argmax(_head_logits(cfg, store, spec, [item]).data, axis=1)
-            preds.append(int(ids[0]) if spec.kind == "classification" else ids.tolist())
+        for lo in range(0, len(items), _HEAD_CHUNK):
+            chunk = items[lo : lo + _HEAD_CHUNK]
+            ids = np.argmax(_head_logits(cfg, store, spec, chunk).data, axis=1)
+            if spec.kind == "classification":
+                preds.extend(ids.tolist())
+            else:  # one row per word: split the rows back per item
+                ends = np.cumsum([len(item[1]) for item in chunk])[:-1]
+                preds.extend(rows.tolist() for rows in np.split(ids, ends))
     return preds
 
 
@@ -316,8 +329,9 @@ def _head_metric(cfg, ft, spec, dev_set, metric):
 
 def finetune_seq2seq(cfg, store, train_pairs, dev_pairs, fcfg, seed):
     """Fine-tune a seq2seq model on fixed (source ids, target ids) pairs,
-    selecting the best checkpoint by teacher-forced perplexity or by SCIEM on
-    the output ids (as id strings, "12 3" would match "1 23")."""
+    selecting the best checkpoint by teacher-forced perplexity or by exact
+    match of the output id list with the target's ([12, 3] does not match
+    [1, 23], unlike their space-joined strings)."""
     if not train_pairs or not dev_pairs:
         raise ValueError("empty train or validation split")
     if fcfg.metric not in ("perplexity", "sciem"):

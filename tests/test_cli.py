@@ -189,6 +189,17 @@ class TestPack:
                              "out": str(tmp_path / "o")})
         assert cli.main(["pack", "--config", cfgp]) == cli.EXIT_CONFIG
 
+    def test_non_string_corpus_text_is_config_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        D.write_jsonl(corpus, [CORPUS[0], {"text": 5, "lang": "en"}])
+        cfgp = write_config(tmp_path / "pack.json",
+                            {"seed": 0, "corpus": str(corpus), "out": str(tmp_path / "o")})
+        assert cli.main(["pack", "--config", cfgp]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"malformed corpus record at {corpus} line 2" in err
+        assert "'text' and 'lang' must be strings, got 5, 'en'" in err
+        assert not (tmp_path / "o").exists()
+
     def test_truncated_packed_bin_rejected(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "corpus.jsonl")
         packed = tmp_path / "packed"
@@ -496,6 +507,29 @@ def make_labeling_task(tmp_path):
     }
 
 
+def make_generation_task(tmp_path):
+    """Vocab + (source, target) task files + a tiny seq2seq checkpoint."""
+    vocab = D.build_vocab([[f"w{i}" for i in range(12)]], budget=32)
+    vocab.save(tmp_path / "vocab.json")
+    rows = [{"source": f"w{i} w{i + 1}", "target": f"w{i + 2}"} for i in range(4)]
+    D.write_jsonl(tmp_path / "train.jsonl", rows)
+    D.write_jsonl(tmp_path / "dev.jsonl", rows)
+    cfg = M.ModelConfig(encoder_layers=1, decoder_layers=1, d_model=16,
+                        d_ffn=32, heads=2, vocab_size=32, max_positions=16)
+    C.save(tmp_path / "s2s", cfg, M.init_seq2seq(cfg, 0))
+    return {
+        "vocab": str(tmp_path / "vocab.json"),
+        "checkpoint": str(tmp_path / "s2s"),
+        "task": {"kind": "generation", "train": str(tmp_path / "train.jsonl"),
+                 "dev": str(tmp_path / "dev.jsonl"),
+                 "eval": str(tmp_path / "dev.jsonl")},
+    }
+
+
+MAKE_TASK = {"classification": make_classification_task, "labeling": make_labeling_task,
+             "generation": make_generation_task}
+
+
 def finetune_config(tmp_path, base, **finetune):
     return write_config(tmp_path / "ft.json", {
         "seed": 0, "out": str(tmp_path / "tuned"), **base,
@@ -635,6 +669,55 @@ class TestFinetuneEvaluate:
         assert f"task {split} file is empty" in capsys.readouterr().err
         assert not (tmp_path / "tuned").exists()
 
+    @pytest.mark.parametrize("verb", ["finetune", "evaluate"])
+    def test_non_object_task_row_is_config_error(self, tmp_path, capsys, verb):
+        base = make_classification_task(tmp_path)
+        rows = D.read_jsonl(tmp_path / "dev.jsonl")
+        D.write_jsonl(tmp_path / "dev.jsonl", rows[:1] + [[1, 2]] + rows[1:])
+        assert cli.main([verb, "--config", finetune_config(tmp_path, base)]) == cli.EXIT_CONFIG
+        split = "dev" if verb == "finetune" else "eval"
+        assert (f"task {split} row 2 ({tmp_path / 'dev.jsonl'}) must be a JSON object, "
+                f"got list") in capsys.readouterr().err
+        assert not (tmp_path / "tuned").exists()
+
+    @pytest.mark.parametrize("kind, field, value, expected", [
+        ("classification", "text", 5, "a string"),
+        ("classification", "label", ["alpha"], "a string"),
+        ("labeling", "tokens", [1, 2, 3, 4, 5], "a list of strings"),
+        ("labeling", "labels", "O O O O O", "a list of strings"),
+        ("generation", "source", 5, "a string"),
+        ("generation", "target", None, "a string"),
+    ])
+    def test_task_field_of_another_type_is_config_error(self, tmp_path, capsys, kind, field,
+                                                         value, expected):
+        base = MAKE_TASK[kind](tmp_path)
+        path = tmp_path / "eval_bad.jsonl"
+        rows = D.read_jsonl(tmp_path / "dev.jsonl")
+        rows[1][field] = value
+        D.write_jsonl(path, rows)
+        base["task"]["eval"] = str(path)
+        evp = write_config(tmp_path / "ev.json", {"seed": 0, "out": str(tmp_path / "o"), **base})
+        assert cli.main(["evaluate", "--config", evp]) == cli.EXIT_CONFIG
+        assert (f"task eval row 2 ({path}) field '{field}' must be {expected}, "
+                f"got {value!r}") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("verb", ["finetune", "evaluate"])
+    @pytest.mark.parametrize("kind, empty", [("classification", {"text": " "}),
+                                             ("labeling", {"tokens": [], "labels": []}),
+                                             ("generation", {"source": ""})])
+    def test_task_row_without_tokens_is_config_error(self, tmp_path, capsys, verb, kind,
+                                                      empty):
+        base = MAKE_TASK[kind](tmp_path)
+        rows = D.read_jsonl(tmp_path / "dev.jsonl")
+        rows[1].update(empty)
+        D.write_jsonl(tmp_path / "dev.jsonl", rows)
+        assert cli.main([verb, "--config", finetune_config(tmp_path, base)]) == cli.EXIT_CONFIG
+        split = "dev" if verb == "finetune" else "eval"
+        assert (f"task {split} row 2 ({tmp_path / 'dev.jsonl'}) has no tokens"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "tuned").exists()
+
     def test_evaluate_generation_reports_all_metrics(self, tmp_path):
         words = [f"w{i}" for i in range(12)]
         vocab = D.build_vocab([words], budget=32)
@@ -739,7 +822,8 @@ class TestFinetuneEvaluate:
         verb = "evaluate" if split == "eval" else "finetune"
         cfgp = finetune_config(tmp_path, base)
         assert cli.main([verb, "--config", cfgp]) == cli.EXIT_CONFIG
-        assert f"task {split} row 3 has 5 tokens but 4 labels" in capsys.readouterr().err
+        assert (f"task {split} row 3 ({path}) has 5 tokens but 4 labels"
+                in capsys.readouterr().err)
         assert not (tmp_path / "tuned").exists()
 
     def test_dev_label_ids_come_from_the_train_split(self, tmp_path, capsys):

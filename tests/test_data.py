@@ -335,9 +335,11 @@ class TestCorpusIo:
 
     def test_malformed_line_reported_with_number(self, tmp_path):
         p = tmp_path / "c.jsonl"
-        p.write_text('{"text": "ok", "lang": "en"}\n{"nope": 1}\n')
-        with pytest.raises(ValueError, match="line 2"):
-            D.read_corpus(p)
+        for record in ('{"nope": 1}', '{"text": 5, "lang": "en"}',
+                       '{"text": "a", "lang": ["en"]}', '[1, 2]'):
+            p.write_text('{"text": "ok", "lang": "en"}\n' + record + "\n")
+            with pytest.raises(ValueError, match=f"malformed corpus record at {p} line 2"):
+                D.read_corpus(p)
 
     def test_jsonl_round_trip(self, tmp_path):
         recs = [{"k": 1}, {"k": 2, "v": "x"}]

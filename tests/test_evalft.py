@@ -1,8 +1,13 @@
 """Metric oracles, beam search, and fine-tuning protocols."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from deskseq import autograd as ag
 from deskseq import data as D
 from deskseq import evalft as E
 from deskseq import model as M
@@ -245,6 +250,97 @@ class TestAggregateSeeds:
         assert out["mean"] == 2.0
         assert abs(out["std"] - np.sqrt(2 / 3)) < 1e-12
         assert out["seeds"] == [1.0, 2.0, 3.0]
+
+
+def head_items(kind, n, seed, vocab_size):
+    """`n` items of mixed lengths: every other one is 8 tokens long, so a
+    chunk of two or more items holds PAD."""
+    rng = np.random.default_rng(seed)
+    items = []
+    for i in range(n):
+        length = 8 if i % 2 else int(rng.integers(1, 8))
+        ids = rng.integers(D.NUM_SPECIALS, vocab_size, size=length).tolist()
+        if kind == "classification":
+            items.append((ids, int(rng.integers(3))))
+        else:
+            count = int(rng.integers(1, length + 1))
+            starts = sorted(rng.choice(length, size=count, replace=False).tolist())
+            items.append((ids, starts, [0] * count))
+    return items
+
+
+def per_item_logits(cfg, store, spec, items):
+    """One `head_features` + `head_forward` per item, as a reader of the API would."""
+    out = []
+    with ag.no_grad():
+        for item in items:
+            ids = np.asarray([item[0]])
+            starts = None if spec.kind == "classification" else [item[1]]
+            feats = M.head_features(cfg, store, spec, ids, ids != D.PAD, word_starts=starts)
+            out.append(M.head_forward(store, spec, feats).data)
+    return out
+
+
+def head_store(kind, hidden, seed):
+    cfg = tiny_cfg(decoder_layers=0, vocab_size=32)
+    spec = M.HeadSpec(kind=kind, label_count=3, hidden=hidden)
+    return cfg, spec, M.attach_head(M.init_mlm_encoder(cfg, seed), spec, cfg.d_model, seed)
+
+
+class TestHeadPredictions:
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["classification", "labeling"]),
+           hidden=st.sampled_from([[], [8]]), n=st.sampled_from([1, 15, 16, 17, 33]),
+           seed=st.integers(0, 2**16))
+    def test_batched_predictions_match_per_item_forwards(self, kind, hidden, n, seed):
+        cfg, spec, store = head_store(kind, hidden, seed)
+        items = head_items(kind, n, seed, cfg.vocab_size)
+        seen, head_forward = [], M.head_forward
+
+        def recording(*args):
+            logits = head_forward(*args)
+            seen.append(logits.data)
+            return logits
+
+        M.head_forward = recording  # by hand: a function-scoped fixture spans every example
+        try:
+            preds = E.head_predictions(cfg, store, spec, items)
+        finally:
+            M.head_forward = head_forward
+        reference = per_item_logits(cfg, store, spec, items)
+        expect = [np.argmax(r, axis=1).tolist() for r in reference]
+        if kind == "classification":
+            expect = [e[0] for e in expect]
+        assert preds == expect
+        batched, single = np.vstack(seen), np.vstack(reference)
+        assert batched.shape == single.shape
+        assert np.max(np.abs(batched - single)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["classification", "labeling"])
+    def test_an_all_tie_head_predicts_label_zero(self, kind):
+        cfg, spec, store = head_store(kind, [8], 0)
+        store["head.out.w"].data[...] = 0.0
+        store["head.out.b"].data[...] = 0.0
+        items = head_items(kind, 17, 0, cfg.vocab_size)
+        preds = E.head_predictions(cfg, store, spec, items)
+        if kind == "classification":
+            assert preds == [0] * len(items)
+        else:
+            assert preds == [[0] * len(item[1]) for item in items]
+
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
+    def test_one_encoder_forward_per_16_items(self, n, monkeypatch):
+        calls, head_features = [], M.head_features
+
+        def counting(*args, **kwargs):
+            calls.append(np.asarray(args[3]).shape[0])
+            return head_features(*args, **kwargs)
+
+        monkeypatch.setattr(M, "head_features", counting)
+        cfg, spec, store = head_store("labeling", [8], 0)
+        preds = E.head_predictions(cfg, store, spec, head_items("labeling", n, 0, 32))
+        assert len(calls) == math.ceil(n / 16)
+        assert sum(calls) == len(preds) == n
 
 
 class TestFinetune:
