@@ -53,7 +53,13 @@ def _load_config(path, overrides):
         cfg["out"] = overrides.out
     if "seed" not in cfg:
         raise ConfigError("config field 'seed' is required (no implicit randomness)")
+    if not _is_int(cfg["seed"]):
+        raise ConfigError(f"config field 'seed' must be an int, got {cfg['seed']!r}")
     return cfg
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)  # JSON true is not a seed
 
 
 def _object(d, what):
@@ -240,7 +246,8 @@ def cmd_pack(cfg):
 
 
 def cmd_cost(cfg, table1=False):
-    plans = P.registry_plans() if table1 else [_plan_from_dict(d) for d in cfg.get("plans", [])]
+    plans = P.registry_plans() if table1 else costmod.charge_donors(
+        [_plan_from_dict(d) for d in cfg.get("plans", [])])
     costs = [costmod.tu_cost(p) for p in plans]
     table = costmod.cost_table(costs)
     records = costmod.cost_records(costs)
@@ -330,10 +337,14 @@ def _read_task(cfg, split, labels=None):
 
 def cmd_finetune(cfg):
     out = _require(cfg, "out")
+    seeds = cfg.get("seeds", [cfg["seed"]])
+    if not (isinstance(seeds, list) and seeds and all(_is_int(s) for s in seeds)
+            and len(set(seeds)) == len(seeds)):
+        raise ConfigError(f"config field 'seeds' must be a non-empty list of distinct "
+                          f"ints, got {seeds!r}")
     mcfg, store, _, _ = _read(cfg, "checkpoint", C.load)
     kind, train_set, labels = _read_task(cfg, "train")
     _, dev_set, _ = _read_task(cfg, "dev", labels)
-    seeds = cfg.get("seeds", [cfg["seed"]])
     fcfg = _build(E.FinetuneConfig, cfg.get("finetune", {}), "finetune")
     values = []
     for seed in seeds:
@@ -346,8 +357,10 @@ def cmd_finetune(cfg):
                                                   dev_set, fcfg, seed)
         os.makedirs(out, exist_ok=True)  # at the first write: a config fault leaves no out/
         values.append(record["best"])
-        C.save(os.path.join(out, f"tuned_seed{seed}"), mcfg, tuned,
-               provenance={"task": kind, "seed": seed, "metric": record["metric"]})
+        provenance = {"task": kind, "seed": seed, "metric": record["metric"]}
+        if labels is not None:  # a head's label names by id, for `evaluate`
+            provenance["labels"] = labels
+        C.save(os.path.join(out, f"tuned_seed{seed}"), mcfg, tuned, provenance=provenance)
         D.write_jsonl(os.path.join(out, f"report_seed{seed}.jsonl"),
                       [{"seed": seed, "metric": record["metric"],
                         "best": repr(record["best"]),
@@ -362,13 +375,20 @@ def cmd_finetune(cfg):
 
 def cmd_evaluate(cfg):
     out = _require(cfg, "out")
-    mcfg, store, _, _ = _read(cfg, "checkpoint", C.load)
-    kind, eval_set, labels = _read_task(cfg, "eval")
+    mcfg, store, manifest, _ = _read(cfg, "checkpoint", C.load)
+    # a head tuned by `finetune` names its labels; without them, the eval split's sorted labels
+    labels = manifest.get("provenance", {}).get("labels")
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(l, str) for l in labels)):
+        raise ConfigError(f"config field 'checkpoint': provenance labels must be a list "
+                          f"of strings, got {labels!r}")
+    kind, eval_set, labels = _read_task(cfg, "eval", labels)
     vocab = _read(cfg, "vocab", D.Vocab.load)
     records = []
     if kind == "generation":
-        gc = E.GenConfig(beam_size=cfg.get("beam_size", 3),
-                         max_len=cfg.get("max_len", mcfg.max_positions - 1))
+        gen = {"max_len": mcfg.max_positions - 1,
+               **{k: cfg[k] for k in ("beam_size", "max_len") if k in cfg}}
+        gc = _build(E.GenConfig, gen, "beam_size/max_len")
         scores = []  # one (sciem, rouge1, rouge2, rougeL) per item
         for src, tgt in eval_set:
             hyp_text = " ".join(vocab.decode(E.beam_search(mcfg, store, src, gc)))

@@ -67,8 +67,7 @@ def tu_cost(plan):
     cfg = plan.model
     if cfg.encoder_layers + cfg.decoder_layers == 0:
         raise ValueError("plan model has zero layers")
-    cost = TUCost(plan=plan.name,
-                  inherited=[(label, Fraction(tu)) for label, tu in plan.inherited_tu])
+    cost = TUCost(plan=plan.name, inherited=list(plan.inherited_tu))
     for stage in plan.stages:
         enc_frozen = "Encoder" in stage.freeze
         dec_frozen = "Decoder" in stage.freeze
@@ -81,6 +80,17 @@ def tu_cost(plan):
                                      cfg.d_model, stage.batch_tokens),
         ))
     return cost
+
+
+def charge_donors(plans):
+    """Charge each plan the total TU of the earlier plan its `init.path` names
+    (that total holds the donor's own charge), else nothing.  Returns `plans`."""
+    totals = {}
+    for plan in plans:
+        path = plan.init.path
+        plan.inherited_tu = [(path, totals[path])] if path in totals else []
+        totals[plan.name] = tu_cost(plan).total_tu
+    return plans
 
 
 def compare_recipes(plans, baseline):

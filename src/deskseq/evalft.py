@@ -133,10 +133,10 @@ class GenConfig:
     max_len: int = 32
 
     def __post_init__(self):
-        if self.beam_size < 1:
-            raise ValueError("beam_size must be >= 1")
-        if self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
+        for name in ("beam_size", "max_len"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
 def beam_search(cfg, store, src_ids, gc):

@@ -7,10 +7,9 @@ plans: layer counts preserved, width and step counts scaled down.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import data as D
 from . import train as T
+from .cost import charge_donors
 from .model import FUSION, STANDARD, ModelConfig
 
 REGISTRY_VOCAB = 250_000
@@ -54,33 +53,29 @@ def registry_plans():
     plans.append(T.TrainPlan(
         name="bart-12e12d+mlm", model=_registry_cfg(12, 0),
         init=T.PlanInit("extract", "bart-12e12d"),
-        inherited_tu=[("bart-12e12d", Fraction(10))],
         stages=[_registry_stage("continued-mlm", T.MLM, MLM_NOISE, 100_000,
                              lr=_pretrain_lr(100_000, peak=1e-4, warmup=1000))]))
     plans.append(T.TrainPlan(
         name="2stage-bart-12e12d", model=_registry_cfg(12, 12),
         init=T.PlanInit("warm_start", "roberta-12e"),
-        inherited_tu=[("roberta-12e", Fraction(5))],
         stages=[_registry_stage("denoise-frozen", T.DENOISE, DROP_NOISE, REGISTRY_STEPS,
                              freeze=("Encoder",))]))
     plans.append(T.TrainPlan(
         name="2stage-bart-12e12d-attn-f", model=_registry_cfg(12, 12, fusion=True),
         init=T.PlanInit("warm_start", "roberta-12e"),
-        inherited_tu=[("roberta-12e", Fraction(5))],
         stages=[_registry_stage("denoise-frozen", T.DENOISE, DROP_NOISE, REGISTRY_STEPS,
                              freeze=("Encoder",))]))
     shared = _pretrain_lr(350_000)
     plans.append(T.TrainPlan(
         name="2stage-bart-12e12d-unfrz", model=_registry_cfg(12, 12),
         init=T.PlanInit("warm_start", "roberta-12e"),
-        inherited_tu=[("roberta-12e", Fraction(5))],
         stages=[
             _registry_stage("denoise-frozen", T.DENOISE, DROP_NOISE, 200_000,
                          freeze=("Encoder",), lr=shared, lr_offset=0),
             _registry_stage("denoise-unfrozen", T.DENOISE, DROP_NOISE, 150_000,
                          lr=shared, lr_offset=200_000),
         ]))
-    return plans
+    return charge_donors(plans)
 
 
 def registry_plan(name):
@@ -109,7 +104,8 @@ def desk_cfg(enc, dec, *, vocab_size=256, d_model=64, d_ffn=128, heads=4,
 def desk_plan(name, *, steps_per_100k=40, batch_size=8, peak_lr=1e-3,
               warmup=50, **cfg_kw):
     """Desk-scale version of a registry preset: same layer counts, objectives,
-    freeze structure and init kind; widths and step counts scaled down."""
+    freeze structure and init kind; widths and step counts scaled down, and a
+    donor charged as its own desk plan at this scale."""
     full = registry_plan(name)
     pm = full.model
     cfg = desk_cfg(pm.encoder_layers, pm.decoder_layers,
@@ -129,8 +125,10 @@ def desk_plan(name, *, steps_per_100k=40, batch_size=8, peak_lr=1e-3,
             noise=st.noise, freeze=st.freeze, lr_offset=offset,
             batch_size=batch_size, batch_tokens=batch_size * cfg.max_positions))
         offset += steps
-    return T.TrainPlan(name=full.name, model=cfg, stages=stages,
-                       init=full.init, inherited_tu=full.inherited_tu)
+    plan = T.TrainPlan(name=full.name, model=cfg, stages=stages, init=full.init)
+    donors = [desk_plan(full.init.path, steps_per_100k=steps_per_100k, batch_size=batch_size,
+                        peak_lr=peak_lr, warmup=warmup, **cfg_kw)] if full.init.path else []
+    return charge_donors(donors + [plan])[-1]
 
 
 def overfit_plan(objective, *, steps=2000, enc=2, dec=2, vocab_size=256,

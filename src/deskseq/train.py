@@ -136,7 +136,7 @@ class TrainPlan:
     model: M.ModelConfig
     stages: list
     init: PlanInit = field(default_factory=PlanInit)
-    inherited_tu: list = field(default_factory=list)  # [(label, TU)] cost metadata
+    inherited_tu: list = field(default_factory=list)  # [(donor, TU)]: set by cost.charge_donors
 
     def __post_init__(self):
         for st in self.stages:

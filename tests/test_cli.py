@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -141,6 +142,25 @@ class TestCost:
         assert cli.main(["cost", "--config", cfgp]) == cli.EXIT_CONFIG
         assert "an inline plan must be a JSON object, got str" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_inline_plan_is_charged_the_earlier_plan_its_init_names(self, tmp_path, capsys):
+        def plan(name, dec, objective, steps, **extra):
+            return {"name": name, **extra,
+                    "model": {"encoder_layers": 12, "decoder_layers": dec, "d_model": 1024,
+                              "d_ffn": 4096, "heads": 16, "vocab_size": 64,
+                              "max_positions": 40},
+                    "stages": [{"name": "s", "objective": objective, "steps": steps,
+                                "lr": {"peak": 1e-4, "total_steps": steps, "warmup_steps": 0},
+                                "freeze": ["Encoder"] if dec else []}]}
+        cfgp = write_config(tmp_path / "c.json", {"seed": 0, "plans": [
+            plan("donor", 0, "mlm", 500_000),
+            plan("warm", 12, "denoise", 100_000, init={"kind": "warm_start", "path": "donor"}),
+            plan("cold", 12, "denoise", 100_000,
+                 init={"kind": "warm_start", "path": str(tmp_path / "ckpt")})]})
+        assert cli.main(["cost", "--config", cfgp]) == cli.EXIT_OK
+        rows = {l.split()[0]: l.split()[3:] for l in capsys.readouterr().out.splitlines()[1:]}
+        assert rows == {"donor": ["-", "5.0"], "warm": ["5.0", "(donor)", "6.5"],
+                        "cold": ["-", "1.5"]}
 
 
 CORPUS = [
@@ -756,6 +776,39 @@ class TestFinetuneEvaluate:
         assert "max_len 17 exceeds max_positions 16" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("verb, fields, field", [
+        ("finetune", {"seeds": 5}, "seeds"),
+        ("finetune", {"seeds": ["a"]}, "seeds"),
+        ("finetune", {"seeds": []}, "seeds"),
+        ("finetune", {"seeds": [0, 0]}, "seeds"),
+        ("finetune", {"seeds": [True]}, "seeds"),
+        ("finetune", {"seed": "a"}, "seed"),
+        ("pretrain", {"seed": 1.5}, "seed"),
+        ("evaluate", {"seed": False}, "seed"),
+    ])
+    def test_bad_seed_is_config_error_before_out(self, tmp_path, capsys, verb, fields, field):
+        body = ({"plan": INLINE_PLAN, "corpus": {"kind": "patterned", "n_seqs": 8,
+                                                 "seq_len": 12, "vocab_size": 64}}
+                if verb == "pretrain" else make_classification_task(tmp_path))
+        cfgp = write_config(tmp_path / "c.json", {
+            "seed": 0, "out": str(tmp_path / "o"), **body,
+            "finetune": {"epochs": 1, "head_hidden": [16]}, **fields})
+        assert cli.main([verb, "--config", cfgp]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"config error: config field '{field}' must be ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("field, value", [("beam_size", "a"), ("max_len", "4"),
+                                              ("beam_size", 0), ("max_len", True)])
+    def test_evaluate_bad_decoding_setting_is_config_error(self, tmp_path, capsys, field,
+                                                          value):
+        evp = write_config(tmp_path / "ev.json", {
+            "seed": 0, "out": str(tmp_path / "o"), **make_generation_task(tmp_path),
+            field: value})
+        assert cli.main(["evaluate", "--config", evp]) == cli.EXIT_CONFIG
+        assert f"{field} must be an int >= 1, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_finetune_then_evaluate_labeling_reports_entity_f1(self, tmp_path):
         base = make_labeling_task(tmp_path)
         assert cli.main(["finetune", "--config", finetune_config(tmp_path, base)]) == 0
@@ -798,16 +851,51 @@ class TestFinetuneEvaluate:
             [p == lab for p, (_, lab) in zip(preds, items)])))}
 
     def test_evaluate_rejects_a_split_with_other_labels_than_the_head(self, tmp_path, capsys):
+        """A tuned head keeps its train labels: an eval label the head never saw
+        is a config error naming it, and a split holding fewer labels is scored
+        by the head's ids.  A checkpoint without label names reads the eval
+        split's sorted labels and must match the head's count."""
         base = make_classification_task(tmp_path)
         assert cli.main(["finetune", "--config", finetune_config(tmp_path, base)]) == 0
-        rows = [r for r in D.read_jsonl(tmp_path / "dev.jsonl") if r["label"] == "alpha"]
-        D.write_jsonl(tmp_path / "eval.jsonl", rows)
-        evp = write_config(tmp_path / "ev.json", {
-            "seed": 0, "out": str(tmp_path / "evald"), **base,
-            "checkpoint": str(tmp_path / "tuned" / "tuned_seed0"),
-            "task": {"kind": "classification", "eval": str(tmp_path / "eval.jsonl")}})
-        assert cli.main(["evaluate", "--config", evp]) == cli.EXIT_CONFIG
+        tuned = tmp_path / "tuned" / "tuned_seed0"
+        manifest = json.loads((tuned / "manifest.json").read_text())
+        assert manifest["provenance"]["labels"] == ["alpha", "beta"]
+        rows = D.read_jsonl(tmp_path / "dev.jsonl")
+
+        def evaluate(eval_rows):
+            D.write_jsonl(tmp_path / "eval.jsonl", eval_rows)
+            evp = write_config(tmp_path / "ev.json", {
+                "seed": 0, "out": str(tmp_path / "evald"), **base, "checkpoint": str(tuned),
+                "task": {"kind": "classification", "eval": str(tmp_path / "eval.jsonl")}})
+            return cli.main(["evaluate", "--config", evp])
+
+        # 'beta' renamed to a label that sorts first: once scored with shifted ids
+        assert evaluate([{**r, "label": "aardvark" if r["label"] == "beta" else r["label"]}
+                         for r in rows]) == cli.EXIT_CONFIG
+        assert "labels not in train: ['aardvark']" in capsys.readouterr().err
+        assert not (tmp_path / "evald").exists()
+        # only 'beta' rows: scored against the head's id for 'beta', 1
+        betas = [r for r in rows if r["label"] == "beta"]
+        assert evaluate(betas) == cli.EXIT_OK
+        cfg, store, _, _ = C.load(tuned)
+        vocab = D.Vocab.load(base["vocab"])
+        items = [(vocab.encode(D.tokenize(r["text"])), 1) for r in betas]
+        preds = E.head_predictions(cfg, store, M.head_spec(store, "classification"), items)
+        summary = json.loads((tmp_path / "evald" / "eval_summary.json").read_text())
+        assert summary == {"metric": repr(float(np.mean([p == 1 for p in preds])))}
+        shutil.rmtree(tmp_path / "evald")
+        # a head checkpoint without label names
+        del manifest["provenance"]["labels"]
+        (tuned / "manifest.json").write_text(json.dumps(manifest))
+        assert evaluate(betas) == cli.EXIT_CONFIG
         assert "task head has 2 labels, the eval split 1" in capsys.readouterr().err
+        assert not (tmp_path / "evald").exists()
+        # label names that are not a list of strings
+        manifest["provenance"]["labels"] = "alpha beta"
+        (tuned / "manifest.json").write_text(json.dumps(manifest))
+        assert evaluate(rows) == cli.EXIT_CONFIG
+        assert ("config field 'checkpoint': provenance labels must be a list of strings"
+                in capsys.readouterr().err)
         assert not (tmp_path / "evald").exists()
 
     @pytest.mark.parametrize("split", ["train", "dev", "eval"])

@@ -122,6 +122,47 @@ class TestRegistryCosts:
             P.registry_plan("gpt-96e")
 
 
+class TestDonorCharges:
+    """A plan inherits the total TU of the donor plan its `init.path` names."""
+
+    def test_chains_through_earlier_plans_only(self):
+        plans = [plain_plan(12, 0, 100_000, objective=T.MLM, name=n) for n in "abcde"]
+        for plan, path in zip(plans, ["x", "a", "b", "e", None]):
+            plan.init = T.PlanInit("checkpoint" if path else "random", path)
+        assert CO.charge_donors(plans) is plans
+        assert [p.inherited_tu for p in plans] == [[], [("a", Fraction(1))],
+                                                   [("b", Fraction(2))], [], []]
+        assert [tu_cost(p).total_tu for p in plans] == [1, 2, 3, 1, 1]
+
+    def test_desk_totals_and_savings(self):
+        desk = {name: P.desk_plan(name) for name in P.PRESET_NAMES}
+        assert tu_cost(desk["roberta-12e"]).total_tu == Fraction(1, 12_500_000)
+        assert tu_cost(desk["2stage-bart-12e12d-unfrz"]).total_tu == Fraction(11, 62_500_000)
+        report = compare_recipes([desk["2stage-bart-12e12d"], desk["2stage-bart-12e12d-unfrz"]],
+                                 [desk["roberta-12e"], desk["bart-12e12d"]])
+        assert report["baseline_tu"] == Fraction(15, 62_500_000)
+        assert [r["savings"] for r in report["rows"]] == [Fraction(1, 6), Fraction(4, 15)]
+        assert [render_percent(r["savings"]) for r in report["rows"]] == ["17%", "27%"]
+
+    @pytest.mark.parametrize("scale", [{"steps_per_100k": 40}, {"steps_per_100k": 4},
+                                       {"steps_per_100k": 4, "batch_size": 2, "d_model": 32}])
+    def test_desk_total_is_own_stages_plus_donor_desk_total(self, scale):
+        donors = {}
+        for name in P.PRESET_NAMES:
+            plan = P.desk_plan(name, **scale)
+            cost = tu_cost(plan)
+            own = sum((s.total_tu for s in cost.stages), Fraction(0))
+            path = plan.init.path
+            inherited = tu_cost(P.desk_plan(path, **scale)).total_tu if path else 0
+            assert cost.inherited == ([(path, inherited)] if path else []), name
+            assert cost.total_tu == own + inherited, name
+            donors[name] = path
+        assert {n: d for n, d in donors.items() if d} == {
+            "bart-12e12d+mlm": "bart-12e12d", "2stage-bart-12e12d": "roberta-12e",
+            "2stage-bart-12e12d-attn-f": "roberta-12e",
+            "2stage-bart-12e12d-unfrz": "roberta-12e"}
+
+
 class TestReports:
     def test_table_contains_every_plan_and_total(self):
         costs = [tu_cost(p) for p in P.registry_plans()]
