@@ -143,17 +143,6 @@ def add(a, b):
     return _make(out, (a, b), bwd)
 
 
-def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
-
-    def bwd(g):  # a dropout's keep mask gets None: no unused g * a product
-        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
-
-    return _make(out, (a, b), bwd)
-
-
 def scale(a, s):
     a = as_tensor(a)
     s = float(s)
@@ -361,12 +350,12 @@ def gather_rows(x, batch_idx, pos_idx):
 
 
 def dropout(a, p, rng):
-    """Inverted dropout; identity when p == 0."""
+    """Inverted dropout as one tape node; identity when p == 0."""
     a = as_tensor(a)
     if p <= 0.0:
         return a
     keep = (rng.random(a.data.shape) >= p).astype(a.data.dtype) / (1.0 - p)
-    return mul(a, Tensor(keep))
+    return _make(a.data * keep, (a,), lambda g: (g * keep,))
 
 
 def mix(states, weights):

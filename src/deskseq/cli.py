@@ -211,10 +211,14 @@ def load_packed(path):
 
 def cmd_pack(cfg):
     out = _require(cfg, "out")
-    target_len = cfg.get("target_len", 64)
-    alpha = cfg.get("alpha", 0.3)
+    target_len, budget = cfg.get("target_len", 64), cfg.get("vocab_budget", 256)
+    for field, value in (("target_len", target_len), ("vocab_budget", budget)):
+        if not _is_int(value):
+            raise ConfigError(f"config field '{field}' must be an int, got {value!r}")
     docs = _read(cfg, "corpus", D.read_corpus)
-    vocab = D.build_vocab((toks for toks, _ in docs), cfg.get("vocab_budget", 256))
+    if not any(toks for toks, _ in docs):  # nothing to pack: no sequence, no manifest
+        raise ConfigError(f"config field 'corpus': {cfg['corpus']} holds no tokens")
+    vocab = D.build_vocab((toks for toks, _ in docs), budget)
     id_docs = [(vocab.encode(toks), lang) for toks, lang in docs]
     packed = D.pack_documents(id_docs, target_len)
     os.makedirs(out, exist_ok=True)
@@ -233,9 +237,6 @@ def cmd_pack(cfg):
         "token_counts": lang_counts,
         "total_input_tokens": int(sum(lang_counts.values())),
         "padding_fraction": 1.0 - sum(len(p.ids) for p in packed) / (len(packed) * target_len),
-        "upsample_alpha": alpha,
-        "upsample_weights": {k: repr(v) for k, v in
-                             D.upsample_weights(lang_counts, alpha).items()},
     }
     _write_json(os.path.join(out, "manifest.json"), manifest)
     return EXIT_OK
@@ -246,8 +247,12 @@ def cmd_pack(cfg):
 
 
 def cmd_cost(cfg, table1=False):
+    if table1 and "plans" in cfg:
+        raise ConfigError("config field 'plans' and --table1 both name the plans; give one")
+    if not (table1 or cfg.get("plans")):  # else a table of its header alone
+        raise ConfigError("config field 'plans' must list at least one inline plan")
     plans = P.registry_plans() if table1 else costmod.charge_donors(
-        [_plan_from_dict(d) for d in cfg.get("plans", [])])
+        [_plan_from_dict(d) for d in cfg["plans"]])
     costs = [costmod.tu_cost(p) for p in plans]
     table = costmod.cost_table(costs)
     records = costmod.cost_records(costs)

@@ -90,18 +90,6 @@ class PackedSequence:
     doc_boundaries: list  # positions holding the DOC separator
     lang: str
 
-    def unpack(self):
-        """Split back into the original per-document token streams."""
-        docs, cur = [], []
-        for i in self.ids:
-            if i == DOC:
-                docs.append(cur)
-                cur = []
-            else:
-                cur.append(i)
-        docs.append(cur)
-        return docs
-
 
 def pack_documents(docs, target_len):
     """Greedy packing in corpus order; same-language documents only share a
@@ -263,18 +251,6 @@ def denoise_corrupt(ids, nc, rng, forced_spans=None, span_log=None):
             source.append(ids[i])
             i += 1
     return source, list(arr)
-
-
-def upsample_weights(counts, alpha):
-    """Per-language sampling probabilities p_i ~ (count_i / total)^alpha."""
-    langs = sorted(counts)
-    values = np.array([counts[l] for l in langs], dtype=np.float64)
-    if (values <= 0).any():
-        raise ValueError("language token counts must be positive")
-    q = values / values.sum()
-    p = q ** alpha
-    p /= p.sum()
-    return dict(zip(langs, p))
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,7 @@ def finetune_classifier(cfg, store, spec, train_set, dev_set, fcfg, seed):
     ft = M.attach_head(store, spec, cfg.d_model, seed)
     T.apply_freeze_plan(ft, fcfg.freeze)
     if "mlm_head.w" in ft:  # unused during fine-tuning; keep it out of the update
-        if len(ft.group_of("mlm_head.w")) == 1:  # tied heads follow the embedding
+        if not any("mlm_head.w" in g for g in ft.tie_groups()):  # tied heads follow the embedding
             ft.set_trainable("mlm_head.w", False)
         ft.set_trainable("mlm_head.b", False)
     run_cfg = replace(cfg, dropout=fcfg.dropout)

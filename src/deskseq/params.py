@@ -52,13 +52,6 @@ class ParameterStore:
             by_id.setdefault(id(self._params[n]), []).append(n)
         return list(by_id.values())
 
-    def owner(self, name):
-        return self.group_of(name)[0]
-
-    def group_of(self, name):
-        target = self._params[name]
-        return next(g for g in self._groups() if self._params[g[0]] is target)
-
     def tie_groups(self):
         """All name groups sharing storage, size > 1, sorted canonically."""
         return [g for g in self._groups() if len(g) > 1]

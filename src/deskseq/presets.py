@@ -130,15 +130,3 @@ def desk_plan(name, *, steps_per_100k=40, batch_size=8, peak_lr=1e-3,
                         peak_lr=peak_lr, warmup=warmup, **cfg_kw)] if full.init.path else []
     return charge_donors(donors + [plan])[-1]
 
-
-def overfit_plan(objective, *, steps=2000, enc=2, dec=2, vocab_size=256,
-                 d_model=64, batch_size=8, peak_lr=1e-3):
-    """Tiny-corpus overfit plan: capacity deliberately exceeds corpus entropy."""
-    cfg = desk_cfg(enc, 0 if objective == T.MLM else dec, vocab_size=vocab_size,
-                   d_model=d_model, dropout=0.0)
-    lr = T.LrSchedule(peak=peak_lr, total_steps=steps, warmup_steps=100, end=1e-4)
-    noise = MLM_NOISE if objective == T.MLM else MASK_NOISE
-    stage = T.TrainStage(name="overfit", objective=objective, steps=steps, lr=lr,
-                         noise=noise, batch_size=batch_size,
-                         batch_tokens=batch_size * cfg.max_positions)
-    return T.TrainPlan(name=f"overfit-{objective}", model=cfg, stages=[stage])

@@ -54,25 +54,6 @@ def pair_language(n_docs=128, *, alphabet=32, doc_len=24, seed=0, vocab_size=256
     return docs
 
 
-def separable_classification(n_train=96, n_dev=32, n_labels=3, seq_len=8,
-                             vocab_size=256, seed=0):
-    """Label fully determined by a class-marker token placed at position 0."""
-    rng = np.random.default_rng(seed)
-    markers = np.arange(NUM_SPECIALS, NUM_SPECIALS + n_labels)
-    filler_lo = NUM_SPECIALS + n_labels
-
-    def sample(n):
-        items = []
-        for _ in range(n):
-            label = int(rng.integers(n_labels))
-            ids = [int(markers[label])] + \
-                rng.integers(filler_lo, vocab_size, size=seq_len - 1).tolist()
-            items.append((ids, label))
-        return items
-
-    return sample(n_train), sample(n_dev)
-
-
 def toy_labeling_set(n_items=48, n_words=5, vocab_size=64, seed=0):
     """Word-level BIO tags determined by the word token's residue class."""
     rng = np.random.default_rng(seed)

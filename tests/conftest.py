@@ -88,3 +88,13 @@ def square(a):
 
     a = ag.as_tensor(a)
     return ag._make(a.data * a.data, (a,), lambda g: (2.0 * a.data * g,))
+
+
+def mul(a, b):
+    """Elementwise product as a tape node, broadcasting either operand: the
+    gradient suite's weighted losses and the reference chain for `dropout`."""
+    from deskseq import autograd as ag
+
+    a, b = ag.as_tensor(a), ag.as_tensor(b)
+    return ag._make(a.data * b.data, (a, b), lambda g: (ag._unbroadcast(g * b.data, a.data.shape),
+                                                        ag._unbroadcast(g * a.data, b.data.shape)))

@@ -215,15 +215,28 @@ def test_fusion_degeneracy():
             np.testing.assert_array_equal(a, b)
 
 
+def overfit_plan(objective, *, steps=2000, enc=2, dec=2, vocab_size=256,
+                 d_model=64, batch_size=8, peak_lr=1e-3):
+    """Tiny-corpus overfit plan: capacity deliberately exceeds corpus entropy."""
+    cfg = P.desk_cfg(enc, 0 if objective == T.MLM else dec, vocab_size=vocab_size,
+                     d_model=d_model, dropout=0.0)
+    lr = T.LrSchedule(peak=peak_lr, total_steps=steps, warmup_steps=100, end=1e-4)
+    noise = P.MLM_NOISE if objective == T.MLM else P.MASK_NOISE
+    stage = T.TrainStage(name="overfit", objective=objective, steps=steps, lr=lr,
+                         noise=noise, batch_size=batch_size,
+                         batch_tokens=batch_size * cfg.max_positions)
+    return T.TrainPlan(name=f"overfit-{objective}", model=cfg, stages=[stage])
+
+
 def test_overfit_runs():
     with criterion("overfit-runs", 600.0):
         seqs = S.patterned_sequences(64, 32, 256, seed=0)
-        mlm_plan = P.overfit_plan(T.MLM)
+        mlm_plan = overfit_plan(T.MLM)
         _, traces, _ = T.run_plan(mlm_plan, seqs, seed=0)
         final = np.mean([r["loss"] for r in traces[0][-50:]])
         assert final < 0.1, f"masked-token loss stuck at {final:.3f}"
 
-        den_plan = P.overfit_plan(T.DENOISE)
+        den_plan = overfit_plan(T.DENOISE)
         store, traces, _ = T.run_plan(den_plan, seqs, seed=0)
         assert traces[0][-1]["loss"] < 0.1
         nc = den_plan.stages[0].noise

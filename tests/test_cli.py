@@ -143,6 +143,29 @@ class TestCost:
         assert "an inline plan must be a JSON object, got str" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_plans_and_table1_together_is_config_error(self, tmp_path, capsys):
+        """Both name the plans to cost: neither is dropped without a word."""
+        body = {"seed": 0, "out": str(tmp_path / "o")}
+        cfgp = write_config(tmp_path / "c.json", {**body, "plans": [INLINE_PLAN]})
+        assert cli.main(["cost", "--config", cfgp, "--table1"]) == cli.EXIT_CONFIG
+        assert "config field 'plans' and --table1 both name the plans" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        cfgp = write_config(tmp_path / "c.json", body)
+        assert cli.main(["cost", "--config", cfgp, "--table1"]) == cli.EXIT_OK
+        assert (tmp_path / "o" / "savings.json").exists()
+
+    @pytest.mark.parametrize("plans", [None, []])
+    def test_config_without_plans_is_config_error(self, tmp_path, capsys, plans):
+        body = {"seed": 0, "out": str(tmp_path / "o")}
+        if plans is not None:
+            body["plans"] = plans
+        assert cli.main(["cost", "--config", write_config(tmp_path / "c.json", body)]) \
+            == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config field 'plans' must list at least one inline plan" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_inline_plan_is_charged_the_earlier_plan_its_init_names(self, tmp_path, capsys):
         def plan(name, dec, objective, steps, **extra):
             return {"name": name, **extra,
@@ -190,7 +213,9 @@ class TestPack:
         assert sum(1 for s in seqs for t in s if t != D.DOC) == total_words
         assert man["token_counts"] == {"en": 10, "fr": 6}
         assert 0.0 <= man["padding_fraction"] < 1.0
-        assert set(man["upsample_weights"]) == {"en", "fr"}
+        assert sorted(man) == ["doc_boundaries", "langs", "padding_fraction",
+                               "sequence_lengths", "target_len", "token_counts",
+                               "total_input_tokens", "vocab_hash"]
         vocab = D.Vocab.load(tmp_path / "packed" / "vocab.json")
         assert man["vocab_hash"] == vocab.content_hash()
 
@@ -202,6 +227,36 @@ class TestPack:
                                  "out": str(tmp_path / d), "target_len": 8})
             assert cli.main(["pack", "--config", cfgp]) == cli.EXIT_OK
         assert tree_bytes(tmp_path / "p1") == tree_bytes(tmp_path / "p2")
+
+    def test_language_with_only_empty_text_is_packed(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        D.write_jsonl(corpus, [CORPUS[0], {"text": "", "lang": "fr"}])
+        cfgp = write_config(tmp_path / "pack.json",
+                            {"seed": 0, "corpus": str(corpus), "out": str(tmp_path / "o")})
+        assert cli.main(["pack", "--config", cfgp]) == cli.EXIT_OK
+        man = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert man["token_counts"] == {"en": 3, "fr": 0}
+        assert man["langs"] == ["en"]
+
+    @pytest.mark.parametrize("field, value", [("target_len", "64"), ("vocab_budget", "x"),
+                                              ("target_len", 8.0), ("vocab_budget", True)])
+    def test_non_int_size_is_config_error_before_out(self, tmp_path, capsys, field, value):
+        cfgp = write_config(tmp_path / "pack.json",
+                            {"seed": 0, "corpus": write_corpus(tmp_path / "corpus.jsonl"),
+                             "out": str(tmp_path / "o"), field: value})
+        assert cli.main(["pack", "--config", cfgp]) == cli.EXIT_CONFIG
+        assert f"config field '{field}' must be an int, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("texts", [["", "  "], []])
+    def test_corpus_without_tokens_is_config_error_before_out(self, tmp_path, capsys, texts):
+        corpus = tmp_path / "corpus.jsonl"
+        D.write_jsonl(corpus, [{"text": t, "lang": "en"} for t in texts])
+        cfgp = write_config(tmp_path / "pack.json",
+                            {"seed": 0, "corpus": str(corpus), "out": str(tmp_path / "o")})
+        assert cli.main(["pack", "--config", cfgp]) == cli.EXIT_CONFIG
+        assert f"config field 'corpus': {corpus} holds no tokens" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_corpus_path(self, tmp_path, capsys):
         cfgp = write_config(tmp_path / "c.json",

@@ -50,6 +50,19 @@ class TestVocab:
             D.build_vocab([], budget=16)
 
 
+def unpack(seq):
+    """Split a packed sequence back into its per-document token streams."""
+    docs, cur = [], []
+    for i in seq.ids:
+        if i == DOC:
+            docs.append(cur)
+            cur = []
+        else:
+            cur.append(i)
+    docs.append(cur)
+    return docs
+
+
 class TestPacking:
     def test_two_short_docs_share_one_sequence(self):
         docs = [([10, 11], "en"), ([12], "en")]
@@ -76,7 +89,7 @@ class TestPacking:
     def test_unpack_round_trip(self):
         docs = [([10, 11, 12], "en"), ([13], "en"), ([14, 15], "en")]
         seqs = D.pack_documents(docs, target_len=32)
-        recovered = [d for s in seqs for d in s.unpack()]
+        recovered = [d for s in seqs for d in unpack(s)]
         assert recovered == [[10, 11, 12], [13], [14, 15]]
 
     def test_token_conservation_random_corpora(self):
@@ -125,14 +138,14 @@ class TestPacking:
         for s in seqs:
             assert 0 < len(s.ids) <= target
             assert {next(langs) for i in s.ids if i != DOC} == {s.lang}
-            for piece in s.unpack():
+            for piece in unpack(s):
                 assert piece
                 done += len(piece)
                 piece_cuts.add(done)
             seq_cuts.add(done)
         assert piece_cuts == doc_cuts | seq_cuts
         if len(seqs) == 1:
-            assert seqs[0].unpack() == [ids for ids, _ in docs]
+            assert unpack(seqs[0]) == [ids for ids, _ in docs]
 
 
 class TestMlmCorrupt:
@@ -299,31 +312,6 @@ class TestNoiseConfig:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown corruption mode"):
             NoiseConfig(mode="scramble")
-
-
-class TestUpsampleWeights:
-    def test_hundred_to_one_at_alpha_03(self):
-        w = D.upsample_weights({"hi": 100, "lo": 1}, alpha=0.3)
-        assert abs(w["hi"] - 0.799) < 0.001
-        assert abs(w["lo"] - 0.201) < 0.001
-
-    def test_alpha_one_recovers_proportions(self):
-        w = D.upsample_weights({"a": 30, "b": 70}, alpha=1.0)
-        assert abs(w["a"] - 0.3) < 1e-12
-        assert abs(w["b"] - 0.7) < 1e-12
-
-    def test_alpha_zero_is_uniform(self):
-        w = D.upsample_weights({"a": 5, "b": 500, "c": 50000}, alpha=0.0)
-        for v in w.values():
-            assert abs(v - 1 / 3) < 1e-12
-
-    def test_weights_sum_to_one(self):
-        w = D.upsample_weights({"a": 3, "b": 11, "c": 7}, alpha=0.3)
-        assert abs(sum(w.values()) - 1.0) < 1e-12
-
-    def test_nonpositive_count_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            D.upsample_weights({"a": 0, "b": 4}, alpha=0.3)
 
 
 class TestCorpusIo:

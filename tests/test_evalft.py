@@ -24,6 +24,26 @@ def tiny_cfg(**kw):
     return M.ModelConfig(**base)
 
 
+def separable_classification(n_train=96, n_dev=32, n_labels=3, seq_len=8,
+                             vocab_size=256, seed=0):
+    """(train, dev) items whose label is fully determined by a class-marker
+    token at position 0."""
+    rng = np.random.default_rng(seed)
+    markers = np.arange(D.NUM_SPECIALS, D.NUM_SPECIALS + n_labels)
+    filler_lo = D.NUM_SPECIALS + n_labels
+
+    def sample(n):
+        items = []
+        for _ in range(n):
+            label = int(rng.integers(n_labels))
+            ids = [int(markers[label])] + \
+                rng.integers(filler_lo, vocab_size, size=seq_len - 1).tolist()
+            items.append((ids, label))
+        return items
+
+    return sample(n_train), sample(n_dev)
+
+
 class TestSciem:
     @pytest.mark.parametrize("pred,gold,expect", [
         ("a b c", "abc", True),
@@ -348,7 +368,7 @@ class TestFinetune:
         cfg = M.ModelConfig(encoder_layers=1, decoder_layers=0, d_model=16,
                             d_ffn=32, heads=2, vocab_size=64, max_positions=16)
         store = M.init_mlm_encoder(cfg, 0)
-        train, dev = S.separable_classification(n_train=48, n_dev=16, n_labels=3,
+        train, dev = separable_classification(n_train=48, n_dev=16, n_labels=3,
                                                 seq_len=6, vocab_size=64, seed=1)
         spec = M.HeadSpec(kind="classification", label_count=3, hidden=[16])
         fcfg = FinetuneConfig(peak_lr=3e-3, warmup_steps=5, batch_size=8,
@@ -364,7 +384,7 @@ class TestFinetune:
                             d_ffn=32, heads=2, vocab_size=64, max_positions=16)
         store = M.init_mlm_encoder(cfg, 0)
         before = store["embed.tok"].data.copy()
-        train, dev = S.separable_classification(n_train=16, n_dev=8, n_labels=2,
+        train, dev = separable_classification(n_train=16, n_dev=8, n_labels=2,
                                                 seq_len=6, vocab_size=64, seed=2)
         spec = M.HeadSpec(kind="classification", label_count=2, hidden=[8])
         fcfg = FinetuneConfig(epochs=2, max_updates=10, batch_size=8, dropout=0.0)
@@ -411,7 +431,7 @@ class TestFinetune:
     ])
     def test_stops_after_the_epoch_that_spends_the_budget(self, n_train, kw, updates, evals):
         cfg = tiny_cfg(decoder_layers=0, vocab_size=64)
-        train, dev = S.separable_classification(n_train=n_train, n_dev=8, n_labels=2,
+        train, dev = separable_classification(n_train=n_train, n_dev=8, n_labels=2,
                                                 seq_len=6, vocab_size=64, seed=3)
         spec = M.HeadSpec(kind="classification", label_count=2, hidden=[8])
         best, record = E.finetune_classifier(cfg, M.init_mlm_encoder(cfg, 0), spec, train, dev,
@@ -428,7 +448,7 @@ class TestFinetune:
 
         monkeypatch.setattr(T, "train_step", train_step)
         cfg = tiny_cfg(decoder_layers=0, vocab_size=64)
-        train, dev = S.separable_classification(n_train=16, n_dev=4, n_labels=2,
+        train, dev = separable_classification(n_train=16, n_dev=4, n_labels=2,
                                                 seq_len=6, vocab_size=64, seed=3)
         spec = M.HeadSpec(kind="classification", label_count=2, hidden=[8])
         with pytest.raises(ValueError, match=f"metric {metric} not valid for head fine-tuning"):
@@ -447,7 +467,7 @@ class TestFinetune:
         seq2seq = M.init_seq2seq(cfg, 0)
         for store in (encoder, seq2seq):
             store["enc.0.ffn.w1"].data[0, 0] = np.nan
-        train, dev = S.separable_classification(n_train=16, n_dev=4, n_labels=2,
+        train, dev = separable_classification(n_train=16, n_dev=4, n_labels=2,
                                                 seq_len=6, vocab_size=64, seed=3)
         spec = M.HeadSpec(kind="classification", label_count=2, hidden=[8])
         with pytest.raises(T.TrainingDiverged, match="non-finite loss at fine-tune step 0"):

@@ -11,8 +11,8 @@ from deskseq.autograd import IGNORE, ShapeError, Tensor
 from deskseq.optim import AdamConfig, OptimState, adam_step
 from deskseq.params import ParameterStore
 
-from conftest import (composed_attention, composed_linear, finite_diff_check, rel_err, square,
-                      sum_all)
+from conftest import (composed_attention, composed_linear, finite_diff_check, mul, rel_err,
+                      square, sum_all)
 
 
 class TestNoGrad:
@@ -89,7 +89,7 @@ class TestLinear:
         for project in (ag.linear, composed_linear):
             x, w, b, weights = _linear_operands(seed, lead, d_in, d_out)
             out = project(x, w, b)
-            ag.backward(sum_all(ag.mul(out, Tensor(weights))))
+            ag.backward(sum_all(mul(out, Tensor(weights))))
             results.append([t.tobytes() for t in (out.data, x.grad, w.grad, b.grad)])
         assert results[0] == results[1]
 
@@ -166,7 +166,7 @@ class TestAttention:
             q, k, v, weights = _attention_operands(seed, batch, 1 if kv_one else batch,
                                                    tq, tk, heads, hd)
             out = attend(q, k, v, heads, mask)
-            ag.backward(sum_all(ag.mul(out, Tensor(weights))))
+            ag.backward(sum_all(mul(out, Tensor(weights))))
             results.append([t.tobytes() for t in (out.data, q.grad, k.grad, v.grad)])
         assert results[0] == results[1]
 
@@ -209,6 +209,32 @@ class TestAttention:
         grads = out._backward(operands[3])
         for i, (g, ref) in enumerate(zip(grads, full)):
             assert g is None if i == frozen else g.tobytes() == ref.tobytes()
+
+
+class TestDropout:
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_one_node_with_the_bytes_of_the_mul_chain(self, p):
+        """Output and input gradient equal those of the input times the same
+        keep mask as a `mul` node, bit for bit."""
+        results = []
+        for fused in (True, False):
+            rng = np.random.default_rng(4)
+            x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+            weights = Tensor(rng.normal(size=(3, 4, 5)))
+            drop_rng = np.random.default_rng(7)
+            if fused:
+                out = ag.dropout(x, p, drop_rng)
+                assert out._parents == (x,)
+            else:
+                keep = (drop_rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
+                out = mul(x, Tensor(keep))
+            ag.backward(sum_all(mul(out, weights)))
+            results.append([out.data.tobytes(), x.grad.tobytes()])
+        assert results[0] == results[1]
+
+    def test_zero_p_returns_its_input(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        assert ag.dropout(x, 0.0, np.random.default_rng(0)) is x
 
 
 class TestLayerNorm:
@@ -312,15 +338,14 @@ class TestBackward:
         assert w.grad is None
         assert x.grad is not None
 
-    @pytest.mark.parametrize("op", [ag.add, ag.mul])
     @pytest.mark.parametrize("frozen", [0, 1])
-    def test_add_and_mul_give_none_to_an_operand_without_grad(self, rng, op, frozen):
-        """`linear`'s rule: a dropout's keep mask forms no unused product, and
+    def test_add_gives_none_to_an_operand_without_grad(self, rng, frozen):
+        """`linear`'s rule: the operand without grad forms no unused sum, and
         the other operand's gradient keeps its bytes (broadcast included)."""
         operands = [Tensor(rng.normal(size=(2, 3)), requires_grad=True),
                     Tensor(rng.normal(size=3), requires_grad=True)]
         g = rng.normal(size=(2, 3))
-        out = op(*operands)
+        out = ag.add(*operands)
         full = out._backward(g)
         operands[frozen].requires_grad = False
         grads = out._backward(g)
@@ -361,7 +386,7 @@ def test_primitive_gradients_many_seeds(seed):
 
     s = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
     weights = Tensor(rng.normal(size=(2, 5)))
-    finite_diff_check(lambda: sum_all(ag.mul(ag.softmax(s), weights)), [s], rng)
+    finite_diff_check(lambda: sum_all(mul(ag.softmax(s), weights)), [s], rng)
 
     table = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
     ids = rng.integers(0, 7, size=(2, 3))
@@ -463,7 +488,7 @@ class TestParameterStore:
         store["b"].data[0] = 9.0
         assert store["a"].data[0] == 9.0
         assert store.tie_groups() == [["a", "b"]]
-        assert store.owner("b") == "a"
+        assert [name for name, _ in store.unique_items()] == ["a"]
 
     def test_copy_preserves_ties_and_flags(self):
         store = ParameterStore()
