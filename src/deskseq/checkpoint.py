@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from dataclasses import asdict
 
 import numpy as np
 
@@ -46,7 +47,7 @@ def save(path, cfg, store, provenance=None, opt_state=None):
             os.path.join(path, "manifest.json")):
         raise ValueError(f"refusing to replace {path}: a non-empty dir with no manifest.json")
     items = store.unique_items()
-    manifest = {"format_version": FORMAT_VERSION, "model": cfg.to_dict(),
+    manifest = {"format_version": FORMAT_VERSION, "model": asdict(cfg),
                 "params": [{"name": o, "shape": list(t.data.shape)} for o, t in items],
                 "tie_groups": store.tie_groups(), "provenance": provenance or {},
                 "trainable": {o: t.requires_grad for o, t in items}}
@@ -91,4 +92,4 @@ def load(path):
                              [store[o].data.shape for o in owners for _ in "mv"]))
         opt_state = OptimState({o: {"m": next(moments), "v": next(moments),
                                     "t": manifest["optim"][o]} for o in owners})
-    return ModelConfig.from_dict(manifest["model"]), store, manifest, opt_state
+    return ModelConfig(**manifest["model"]), store, manifest, opt_state

@@ -1,9 +1,10 @@
 """Config-driven command-line front end.
 
-Verbs: pretrain, finetune, evaluate, cost, pack.  Every command takes a JSON
-config (--config), with --seed and --out overrides.  Exit codes: 0 success,
-2 config error, 3 runtime abort.  (config, seed) fully determines every
-output byte: no timestamps or machine state enter any file.
+Verbs: pretrain, finetune, evaluate, cost, pack.  Each takes a JSON config
+(--config; `cost --table1` none) and an --out override; the two that draw,
+pretrain and finetune, also an int `seed` and a --seed override.  Exit codes:
+0 success, 2 config error, 3 runtime abort.  (config, seed) fully determines
+every output byte: no timestamps or machine state enter any file.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -35,7 +37,7 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_config(path, overrides):
+def _load_config(path, args):
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
@@ -47,14 +49,15 @@ def _load_config(path, overrides):
     if cfg.get("version") != CONFIG_VERSION:
         raise ConfigError(f"config field 'version' must be {CONFIG_VERSION!r}, "
                           f"got {cfg.get('version')!r}")
-    if overrides.seed is not None:
-        cfg["seed"] = overrides.seed
-    if overrides.out is not None:
-        cfg["out"] = overrides.out
-    if "seed" not in cfg:
-        raise ConfigError("config field 'seed' is required (no implicit randomness)")
-    if not _is_int(cfg["seed"]):
-        raise ConfigError(f"config field 'seed' must be an int, got {cfg['seed']!r}")
+    if args.out is not None:
+        cfg["out"] = args.out
+    if "seed" in args:  # a verb that draws
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        if "seed" not in cfg:
+            raise ConfigError("config field 'seed' is required (no implicit randomness)")
+        if not _is_int(cfg["seed"]):
+            raise ConfigError(f"config field 'seed' must be an int, got {cfg['seed']!r}")
     return cfg
 
 
@@ -134,7 +137,7 @@ def cmd_pretrain(cfg):
         # row shapes show every size but the head count; a checkpoint is continued
         # as the plan's model, so all of its config but dropout must be the plan's
         keys = (["heads"] if plan.init.kind != "checkpoint"
-                else [k for k in source.to_dict() if k != "dropout"])
+                else [k for k in asdict(source) if k != "dropout"])
         diff = [f"{k} {getattr(source, k)!r} vs the plan's {getattr(plan.model, k)!r}"
                 for k in keys if getattr(source, k) != getattr(plan.model, k)]
         if diff:
@@ -181,13 +184,21 @@ def _plan_from_dict(d):
     """An inline plan: each part gets only the keys given, so its defaults hold."""
     model = _build(M.ModelConfig, _require(_object(d, "an inline plan"), "model"), "model")
     stages = []
-    for n, s in enumerate(_require(d, "stages")):
+    for n, s in enumerate(_nonempty_list(d, "stages", "stage")):
         stage = dict(_object(s, f"stage {n}"))
         stage["lr"] = _build(T.LrSchedule, _require(s, "lr"), "lr")
         stage["noise"] = _build(D.NoiseConfig, s.get("noise", {}), "noise")
         stages.append(_build(T.TrainStage, stage, f"stage {n}"))
     init = _build(T.PlanInit, d.get("init", {}), "init")
     return T.TrainPlan(name=_require(d, "name"), model=model, stages=stages, init=init)
+
+
+def _nonempty_list(d, field, what):
+    value = d.get(field)
+    if not (isinstance(value, list) and value):
+        raise ConfigError(f"config field '{field}' must list at least one {what}, "
+                          f"got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +257,13 @@ def cmd_pack(cfg):
 # cost
 
 
-def cmd_cost(cfg, table1=False):
-    if table1 and "plans" in cfg:
-        raise ConfigError("config field 'plans' and --table1 both name the plans; give one")
-    if not (table1 or cfg.get("plans")):  # else a table of its header alone
-        raise ConfigError("config field 'plans' must list at least one inline plan")
+def cmd_cost(out, cfg=None):
+    """Print, and with `out` write, the cost table of the inline plans that
+    config `cfg` lists, or without a config that of the registry and Table 1's
+    savings."""
+    table1 = cfg is None
     plans = P.registry_plans() if table1 else costmod.charge_donors(
-        [_plan_from_dict(d) for d in cfg["plans"]])
+        [_plan_from_dict(d) for d in _nonempty_list(cfg, "plans", "inline plan")])
     costs = [costmod.tu_cost(p) for p in plans]
     table = costmod.cost_table(costs)
     records = costmod.cost_records(costs)
@@ -271,7 +282,6 @@ def cmd_cost(cfg, table1=False):
         for row in savings["rows"]:
             print(f"{row['plan']}: {row['total_tu']} TU, saves {row['savings']} "
                   f"vs baseline {savings['baseline_tu']} TU")
-    out = cfg.get("out")
     if out:
         os.makedirs(out, exist_ok=True)
         with open(os.path.join(out, "cost.txt"), "w", encoding="utf-8") as fh:
@@ -292,8 +302,9 @@ _ROW_FIELDS = {"generation": {"source": str, "target": str},
                "labeling": {"tokens": list, "labels": list}}
 
 
-def _read_task(cfg, split, labels=None):
-    """(kind, items, labels) of a split; ids index `labels`, else the split's sorted labels."""
+def _read_task(cfg, split, vocab, labels=None):
+    """(kind, items, labels) of a split, its words encoded by `vocab`; ids
+    index `labels`, else the split's sorted labels."""
     task = _require(cfg, "task")
     kind = _require(task, "kind")
     if kind not in _ROW_FIELDS:
@@ -321,7 +332,6 @@ def _read_task(cfg, split, labels=None):
                                   f"but {len(r['labels'])} labels")
         elif not D.tokenize(r["text" if kind == "classification" else "source"]):
             raise ConfigError(f"{where} has no tokens")
-    vocab = _read(cfg, "vocab", D.Vocab.load)
     if kind == "generation":
         return kind, [(vocab.encode(D.tokenize(r["source"])),
                        vocab.encode(D.tokenize(r["target"]))) for r in rows], None
@@ -347,10 +357,11 @@ def cmd_finetune(cfg):
             and len(set(seeds)) == len(seeds)):
         raise ConfigError(f"config field 'seeds' must be a non-empty list of distinct "
                           f"ints, got {seeds!r}")
-    mcfg, store, _, _ = _read(cfg, "checkpoint", C.load)
-    kind, train_set, labels = _read_task(cfg, "train")
-    _, dev_set, _ = _read_task(cfg, "dev", labels)
     fcfg = _build(E.FinetuneConfig, cfg.get("finetune", {}), "finetune")
+    mcfg, store, _, _ = _read(cfg, "checkpoint", C.load)
+    vocab = _read(cfg, "vocab", D.Vocab.load)
+    kind, train_set, labels = _read_task(cfg, "train", vocab)
+    _, dev_set, _ = _read_task(cfg, "dev", vocab, labels)
     values = []
     for seed in seeds:
         if kind == "generation":
@@ -387,8 +398,8 @@ def cmd_evaluate(cfg):
                                    and all(isinstance(l, str) for l in labels)):
         raise ConfigError(f"config field 'checkpoint': provenance labels must be a list "
                           f"of strings, got {labels!r}")
-    kind, eval_set, labels = _read_task(cfg, "eval", labels)
     vocab = _read(cfg, "vocab", D.Vocab.load)
+    kind, eval_set, labels = _read_task(cfg, "eval", vocab, labels)
     records = []
     if kind == "generation":
         gen = {"max_len": mcfg.max_positions - 1,
@@ -435,10 +446,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for verb in ("pretrain", "finetune", "evaluate", "pack", "cost"):
         p = sub.add_parser(verb)
-        p.add_argument("--config", required=verb != "cost", default=None)
+        # `cost` costs the inline plans of a config or the registry (--table1)
+        plans = p.add_mutually_exclusive_group(required=True) if verb == "cost" else p
+        plans.add_argument("--config", required=verb != "cost")
         if verb == "cost":
-            p.add_argument("--table1", action="store_true")
-        p.add_argument("--seed", type=int, default=None)
+            plans.add_argument("--table1", action="store_true")
+        if verb in ("pretrain", "finetune"):
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
     return parser
 
@@ -446,15 +460,11 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "cost":
-            if args.config:
-                cfg = _load_config(args.config, args)
-            else:
-                if not args.table1:
-                    raise ConfigError("cost requires --config or --table1")
-                cfg = {"version": CONFIG_VERSION, "seed": 0, "out": args.out}
-            return cmd_cost(cfg, table1=args.table1)
+        if args.command == "cost" and args.table1:
+            return cmd_cost(args.out)
         cfg = _load_config(args.config, args)
+        if args.command == "cost":
+            return cmd_cost(cfg.get("out"), cfg)
         handler = {"pretrain": cmd_pretrain, "finetune": cmd_finetune,
                    "evaluate": cmd_evaluate, "pack": cmd_pack}[args.command]
         return handler(cfg)

@@ -218,6 +218,7 @@ class FinetuneConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.max_updates < 1:
             raise ValueError("fine-tuning needs epochs >= 1 and max_updates >= 1")
+        self.freeze = T.check_freeze(self.freeze)
 
 
 def _metric_better(metric, a, b):

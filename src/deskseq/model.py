@@ -20,12 +20,11 @@ init, and init, warm start and extraction all read them):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Tensor
 from .params import ParameterStore
 
 STANDARD = "standard"
@@ -53,13 +52,6 @@ class ModelConfig:
             raise ValueError("decoder_layers must be >= 0")
         if self.cross_attention == FUSION and self.decoder_layers < 1:
             raise ValueError("fusion cross-attention requires a decoder")
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +201,6 @@ def _ffn(store, prefix, x):
     return ag.linear(h, store[f"{prefix}.w2"], store[f"{prefix}.b2"])
 
 
-def _maybe_dropout(x, p, rng):
-    return ag.dropout(x, p, rng) if (p > 0.0 and rng is not None) else x
-
-
 def _check_tokens(cfg, tokens, start=0):
     """Validate a [B, T] token batch whose positions start at `start`."""
     tokens = np.asarray(tokens)
@@ -251,14 +239,14 @@ def encoder_forward(cfg, store, tokens, pad_mask=None, train_rng=None):
     p = cfg.dropout if train_rng is not None else 0.0
     x = ag.add(ag.embedding(store["embed.tok"], tokens),
                ag.embedding(store["embed.pos"], np.arange(t)))
-    x = _maybe_dropout(x, p, train_rng)
+    x = ag.dropout(x, p, train_rng)
     mask = pad_attention_mask(pad_mask)
     states = [x]
     for i in range(cfg.encoder_layers):
         h = ag.layer_norm(x, store[f"enc.{i}.ln1.g"], store[f"enc.{i}.ln1.b"])
-        x = ag.add(x, _maybe_dropout(_attention(store, f"enc.{i}.attn", h, h, cfg.heads, mask), p, train_rng))
+        x = ag.add(x, ag.dropout(_attention(store, f"enc.{i}.attn", h, h, cfg.heads, mask), p, train_rng))
         h = ag.layer_norm(x, store[f"enc.{i}.ln2.g"], store[f"enc.{i}.ln2.b"])
-        x = ag.add(x, _maybe_dropout(_ffn(store, f"enc.{i}.ffn", h), p, train_rng))
+        x = ag.add(x, ag.dropout(_ffn(store, f"enc.{i}.ffn", h), p, train_rng))
         states.append(x)
     return states
 
@@ -270,10 +258,7 @@ def encoder_output(store, states):
 
 def fuse_memory(states, logits):
     """Convex combination over encoder states with softmax(logits) weights."""
-    if np.asarray(logits.data if isinstance(logits, Tensor) else logits).shape != (len(states),):
-        got = np.asarray(logits.data if isinstance(logits, Tensor) else logits).shape
-        raise ag.ShapeError(f"fusion weights shape {got} does not match {len(states)} states")
-    return ag.mix(states, ag.softmax(ag.as_tensor(logits)))
+    return ag.mix(states, ag.softmax(logits))
 
 
 class DecodeCache:
@@ -339,21 +324,21 @@ def decoder_forward(cfg, store, target_in, enc_states, src_pad_mask=None, train_
 
     x = ag.add(ag.embedding(store["dec.embed.tok"], target_in),
                ag.embedding(store["dec.embed.pos"], np.arange(start, start + s)))
-    x = _maybe_dropout(x, p, train_rng)
+    x = ag.dropout(x, p, train_rng)
     self_mask = causal_mask(s, start)
     cross_mask = pad_attention_mask(src_pad_mask)
     self_kv = None if cache is None else cache.self_kv
     cross_kv = None if cache is None else cache.cross_kv
     for i in range(cfg.decoder_layers):
         h = ag.layer_norm(x, store[f"dec.{i}.ln1.g"], store[f"dec.{i}.ln1.b"])
-        x = ag.add(x, _maybe_dropout(
+        x = ag.add(x, ag.dropout(
             _attention(store, f"dec.{i}.self", h, h, cfg.heads, self_mask, self_kv), p, train_rng))
         h = ag.layer_norm(x, store[f"dec.{i}.ln2.g"], store[f"dec.{i}.ln2.b"])
-        x = ag.add(x, _maybe_dropout(
+        x = ag.add(x, ag.dropout(
             _attention(store, f"dec.{i}.cross", h, memories[i], cfg.heads, cross_mask, cross_kv),
             p, train_rng))
         h = ag.layer_norm(x, store[f"dec.{i}.ln3.g"], store[f"dec.{i}.ln3.b"])
-        x = ag.add(x, _maybe_dropout(_ffn(store, f"dec.{i}.ffn", h), p, train_rng))
+        x = ag.add(x, ag.dropout(_ffn(store, f"dec.{i}.ffn", h), p, train_rng))
     if cache is not None:
         cache.length += s
     x = ag.layer_norm(x, store["dec.final_ln.g"], store["dec.final_ln.b"])

@@ -85,9 +85,6 @@ def registry_plan(name):
     raise KeyError(f"unknown preset: {name}")
 
 
-PRESET_NAMES = [p.name for p in registry_plans()]
-
-
 # ---------------------------------------------------------------------------
 # desk scale
 

@@ -64,13 +64,19 @@ def lr_at(s, step):
 FREEZE_TAGS = {
     "Encoder": ("enc.", "embed."),
     "Decoder": ("dec.",),
-    "DecoderEmbedding": ("dec.embed.tok",),
     "Embedding": ("embed.",),
-    "LmHead": ("lm_head.",),
-    "MlmHead": ("mlm_head.",),
-    "Fusion": ("fusion.",),
-    "Head": ("head.",),
 }
+
+
+def check_freeze(freeze):
+    """A freeze set as a tuple: it must be a list or tuple of FREEZE_TAGS keys
+    (a bare string would read as one tag per letter)."""
+    if not isinstance(freeze, (list, tuple)):
+        raise ValueError(f"freeze must be a list of tags, got {freeze!r}")
+    unknown = [tag for tag in freeze if tag not in FREEZE_TAGS]
+    if unknown:
+        raise ValueError(f"unknown freeze tag: {unknown[0]}")
+    return tuple(freeze)
 
 
 def apply_freeze_plan(store, freeze):
@@ -78,11 +84,8 @@ def apply_freeze_plan(store, freeze):
     named stays trainable.  Tied names share storage, so freezing any member
     of a tie group freezes the group."""
     store.set_all_trainable(True)
-    for tag in sorted(freeze):
-        prefixes = FREEZE_TAGS.get(tag)
-        if prefixes is None:
-            raise ValueError(f"unknown freeze tag: {tag}")
-        matched = [n for n in store.names() if n.startswith(prefixes)]
+    for tag in sorted(check_freeze(freeze)):
+        matched = [n for n in store.names() if n.startswith(FREEZE_TAGS[tag])]
         if not matched:
             raise ValueError(f"freeze tag {tag} matches no parameters")
         for name in matched:
@@ -114,10 +117,7 @@ class TrainStage:
             raise ValueError("stage step count must be positive")
         if self.objective not in (MLM, DENOISE):
             raise ValueError(f"unknown objective: {self.objective}")
-        self.freeze = tuple(self.freeze)
-        unknown = [tag for tag in self.freeze if tag not in FREEZE_TAGS]
-        if unknown:
-            raise ValueError(f"unknown freeze tag: {unknown[0]}")
+        self.freeze = check_freeze(self.freeze)
 
 
 @dataclass
@@ -139,6 +139,8 @@ class TrainPlan:
     inherited_tu: list = field(default_factory=list)  # [(donor, TU)]: set by cost.charge_donors
 
     def __post_init__(self):
+        if not self.stages:  # else a run that trains nothing and a cost of 0
+            raise ValueError(f"plan {self.name} has no stages")
         for st in self.stages:
             if st.objective == DENOISE and self.model.decoder_layers < 1:
                 raise ValueError(f"stage {st.name}: de-noising requires a decoder")

@@ -7,6 +7,7 @@ Each test covers one release criterion and prints a single PASS/FAIL line
 import contextlib
 import json
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ def test_fusion_degeneracy():
         fusion_cfg = M.ModelConfig(encoder_layers=2, decoder_layers=2, d_model=16,
                                    d_ffn=32, heads=4, vocab_size=48,
                                    max_positions=16, cross_attention=M.FUSION)
-        std_cfg = M.ModelConfig(**{**fusion_cfg.to_dict(),
+        std_cfg = M.ModelConfig(**{**asdict(fusion_cfg),
                                    "cross_attention": M.STANDARD})
         for seed in range(10):
             rng = np.random.default_rng(seed)

@@ -70,9 +70,50 @@ class TestConfigHandling:
         assert cli.main(["pretrain", "--config", str(p)]) == cli.EXIT_CONFIG
         assert "seed" in capsys.readouterr().err
 
-    def test_cost_requires_config_or_table_flag(self, capsys):
-        assert cli.main(["cost"]) == cli.EXIT_CONFIG
-        assert "--table1" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, fragment", [
+        ([], "one of the arguments --config --table1 is required"),
+        (["--table1", "--config", "c.json"], "not allowed with argument"),
+    ])
+    def test_cost_requires_config_or_table_flag(self, capsys, argv, fragment):
+        """`cost` takes exactly one of the two: a usage error, exit 2."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cost", *argv])
+        assert exc.value.code == 2  # argparse's usage error
+        assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["pack", "--config", "c.json"],
+                                      ["evaluate", "--config", "c.json"], ["cost", "--table1"]])
+    def test_seed_option_only_on_the_verbs_that_draw(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--seed", "1"])
+        assert exc.value.code == 2  # argparse's usage error
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["pack", "evaluate", "cost"])
+    def test_verbs_that_draw_nothing_need_no_seed(self, tmp_path, capsys, verb):
+        body = {"pack": lambda: {"corpus": write_corpus(tmp_path / "corpus.jsonl"),
+                                 "target_len": 8},
+                "evaluate": lambda: {**make_generation_task(tmp_path), "max_len": 4},
+                "cost": lambda: {"plans": [INLINE_PLAN]}}[verb]()
+        cfgp = write_config(tmp_path / "c.json", {"out": str(tmp_path / "o"), **body})
+        assert cli.main([verb, "--config", cfgp]) == cli.EXIT_OK
+        assert (tmp_path / "o").is_dir()
+
+    @pytest.mark.parametrize("stages", [5, []])
+    @pytest.mark.parametrize("verb", ["pretrain", "cost"])
+    def test_stages_must_list_at_least_one_stage(self, tmp_path, capsys, verb, stages):
+        """A plan with no stage would train nothing and cost 0 TU."""
+        plan = {**INLINE_PLAN, "stages": stages}
+        body = ({"seed": 0, "plan": plan,
+                 "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}}
+                if verb == "pretrain" else {"plans": [plan]})
+        cfgp = write_config(tmp_path / "c.json", {"out": str(tmp_path / "o"), **body})
+        assert cli.main([verb, "--config", cfgp]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (f"config error: config field 'stages' must list at least one stage, "
+                f"got {stages!r}") in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
 
     def test_config_that_is_not_an_object(self, tmp_path, capsys):
         p = tmp_path / "c.json"
@@ -135,24 +176,15 @@ class TestCost:
         capsys.readouterr()
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
-    def test_plans_must_be_a_list_of_inline_plans(self, tmp_path, capsys):
+    @pytest.mark.parametrize("plans", ["table1", 5])
+    def test_plans_must_be_a_list_of_inline_plans(self, tmp_path, capsys, plans):
         """`--table1` is the one way to ask for the registry."""
         cfgp = write_config(tmp_path / "c.json", {
-            "seed": 0, "out": str(tmp_path / "o"), "plans": "table1"})
+            "seed": 0, "out": str(tmp_path / "o"), "plans": plans})
         assert cli.main(["cost", "--config", cfgp]) == cli.EXIT_CONFIG
-        assert "an inline plan must be a JSON object, got str" in capsys.readouterr().err
+        assert (f"config field 'plans' must list at least one inline plan, got {plans!r}"
+                in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
-
-    def test_plans_and_table1_together_is_config_error(self, tmp_path, capsys):
-        """Both name the plans to cost: neither is dropped without a word."""
-        body = {"seed": 0, "out": str(tmp_path / "o")}
-        cfgp = write_config(tmp_path / "c.json", {**body, "plans": [INLINE_PLAN]})
-        assert cli.main(["cost", "--config", cfgp, "--table1"]) == cli.EXIT_CONFIG
-        assert "config field 'plans' and --table1 both name the plans" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-        cfgp = write_config(tmp_path / "c.json", body)
-        assert cli.main(["cost", "--config", cfgp, "--table1"]) == cli.EXIT_OK
-        assert (tmp_path / "o" / "savings.json").exists()
 
     @pytest.mark.parametrize("plans", [None, []])
     def test_config_without_plans_is_config_error(self, tmp_path, capsys, plans):
@@ -736,6 +768,29 @@ class TestFinetuneEvaluate:
         assert fault in capsys.readouterr().err
         assert not (tmp_path / "tuned").exists()
 
+    @pytest.mark.parametrize("freeze, fragment", [
+        (["Embeding"], "unknown freeze tag: Embeding"),
+        ("Embedding", "freeze must be a list of tags, got 'Embedding'"),
+    ])
+    def test_bad_finetune_freeze_is_config_error_before_any_read(self, tmp_path, capsys,
+                                                                 freeze, fragment):
+        """The `finetune` section is checked when built, before the checkpoint
+        (here missing) or a split is read."""
+        base = {**make_classification_task(tmp_path), "checkpoint": str(tmp_path / "nope")}
+        cfgp = finetune_config(tmp_path, base, freeze=freeze)
+        assert cli.main(["finetune", "--config", cfgp]) == cli.EXIT_CONFIG
+        assert f"config error: config field 'finetune': {fragment}" in capsys.readouterr().err
+        assert not (tmp_path / "tuned").exists()
+
+    @pytest.mark.parametrize("verb", ["finetune", "evaluate"])
+    def test_vocab_is_read_once_per_run(self, tmp_path, monkeypatch, verb):
+        load, paths = D.Vocab.load, []
+        monkeypatch.setattr(D.Vocab, "load", lambda path: paths.append(path) or load(path))
+        cfgp = finetune_config(tmp_path, make_generation_task(tmp_path),
+                               metric="perplexity", epochs=1)
+        assert cli.main([verb, "--config", cfgp]) == cli.EXIT_OK
+        assert paths == [str(tmp_path / "vocab.json")]
+
     @pytest.mark.parametrize("verb, split", [("finetune", "dev"), ("evaluate", "eval")])
     def test_empty_task_split_is_config_error(self, tmp_path, capsys, verb, split):
         base = make_classification_task(tmp_path)
@@ -839,7 +894,6 @@ class TestFinetuneEvaluate:
         ("finetune", {"seeds": [True]}, "seeds"),
         ("finetune", {"seed": "a"}, "seed"),
         ("pretrain", {"seed": 1.5}, "seed"),
-        ("evaluate", {"seed": False}, "seed"),
     ])
     def test_bad_seed_is_config_error_before_out(self, tmp_path, capsys, verb, fields, field):
         body = ({"plan": INLINE_PLAN, "corpus": {"kind": "patterned", "n_seqs": 8,
@@ -975,8 +1029,9 @@ class TestFinetuneEvaluate:
                       [{"text": f"w{i}", "label": lab} for i, lab in enumerate("abc")])
         D.write_jsonl(tmp_path / "dev.jsonl",
                       [{"text": f"w{i}", "label": lab} for i, lab in enumerate("bc")])
-        _, _, labels = cli._read_task(base, "train")
-        _, dev_set, _ = cli._read_task(base, "dev", labels)
+        vocab = D.Vocab.load(base["vocab"])
+        _, _, labels = cli._read_task(base, "train", vocab)
+        _, dev_set, _ = cli._read_task(base, "dev", vocab, labels)
         assert labels == ["a", "b", "c"]
         assert [lab for _, lab in dev_set] == [1, 2]
         # a dev label that train never saw is a config error

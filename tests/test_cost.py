@@ -9,6 +9,8 @@ from deskseq import presets as P
 from deskseq import train as T
 from deskseq.cost import (compare_recipes, render_percent, render_tu, tu_cost)
 
+PRESET_NAMES = [p.name for p in P.registry_plans()]
+
 
 def plain_plan(enc, dec, steps, *, d_model=1024, freeze=(), objective=T.DENOISE,
                batch_tokens=1_000_000, name="plan"):
@@ -135,7 +137,7 @@ class TestDonorCharges:
         assert [tu_cost(p).total_tu for p in plans] == [1, 2, 3, 1, 1]
 
     def test_desk_totals_and_savings(self):
-        desk = {name: P.desk_plan(name) for name in P.PRESET_NAMES}
+        desk = {name: P.desk_plan(name) for name in PRESET_NAMES}
         assert tu_cost(desk["roberta-12e"]).total_tu == Fraction(1, 12_500_000)
         assert tu_cost(desk["2stage-bart-12e12d-unfrz"]).total_tu == Fraction(11, 62_500_000)
         report = compare_recipes([desk["2stage-bart-12e12d"], desk["2stage-bart-12e12d-unfrz"]],
@@ -148,7 +150,7 @@ class TestDonorCharges:
                                        {"steps_per_100k": 4, "batch_size": 2, "d_model": 32}])
     def test_desk_total_is_own_stages_plus_donor_desk_total(self, scale):
         donors = {}
-        for name in P.PRESET_NAMES:
+        for name in PRESET_NAMES:
             plan = P.desk_plan(name, **scale)
             cost = tu_cost(plan)
             own = sum((s.total_tu for s in cost.stages), Fraction(0))
@@ -178,7 +180,7 @@ class TestReports:
         assert Fraction(num, den) == Fraction(5) + Fraction(2, 12) * 5
 
     def test_desk_plans_mirror_registry_structure(self):
-        for name in P.PRESET_NAMES:
+        for name in PRESET_NAMES:
             full = P.registry_plan(name)
             desk = P.desk_plan(name)
             assert [s.objective for s in desk.stages] == [s.objective for s in full.stages]

@@ -147,7 +147,7 @@ class TestFusion:
 
     def test_length_mismatch_rejected(self, rng):
         states = [Tensor(rng.normal(size=(1, 2, 3))) for _ in range(3)]
-        with pytest.raises(ag.ShapeError, match="fusion"):
+        with pytest.raises(ag.ShapeError, match="does not match 3 states"):
             M.fuse_memory(states, Tensor(np.zeros(4)))
 
     def test_one_hot_fusion_bit_equals_standard_cross_attention(self, rng):

@@ -1,5 +1,6 @@
-"""Guard: every public function, class and method in `src/deskseq` has a
-caller or reader in the program itself, not only in the tests.
+"""Guard: every public module-level name (function, class, constant) and
+every public method in `src/deskseq` has a caller or reader in the program
+itself, not only in the tests.
 
 A name counts as used when it appears as a word on some line of
 `src/deskseq/*.py` or `perfbench/*.py` other than its own definition line.
@@ -15,8 +16,8 @@ SRC = ROOT / "src" / "deskseq"
 
 
 def _public_definitions():
-    """(file, line number, name) of each public top-level function or class
-    and each public method of a top-level class."""
+    """(file, line number, name) of each public top-level function, class or
+    assigned name and each public method of a top-level class."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             nodes = [node]
@@ -26,6 +27,12 @@ def _public_definitions():
                 if (isinstance(n, (ast.FunctionDef, ast.ClassDef))
                         and not n.name.startswith("_")):
                     yield path, n.lineno, n.name
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for t in targets:
+                for name in ast.walk(t):  # `A = B = ...` and `A, B = ...` too
+                    if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                        yield path, node.lineno, name.id
 
 
 def _program_lines():

@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -110,6 +111,33 @@ class TestFreezePlans:
         with pytest.raises(ValueError, match="unknown freeze tag: Encodr"):
             stage(T.MLM, 1, freeze=("Encoder", "Encodr"))
 
+    @pytest.mark.parametrize("build", [
+        lambda freeze: stage(T.MLM, 1, freeze=freeze),
+        lambda freeze: E.FinetuneConfig(freeze=freeze),
+        lambda freeze: T.apply_freeze_plan(M.init_seq2seq(small_cfg(), 0), freeze),
+    ], ids=["stage", "finetune", "apply"])
+    def test_a_bare_string_is_not_a_freeze_set(self, build):
+        """"Encoder" would read as the tags "E", "n", "c", ..."""
+        with pytest.raises(ValueError, match="freeze must be a list of tags, got 'Encoder'"):
+            build("Encoder")
+
+    def test_only_the_paper_tags_exist(self):
+        """The encoder frozen under a fresh decoder, the decoder, and the
+        embeddings frozen while fine-tuning."""
+        assert set(T.FREEZE_TAGS) == {"Encoder", "Decoder", "Embedding"}
+
+    @pytest.mark.parametrize("model, tag", [("mlm", "MlmHead"), ("seq2seq", "LmHead"),
+                                            ("seq2seq", "DecoderEmbedding"),
+                                            ("warm", "DecoderEmbedding")])
+    def test_retired_tags_tied_to_the_embedding_are_unknown(self, model, tag):
+        """Each matched a name tied to `embed.tok`, so it froze the embedding
+        too, which its name does not say."""
+        enc = M.init_mlm_encoder(small_cfg(dec=0), 0)
+        store = {"mlm": enc, "seq2seq": M.init_seq2seq(small_cfg(), 0),
+                 "warm": M.warm_start_seq2seq(enc, small_cfg(), 1)}[model]
+        with pytest.raises(ValueError, match=f"unknown freeze tag: {tag}"):
+            T.apply_freeze_plan(store, (tag,))
+
     def test_tag_matching_nothing_rejected(self):
         store = M.init_mlm_encoder(small_cfg(dec=0), 0)
         with pytest.raises(ValueError, match="matches no parameters"):
@@ -217,6 +245,10 @@ class TestRunPlan:
         with pytest.raises(ValueError, match="decoder"):
             TrainPlan(name="p", model=small_cfg(dec=0), stages=[stage(T.DENOISE, 1)])
 
+    def test_plan_without_stages_is_rejected(self):
+        with pytest.raises(ValueError, match="plan p has no stages"):
+            TrainPlan(name="p", model=small_cfg(), stages=[])
+
     def test_warm_start_without_donor_rejected(self, rng):
         plan = TrainPlan(name="p", model=small_cfg(),
                          stages=[stage(T.DENOISE, 1)],
@@ -276,7 +308,7 @@ class TestCheckpoints:
         C.save(tmp_path / "ck", cfg, store, provenance={"note": "x"})
         cfg2, store2, manifest, opt = C.load(tmp_path / "ck")
         assert opt is None
-        assert cfg2.to_dict() == cfg.to_dict()
+        assert asdict(cfg2) == asdict(cfg)
         assert manifest["provenance"] == {"note": "x"}
         assert sorted(store2.names()) == sorted(store.names())
         for n in store.names():
