@@ -1,9 +1,10 @@
 """Training-Unit (TU) compute-cost accounting over TrainPlans.
 
 One TU is the cost of 100k update steps for 12 model layers at hidden
-dimension 1024 and 1M-token batches.  A frozen component runs forward-only and
-is charged half.  Arithmetic is exact (Fraction); rendering rounds half-up to
-one decimal, percentages to whole numbers.
+dimension 1024 and 1M-token batches.  A frozen encoder runs forward-only and
+is charged half; the encoder is the only component that can be charged
+frozen.  Arithmetic is exact (Fraction); rendering rounds half-up to one
+decimal, percentages to whole numbers.
 """
 
 from __future__ import annotations
@@ -52,11 +53,8 @@ def render_percent(frac):
     return f"{d.quantize(Decimal('1'), rounding=ROUND_HALF_UP)}%"
 
 
-def _component_tu(layers, frozen, steps, hidden, batch_tokens):
-    if layers == 0:
-        return Fraction(0)
-    weight = Fraction(1, 2) if frozen else Fraction(1)
-    return (Fraction(layers, REF_LAYERS) * weight
+def _component_tu(layers, steps, hidden, batch_tokens):
+    return (Fraction(layers, REF_LAYERS)
             * Fraction(steps, REF_STEPS)
             * Fraction(hidden, REF_HIDDEN)
             * Fraction(batch_tokens, REF_BATCH_TOKENS))
@@ -69,15 +67,13 @@ def tu_cost(plan):
         raise ValueError("plan model has zero layers")
     cost = TUCost(plan=plan.name, inherited=list(plan.inherited_tu))
     for stage in plan.stages:
-        enc_frozen = "Encoder" in stage.freeze
-        dec_frozen = "Decoder" in stage.freeze
+        enc_weight = Fraction(1, 2) if "Encoder" in stage.freeze else 1
         dec_layers = cfg.decoder_layers if stage.objective == "denoise" else 0
         cost.stages.append(StageCost(
             stage=stage.name,
-            encoder_tu=_component_tu(cfg.encoder_layers, enc_frozen, stage.steps,
-                                     cfg.d_model, stage.batch_tokens),
-            decoder_tu=_component_tu(dec_layers, dec_frozen, stage.steps,
-                                     cfg.d_model, stage.batch_tokens),
+            encoder_tu=enc_weight * _component_tu(cfg.encoder_layers, stage.steps,
+                                                  cfg.d_model, stage.batch_tokens),
+            decoder_tu=_component_tu(dec_layers, stage.steps, cfg.d_model, stage.batch_tokens),
         ))
     return cost
 

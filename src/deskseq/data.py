@@ -57,10 +57,6 @@ class Vocab:
         return h[:16]
 
 
-def is_special(token_id):
-    return token_id < NUM_SPECIALS
-
-
 def tokenize(text):
     return text.split()
 
@@ -177,18 +173,6 @@ def mlm_corrupt(ids, nc, rng, vocab_size):
     return out, labels
 
 
-def _segment_bounds(ids):
-    """Half-open [start, end) runs of positions between DOC separators."""
-    bounds = []
-    start = 0
-    for i, tok in enumerate(ids):
-        if tok == DOC:
-            bounds.append((start, i))
-            start = i + 1
-    bounds.append((start, len(ids)))
-    return [(s, e) for s, e in bounds if e > s]
-
-
 def denoise_corrupt(ids, nc, rng, forced_spans=None, span_log=None):
     """Span corruption for seq2seq de-noising.
 
@@ -210,7 +194,7 @@ def denoise_corrupt(ids, nc, rng, forced_spans=None, span_log=None):
         raise ValueError("cannot corrupt an empty sequence")
     n = len(ids)
     arr = np.asarray(ids)
-    selectable = np.array([not is_special(t) for t in ids])
+    selectable = arr >= NUM_SPECIALS
     selected = np.zeros(n, dtype=bool)
 
     if forced_spans is not None:
@@ -218,9 +202,6 @@ def denoise_corrupt(ids, nc, rng, forced_spans=None, span_log=None):
             selected[s:e] = True
     elif selectable.any():
         budget = nc.corruption_ratio * n
-        seg_end = np.empty(n, dtype=np.int64)
-        for s, e in _segment_bounds(ids):
-            seg_end[s:e] = e
         while selected.sum() < budget:
             candidates = np.flatnonzero(selectable & ~selected)
             if candidates.size == 0:
@@ -229,28 +210,17 @@ def denoise_corrupt(ids, nc, rng, forced_spans=None, span_log=None):
             while length == 0:
                 length = int(rng.poisson(nc.span_lambda))
             start = int(candidates[rng.integers(candidates.size)])
-            end = start
-            limit = seg_end[start]
-            while end < limit and end - start < length and selectable[end] and not selected[end]:
+            end = start  # DOC is special, so the walk stops at a separator
+            while end < n and end - start < length and selectable[end] and not selected[end]:
                 end += 1
             selected[start:end] = True
             if span_log is not None and end > start:
                 span_log.append((start, end))
 
-    source = []
-    i = 0
-    while i < n:
-        if selected[i]:
-            j = i
-            while j < n and selected[j]:
-                j += 1
-            if nc.mode == SPAN_MASK:
-                source.append(MASK)
-            i = j
-        else:
-            source.append(ids[i])
-            i += 1
-    return source, list(arr)
+    keep = ~selected
+    if nc.mode == SPAN_MASK:  # and the first position of each selected run
+        keep |= selected & ~np.concatenate(([False], selected[:-1]))
+    return np.where(selected, MASK, arr)[keep].tolist(), list(arr)
 
 
 # ---------------------------------------------------------------------------

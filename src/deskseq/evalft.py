@@ -185,8 +185,6 @@ def beam_search(cfg, store, src_ids, gc):
     for prefix, score in zip(prefixes, scores):
         if len(prefix) - 1 >= gc.max_len:
             finished.append((prefix[1:], score))
-    if not finished:
-        finished = [(p[1:], s) for p, s in zip(prefixes, scores)]
     finished.sort(key=lambda c: (-c[1], c[0]))
     return finished[0][0]
 
@@ -274,11 +272,7 @@ def finetune_classifier(cfg, store, spec, train_set, dev_set, fcfg, seed):
     if fcfg.metric != "accuracy":
         raise ValueError(f"metric {fcfg.metric} not valid for head fine-tuning")
     ft = M.attach_head(store, spec, cfg.d_model, seed)
-    T.apply_freeze_plan(ft, fcfg.freeze)
-    if "mlm_head.w" in ft:  # unused during fine-tuning; keep it out of the update
-        if not any("mlm_head.w" in g for g in ft.tie_groups()):  # tied heads follow the embedding
-            ft.set_trainable("mlm_head.w", False)
-        ft.set_trainable("mlm_head.b", False)
+    T.apply_freeze_plan(ft, fcfg.freeze)  # the unused MLM head gets no gradient, so no update
     run_cfg = replace(cfg, dropout=fcfg.dropout)
     return _finetune(ft, train_set, fcfg, seed, "linear",
                      lambda batch, rng: _head_loss(run_cfg, ft, spec, batch, train_rng=rng),

@@ -1,7 +1,8 @@
 """AdamW with decoupled weight decay and per-parameter bias correction.
 
-Moments exist only for trainable parameters and are created lazily, so a
-parameter unfrozen mid-plan starts from zero moments and step count 0.
+Moments exist only for trainable parameters a loss has reached and are
+created lazily, so a parameter unfrozen mid-plan starts from zero moments and
+step count 0.
 """
 
 from __future__ import annotations
@@ -32,16 +33,17 @@ class OptimState:
 
 
 def adam_step(store, grads, state, lr, cfg=AdamConfig()):
-    """One AdamW update over exactly the trainable parameters of `store`.
+    """One AdamW update of the trainable parameters that `grads` names.
 
-    `grads` must be keyed by owner name and cover the trainable set exactly;
-    frozen parameters are untouched (bit-identical before/after).
+    `grads` is keyed by owner name and may name only trainable owners, so
+    frozen parameters are untouched (bit-identical before/after).  A
+    trainable owner it leaves out, one the loss never reached, keeps its
+    value, moments and step count: no step and no weight decay.
     """
     trainable = {owner for owner, t in store.unique_items() if t.requires_grad}
-    if set(grads) != trainable:
-        missing = sorted(trainable - set(grads))
-        extra = sorted(set(grads) - trainable)
-        raise ValueError(f"gradient map mismatch: missing={missing}, unexpected={extra}")
+    unexpected = sorted(set(grads) - trainable)
+    if unexpected:
+        raise ValueError(f"gradient map mismatch: frozen or unknown owners {unexpected}")
     for owner in sorted(grads):
         p = store[owner]
         g = np.asarray(grads[owner])

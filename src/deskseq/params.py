@@ -78,11 +78,8 @@ class ParameterStore:
 
     def gradient_map(self):
         """{owner -> gradient array} for trainable parameters touched by backward."""
-        out = {}
-        for owner, t in self.unique_items():
-            if t.requires_grad:
-                out[owner] = t.grad if t.grad is not None else np.zeros_like(t.data)
-        return out
+        return {owner: t.grad for owner, t in self.unique_items()
+                if t.requires_grad and t.grad is not None}
 
     def copy(self):
         """Deep copy preserving tie structure and trainability."""

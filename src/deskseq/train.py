@@ -63,7 +63,6 @@ def lr_at(s, step):
 
 FREEZE_TAGS = {
     "Encoder": ("enc.", "embed."),
-    "Decoder": ("dec.",),
     "Embedding": ("embed.",),
 }
 

@@ -459,13 +459,14 @@ class TestPretrain:
         assert cli._load_sequences({"seed": 5, "corpus": {"kind": "pairs", "doc_len": 8}}) == \
             S.pair_language(128, doc_len=8, seed=5)
 
-    def test_unknown_freeze_tag_is_config_error_before_out(self, tmp_path, capsys):
-        plan = {**INLINE_PLAN, "stages": [{**INLINE_PLAN["stages"][0], "freeze": ["Encodr"]}]}
+    @pytest.mark.parametrize("tag", ["Encodr", "Decoder"])  # Decoder: retired, it froze embed.tok
+    def test_unknown_freeze_tag_is_config_error_before_out(self, tmp_path, capsys, tag):
+        plan = {**INLINE_PLAN, "stages": [{**INLINE_PLAN["stages"][0], "freeze": [tag]}]}
         cfgp = write_config(tmp_path / "c.json", {
             "seed": 0, "out": str(tmp_path / "run"), "plan": plan,
             "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})
         assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
-        assert "config field 'stage 0': unknown freeze tag: Encodr" in capsys.readouterr().err
+        assert f"config field 'stage 0': unknown freeze tag: {tag}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_incompatible_donor_leaves_no_out(self, tmp_path, capsys):
@@ -770,6 +771,7 @@ class TestFinetuneEvaluate:
 
     @pytest.mark.parametrize("freeze, fragment", [
         (["Embeding"], "unknown freeze tag: Embeding"),
+        (["Decoder"], "unknown freeze tag: Decoder"),
         ("Embedding", "freeze must be a list of tags, got 'Embedding'"),
     ])
     def test_bad_finetune_freeze_is_config_error_before_any_read(self, tmp_path, capsys,

@@ -285,7 +285,8 @@ class TestDenoiseCorrupt:
             D.denoise_corrupt([], nc, np.random.default_rng(0))
 
     @settings(max_examples=200, deadline=None)
-    @given(ids=st.lists(st.one_of(st.integers(NUM_SPECIALS, 99), st.just(DOC)),
+    @given(ids=st.lists(st.one_of(st.integers(NUM_SPECIALS, 99),
+                                  st.sampled_from([BOS, EOS, DOC, UNK])),
                         min_size=1, max_size=40),
            mode=st.sampled_from([D.SPAN_DROP, D.SPAN_MASK]),
            ratio=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
@@ -298,6 +299,10 @@ class TestDenoiseCorrupt:
             assert 0 <= s < e <= len(ids)
             assert DOC not in ids[s:e]  # a span covering or crossing [DOC] would hold it
         assert src.count(DOC) == ids.count(DOC)
+        logged = {i for s, e in log for i in range(s, e)}
+        rebuilt = [MASK if i in logged else t for i, t in enumerate(ids)
+                   if i not in logged or (mode == D.SPAN_MASK and i - 1 not in logged)]
+        assert src == rebuilt
 
 
 class TestNoiseConfig:

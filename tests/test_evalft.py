@@ -392,6 +392,35 @@ class TestFinetune:
         np.testing.assert_array_equal(best["embed.tok"].data, before)
         assert not np.array_equal(best["head.out.w"].data, 0.0)
 
+    def test_gradient_map_leaves_out_the_mlm_head_under_a_head_loss(self):
+        """A task-head loss never reaches the MLM head's bias, so the update
+        leaves it out."""
+        cfg, spec, store = head_store("classification", [8], 0)
+        store.zero_grad()
+        ag.backward(E._head_loss(cfg, store, spec, head_items("classification", 4, 0, 32)))
+        grads = store.gradient_map()
+        assert store["mlm_head.b"].requires_grad
+        assert "mlm_head.b" not in grads
+        assert {"head.out.w", "head.out.b", "embed.tok"} <= set(grads)
+
+    def test_unfrozen_mlm_head_is_trainable_and_unchanged_after_finetuning(self):
+        """On an extracted encoder `mlm_head.w` is untied from the embedding;
+        with nothing frozen both MLM-head owners stay trainable, and the head
+        loss leaves them bit-identical while the embedding moves."""
+        cfg = tiny_cfg(d_model=16, d_ffn=32, vocab_size=64)
+        enc_cfg = tiny_cfg(decoder_layers=0, d_model=16, d_ffn=32, vocab_size=64)
+        enc = M.extract_encoder(M.init_seq2seq(cfg, 0), enc_cfg)
+        assert not any("mlm_head.w" in g for g in enc.tie_groups())
+        train, dev = separable_classification(n_train=16, n_dev=8, n_labels=2,
+                                                seq_len=6, vocab_size=64, seed=2)
+        spec = M.HeadSpec(kind="classification", label_count=2, hidden=[8])
+        fcfg = FinetuneConfig(epochs=2, max_updates=10, batch_size=8, dropout=0.0, freeze=[])
+        best, _ = E.finetune_classifier(enc_cfg, enc, spec, train, dev, fcfg, seed=0)
+        for name in ("mlm_head.w", "mlm_head.b"):
+            assert best[name].data.tobytes() == enc[name].data.tobytes(), name
+            assert best[name].requires_grad, name
+        assert not np.array_equal(best["embed.tok"].data, enc["embed.tok"].data)
+
     def test_empty_split_rejected(self):
         cfg = tiny_cfg(decoder_layers=0)
         store = M.init_mlm_encoder(cfg, 0)

@@ -461,11 +461,34 @@ class TestAdam:
 
     def test_gradient_map_must_match_trainable_set(self):
         store = self._store([1.0])
-        with pytest.raises(ValueError, match="mismatch"):
-            adam_step(store, {}, OptimState(), lr=0.01)
+        store.add("frozen", np.array([3.0]), trainable=False)
         with pytest.raises(ValueError, match="mismatch"):
             adam_step(store, {"w": np.array([0.0]), "x": np.array([0.0])},
                       OptimState(), lr=0.01)
+        with pytest.raises(ValueError, match="mismatch"):
+            adam_step(store, {"w": np.array([0.0]), "frozen": np.array([0.0])},
+                      OptimState(), lr=0.01)
+
+    def test_a_trainable_owner_left_out_takes_no_step(self):
+        """An owner the loss did not reach keeps its value, moments and step
+        count: no step and no weight decay."""
+        store = self._store([1.0])
+        store.add("unreached", np.array([3.0]))
+        state, cfg = OptimState(), AdamConfig(weight_decay=0.1)
+        adam_step(store, {"w": np.array([0.7])}, state, lr=0.01, cfg=cfg)
+        assert store["w"].data[0] != 1.0
+        assert store["unreached"].data.tobytes() == np.array([3.0]).tobytes()
+        assert "unreached" not in state.slots
+        adam_step(store, {"w": np.array([0.7]), "unreached": np.array([0.5])}, state,
+                  lr=0.01, cfg=cfg)
+        value = store["unreached"].data.copy()
+        slot = {k: np.copy(v) for k, v in state.slots["unreached"].items()}
+        adam_step(store, {"w": np.array([0.7])}, state, lr=0.01, cfg=cfg)
+        assert store["unreached"].data.tobytes() == value.tobytes()
+        assert state.slots["unreached"]["t"] == slot["t"] == 1
+        for k in ("m", "v"):
+            assert state.slots["unreached"][k].tobytes() == slot[k].tobytes()
+        assert state.slots["w"]["t"] == 3
 
     def test_shape_mismatch_rejected(self):
         store = self._store([1.0, 2.0])
