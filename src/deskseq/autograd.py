@@ -24,7 +24,8 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    # `_home`: a store parameter's slice of its arena's gradient buffer
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_home")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         arr = np.asarray(data)
@@ -35,6 +36,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._backward = _backward
+        self._home = None
 
     @property
     def shape(self):
@@ -84,8 +86,30 @@ def _make(data, parents, backward_fn):
     return Tensor(data)
 
 
+def _zeros_like_layout(g, like):
+    """Whether `g` is laid out as `np.zeros_like(like)` is: C order with
+    numpy's own strides, same shape and dtype."""
+    if type(g) is not np.ndarray or g.dtype != like.dtype or g.shape != like.shape:
+        return False
+    step = g.itemsize
+    for n, s in zip(reversed(g.shape), reversed(g.strides)):
+        if s != step:
+            return False
+        step *= n
+    return like.flags.c_contiguous
+
+
 def backward(loss):
-    """Populate .grad for every tensor the scalar `loss` depends on."""
+    """Populate .grad for every tensor the scalar `loss` depends on.
+
+    Each gradient equals zeros, then `+=` of each contribution in tape order,
+    bit for bit.  A store parameter's first contribution is written into its
+    arena slice (`0.0 + g`, so -0.0 comes out +0.0, as from zeros).  An inner
+    node adopts its first contribution when that has the layout zeros would
+    have (a strided one would change BLAS bits downstream); an adopted array
+    may be another node's gradient too, so it is never written to, and a
+    second contribution makes a new array.  Any other leaf gets zeros.
+    """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar, got shape {loss.data.shape}")
     # postorder DFS: parents appear before consumers, so the reversed list
@@ -106,6 +130,7 @@ def backward(loss):
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
+    adopted = set()  # ids of the nodes whose gradient is an adopted array
     for node in reversed(topo):
         if node._backward is None:
             continue
@@ -113,9 +138,20 @@ def backward(loss):
         for parent, g in zip(node._parents, grads):
             if g is None or not parent.requires_grad:
                 continue
-            if parent.grad is None:
+            if parent.grad is not None:
+                if id(parent) in adopted:
+                    adopted.discard(id(parent))
+                    parent.grad = np.add(parent.grad, g, out=np.empty_like(parent.grad))
+                else:
+                    parent.grad += g
+            elif parent._home is not None:
+                parent.grad = np.add(g, 0.0, out=parent._home)
+            elif parent._backward is not None and _zeros_like_layout(g, parent.data):
+                parent.grad = g
+                adopted.add(id(parent))
+            else:
                 parent.grad = np.zeros_like(parent.data)
-            parent.grad += g
+                parent.grad += g
 
 
 def _unbroadcast(g, shape):

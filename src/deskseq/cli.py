@@ -223,9 +223,12 @@ def load_packed(path):
 def cmd_pack(cfg):
     out = _require(cfg, "out")
     target_len, budget = cfg.get("target_len", 64), cfg.get("vocab_budget", 256)
-    for field, value in (("target_len", target_len), ("vocab_budget", budget)):
+    for field, value, least in (("target_len", target_len, 2),
+                                ("vocab_budget", budget, D.NUM_SPECIALS)):
         if not _is_int(value):
             raise ConfigError(f"config field '{field}' must be an int, got {value!r}")
+        if value < least:  # a packed sequence holds two ids; a vocabulary, the specials
+            raise ConfigError(f"config field '{field}' must be at least {least}, got {value}")
     docs = _read(cfg, "corpus", D.read_corpus)
     if not any(toks for toks, _ in docs):  # nothing to pack: no sequence, no manifest
         raise ConfigError(f"config field 'corpus': {cfg['corpus']} holds no tokens")
@@ -398,13 +401,18 @@ def cmd_evaluate(cfg):
                                    and all(isinstance(l, str) for l in labels)):
         raise ConfigError(f"config field 'checkpoint': provenance labels must be a list "
                           f"of strings, got {labels!r}")
+    task = cfg.get("task")
+    if isinstance(task, dict) and task.get("kind") == "generation":
+        gen = {"max_len": mcfg.max_positions - 1,
+               **{k: cfg[k] for k in ("beam_size", "max_len") if k in cfg}}
+        gc = _build(E.GenConfig, gen, "beam_size/max_len")
+        if gc.max_len > mcfg.max_positions:  # before the eval split is read
+            raise ConfigError(f"config field 'max_len': max_len {gc.max_len} exceeds "
+                              f"max_positions {mcfg.max_positions} of the checkpoint")
     vocab = _read(cfg, "vocab", D.Vocab.load)
     kind, eval_set, labels = _read_task(cfg, "eval", vocab, labels)
     records = []
     if kind == "generation":
-        gen = {"max_len": mcfg.max_positions - 1,
-               **{k: cfg[k] for k in ("beam_size", "max_len") if k in cfg}}
-        gc = _build(E.GenConfig, gen, "beam_size/max_len")
         scores = []  # one (sciem, rouge1, rouge2, rougeL) per item
         for src, tgt in eval_set:
             hyp_text = " ".join(vocab.decode(E.beam_search(mcfg, store, src, gc)))

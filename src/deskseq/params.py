@@ -1,11 +1,10 @@
-"""Named parameter tensors with trainability flags and tie groups.
+"""Named parameter tensors with trainability flags and tie groups, in one arena.
 
-Tied names refer to the *same* Tensor object, so mutation and gradient
-accumulation are shared automatically and trainability is uniform within a
-group by construction.  The canonical "owner" of a group is its
-lexicographically smallest name; gradient maps and optimizer state are keyed
-by owner.
-"""
+Tied names share one Tensor; a group's "owner" is its smallest name, and keys
+gradient maps and optimizer state.  A store that trains, and its copies, keep
+their owners in an arena: float64 data and gradient buffers in owner order (as
+`params.bin`).  Each owner's `.data` is a view into the first, and `backward`
+writes its gradient into its slice of the second."""
 
 from __future__ import annotations
 
@@ -14,11 +13,24 @@ import numpy as np
 from .autograd import Tensor
 
 
+class _Arena:
+    """Data and gradient buffers of (owner, tensor) `items`, in that order."""
+
+    def __init__(self, items):
+        self.owners, self.tensors = [o for o, _ in items], [t for _, t in items]
+        self.bounds = np.cumsum([0] + [t.data.size for t in self.tensors]).tolist()
+        self.data, self.grad = np.empty(self.bounds[-1]), np.empty(self.bounds[-1])
+        self.views, self.homes = self.split(self.data), self.split(self.grad)
+
+    def split(self, buf):  # per owner, the view of its slice of `buf`, laid out so
+        return [buf[lo:hi].reshape(t.data.shape)
+                for t, lo, hi in zip(self.tensors, self.bounds, self.bounds[1:])]
+
+
 class ParameterStore:
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-
-    # -- construction -------------------------------------------------------
+        self._groups_cache = self._arena = None
 
     def add(self, name, value, trainable=True):
         if name in self._params:
@@ -26,6 +38,7 @@ class ParameterStore:
         t = value if isinstance(value, Tensor) else Tensor(np.asarray(value))
         t.requires_grad = bool(trainable)
         self._params[name] = t
+        self._groups_cache = self._arena = None
         return t
 
     def tie(self, new_name, existing_name):
@@ -33,8 +46,7 @@ class ParameterStore:
         if new_name in self._params:
             raise ValueError(f"duplicate parameter name: {new_name}")
         self._params[new_name] = self._params[existing_name]
-
-    # -- access -------------------------------------------------------------
+        self._groups_cache = self._arena = None
 
     def __contains__(self, name):
         return name in self._params
@@ -47,14 +59,16 @@ class ParameterStore:
 
     def _groups(self):
         """Sorted name lists, one per shared tensor, in owner order."""
-        by_id: dict[int, list[str]] = {}
-        for n in sorted(self._params):
-            by_id.setdefault(id(self._params[n]), []).append(n)
-        return list(by_id.values())
+        if self._groups_cache is None:  # once per layout
+            by_id: dict[int, list[str]] = {}
+            for n in sorted(self._params):
+                by_id.setdefault(id(self._params[n]), []).append(n)
+            self._groups_cache = list(by_id.values())
+        return self._groups_cache
 
     def tie_groups(self):
         """All name groups sharing storage, size > 1, sorted canonically."""
-        return [g for g in self._groups() if len(g) > 1]
+        return [list(g) for g in self._groups() if len(g) > 1]
 
     def unique_items(self):
         """(owner_name, tensor) pairs, one per storage, sorted by owner."""
@@ -63,7 +77,16 @@ class ParameterStore:
     def trainable(self):
         return {n: t.requires_grad for n, t in self._params.items()}
 
-    # -- mutation -----------------------------------------------------------
+    def arena(self):
+        """The owners' arena, built after a layout change; rebound data is copied in."""
+        a = self._arena = self._arena or _Arena(self.unique_items())
+        for owner, t, view, home in zip(a.owners, a.tensors, a.views, a.homes):
+            if t.data is not view:
+                if t.data.dtype != np.float64 or t.data.shape != view.shape:  # no silent cast
+                    raise ValueError(f"parameter {owner} must stay float64 of shape {view.shape}")
+                view[...] = t.data
+                t.data, t._home = view, home
+        return a
 
     def set_trainable(self, name, flag):
         self._params[name].requires_grad = bool(flag)
@@ -73,7 +96,8 @@ class ParameterStore:
             t.requires_grad = bool(flag)
 
     def zero_grad(self):
-        for _, t in self.unique_items():
+        """Clear every gradient; `backward` then writes into the arena."""
+        for t in self.arena().tensors:
             t.grad = None
 
     def gradient_map(self):
@@ -82,12 +106,13 @@ class ParameterStore:
                 if t.requires_grad and t.grad is not None}
 
     def copy(self):
-        """Deep copy preserving tie structure and trainability."""
+        """Deep copy preserving ties, trainability and any arena; shares no memory."""
         clone = ParameterStore()
-        for group in self._groups():
-            t = self._params[group[0]]
-            nt = Tensor(t.data.copy())
-            nt.requires_grad = t.requires_grad
-            for n in group:
-                clone._params[n] = nt
+        for owner, *tied in self._groups():
+            t = self._params[owner]  # an arena copies the data in
+            clone.add(owner, Tensor(t.data if self._arena else t.data.copy()), t.requires_grad)
+            for n in tied:
+                clone.tie(n, owner)
+        if self._arena:
+            clone.arena()
         return clone

@@ -8,6 +8,9 @@ up zero moments for the newly trainable parameters.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import platform
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,13 +205,29 @@ def denoise_step_loss(cfg, store, src_tokens, src_mask, dec_in, labels, train_rn
 # the loop
 
 
+@functools.cache
+def _pin_heap():
+    """Fix glibc's malloc thresholds, once per process.  glibc moves its mmap
+    and trim thresholds as blocks of some MiB (arenas among them) come and go;
+    depending on that history, each update's transient arrays are mmapped or
+    trimmed from the heap and faulted back in, thousands of minor page faults
+    per desk update.  Fixed thresholds keep them on the heap."""
+    if platform.libc_ver()[0] == "glibc":
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
+
+
 def train_step(store, loss, opt_state, lr, adam, where):
     """One AdamW update of `store` from a scalar loss; returns the loss value.
     Raises TrainingDiverged, naming `where`, before touching any parameter if
-    the loss is not finite."""
+    the loss is not finite.  Gradients and the update go through the store's
+    arena, built at its first update (params.py)."""
     value = loss.item()
     if not np.isfinite(value):
         raise TrainingDiverged(f"non-finite loss at {where}")
+    _pin_heap()
     store.zero_grad()
     ag.backward(loss)
     adam_step(store, store.gradient_map(), opt_state, lr, adam)

@@ -98,3 +98,56 @@ def mul(a, b):
     a, b = ag.as_tensor(a), ag.as_tensor(b)
     return ag._make(a.data * b.data, (a, b), lambda g: (ag._unbroadcast(g * b.data, a.data.shape),
                                                         ag._unbroadcast(g * a.data, b.data.shape)))
+
+
+def reference_adam_step(store, grads, state, lr, cfg):
+    """AdamW one owner at a time, as `optim.adam_step` did before the arena:
+    each owner's moments and value rebuilt as new arrays, in sorted owner
+    order.  The arena update must equal it bit for bit."""
+    trainable = {owner for owner, t in store.unique_items() if t.requires_grad}
+    unexpected = sorted(set(grads) - trainable)
+    if unexpected:
+        raise ValueError(f"gradient map mismatch: frozen or unknown owners {unexpected}")
+    for owner in sorted(grads):
+        p = store[owner]
+        g = np.asarray(grads[owner])
+        if g.shape != p.data.shape:
+            raise ValueError(
+                f"gradient shape {g.shape} does not match parameter {owner} shape {p.data.shape}"
+            )
+        s = state.slot(owner, p.data.shape)
+        s["t"] += 1
+        t = s["t"]
+        s["m"] = cfg.beta1 * s["m"] + (1.0 - cfg.beta1) * g
+        s["v"] = cfg.beta2 * s["v"] + (1.0 - cfg.beta2) * (g * g)
+        mhat = s["m"] / (1.0 - cfg.beta1 ** t)
+        vhat = s["v"] / (1.0 - cfg.beta2 ** t)
+        p.data = p.data - lr * (mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * p.data)
+
+
+def reference_backward(loss):
+    """`autograd.backward` as it was before the arena: every gradient starts
+    as zeros and takes `+=` of each contribution in tape order."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                stack.append((p, False))
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward is None:
+            continue
+        for parent, g in zip(node._parents, node._backward(node.grad)):
+            if g is None or not parent.requires_grad:
+                continue
+            if parent.grad is None:
+                parent.grad = np.zeros_like(parent.data)
+            parent.grad += g

@@ -6,8 +6,9 @@ Each test covers one release criterion and prints a single PASS/FAIL line
 
 import contextlib
 import json
+import resource
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -247,6 +248,25 @@ def test_overfit_runs():
             src, tgt = D.denoise_corrupt(seq, nc, rng)
             hyp = E.beam_search(den_plan.model, store, src, gc)
             assert hyp == tgt, f"sequence {i} not reconstructed exactly"
+
+
+def test_warm_desk_updates_fault_no_heap_pages():
+    """Desk 12+12 unfrozen updates run as one-step stages, as perfbench runs
+    them: once 2 have warmed the heap, 3 more fault fewer than 1,000 pages in
+    all.  Without `train_step`'s fixed malloc thresholds, a fresh process
+    took about 5,000 minor faults per update."""
+    with criterion("warm-desk-updates-fault-no-heap-pages", 10.0):
+        plan = P.desk_plan("2stage-bart-12e12d-unfrz")
+        stage = replace(plan.stages[-1], steps=1)
+        docs = S.pair_language(64, doc_len=24, seed=0)
+        store, opt = M.init_seq2seq(plan.model, 0), OptimState()
+        faults = []
+        for k in range(5):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            T.run_stage(plan.model, store, docs, replace(stage, lr_offset=k), seed=k,
+                        opt_state=opt)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert sum(faults[2:]) < 1000, faults
 
 
 def test_two_stage_unfreeze_direction():

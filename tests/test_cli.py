@@ -280,6 +280,20 @@ class TestPack:
         assert f"config field '{field}' must be an int, got {value!r}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("field, value, least", [("target_len", 1, 2), ("target_len", -3, 2),
+                                                     ("vocab_budget", 5, 6)])
+    def test_size_below_its_least_is_config_error_before_any_read(self, tmp_path, capsys,
+                                                                  field, value, least):
+        """A packed sequence holds at least two ids and a vocabulary the six
+        specials: a smaller size names its field before the corpus is read."""
+        cfgp = write_config(tmp_path / "pack.json",
+                            {"corpus": str(tmp_path / "unread.jsonl"),
+                             "out": str(tmp_path / "o"), field: value})
+        assert cli.main(["pack", "--config", cfgp]) == cli.EXIT_CONFIG
+        assert (f"config field '{field}' must be at least {least}, got {value}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("texts", [["", "  "], []])
     def test_corpus_without_tokens_is_config_error_before_out(self, tmp_path, capsys, texts):
         corpus = tmp_path / "corpus.jsonl"
@@ -886,6 +900,17 @@ class TestFinetuneEvaluate:
             "task": {"kind": "generation", "eval": str(tmp_path / "eval.jsonl")}})
         assert cli.main(["evaluate", "--config", evp]) == cli.EXIT_CONFIG
         assert "max_len 17 exceeds max_positions 16" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_evaluate_max_len_past_positions_names_the_field_before_the_eval_read(
+            self, tmp_path, capsys):
+        base = make_generation_task(tmp_path)
+        base["task"]["eval"] = str(tmp_path / "unread.jsonl")
+        evp = write_config(tmp_path / "ev.json", {"out": str(tmp_path / "o"), **base,
+                                                  "max_len": 17})
+        assert cli.main(["evaluate", "--config", evp]) == cli.EXIT_CONFIG
+        assert ("config field 'max_len': max_len 17 exceeds max_positions 16"
+                in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("verb, fields, field", [
