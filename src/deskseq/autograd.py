@@ -108,7 +108,9 @@ def backward(loss):
     node adopts its first contribution when that has the layout zeros would
     have (a strided one would change BLAS bits downstream); an adopted array
     may be another node's gradient too, so it is never written to, and a
-    second contribution makes a new array.  Any other leaf gets zeros.
+    second contribution makes a new array.  Any other leaf gets zeros.  A store
+    parameter's `.grad` is its arena slice every time: the next backward
+    overwrites it.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar, got shape {loss.data.shape}")

@@ -1,8 +1,10 @@
 """Checkpoint store: a manifest, `params.bin` and `optim.bin`, float64 only.
 
 `params.bin` holds each tie group's tensor once under its owner (the smallest
-name), `optim.bin` each AdamW slot's `m` then `v`: raw little-endian, owner order.
-A save is written to `<path>.partial`, then renamed; save-load-save is byte-identical."""
+name) and `optim.bin` each AdamW slot's `m` then `v`, raw little-endian in
+owner order.  A save is written into `<path>.partial`, then renamed to `<path>`.
+save -> load -> save is byte-identical.
+"""
 
 from __future__ import annotations
 

@@ -4,7 +4,8 @@ Moments live in two buffers laid out as the store's arena; `slots[owner]`
 holds views `m`, `v` into them and a step count `t` from the owner's first
 step, so a parameter unfrozen mid-plan starts from zero.  A step updates runs
 of arena neighbours with equal `t` in place, chunk by chunk, op for op as the
-per-tensor update: the bytes do not depend on the runs or the chunks."""
+per-tensor update: the bytes do not depend on the runs or the chunks.
+"""
 
 from __future__ import annotations
 
@@ -30,7 +31,11 @@ class OptimState:
     _moments: tuple = field(default=(None,), init=False, repr=False, compare=False)
 
     def slot(self, owner, shape):
-        return self.slots.setdefault(owner, {"m": np.zeros(shape), "v": np.zeros(shape), "t": 0})
+        s = self.slots.get(owner)
+        if s is None:
+            s = {"m": np.zeros(shape), "v": np.zeros(shape), "t": 0}
+            self.slots[owner] = s
+        return s
 
 
 def adam_step(store, grads, state, lr, cfg=AdamConfig()):
@@ -46,6 +51,11 @@ def adam_step(store, grads, state, lr, cfg=AdamConfig()):
     unexpected = sorted(set(grads) - trainable)
     if unexpected:
         raise ValueError(f"gradient map mismatch: frozen or unknown owners {unexpected}")
+    for owner, home in zip(arena.owners, arena.homes):  # before any state changes
+        g = grads.get(owner, home)
+        if g is not home and np.shape(g) != home.shape:
+            raise ValueError(f"gradient shape {np.shape(g)} does not match parameter "
+                             f"{owner} shape {home.shape}")
     if state._moments[0] is not arena:
         m, v = np.zeros(arena.bounds[-1]), np.zeros(arena.bounds[-1])
         state._moments = (arena, m, v, list(zip(arena.split(m), arena.split(v))))
@@ -54,12 +64,8 @@ def adam_step(store, grads, state, lr, cfg=AdamConfig()):
     for i, owner in enumerate(arena.owners):
         if owner not in grads:
             continue
-        g, home = grads[owner], arena.homes[i]
-        if g is not home:
-            if np.shape(g) != home.shape:
-                raise ValueError(f"gradient shape {np.shape(g)} does not match parameter "
-                                 f"{owner} shape {home.shape}")
-            home[...] = g  # not from `backward`, which writes there
+        if grads[owner] is not arena.homes[i]:  # not from `backward`, which writes there
+            arena.homes[i][...] = grads[owner]
         mv, vv = views[i]
         s = state.slots.setdefault(owner, {"m": mv, "v": vv, "t": 0})
         if s["m"] is not mv or s["v"] is not vv:  # moments held elsewhere: copied in

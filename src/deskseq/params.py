@@ -1,10 +1,16 @@
-"""Named parameter tensors with trainability flags and tie groups, in one arena.
+"""Named parameter tensors with trainability flags and tie groups.
 
-Tied names share one Tensor; a group's "owner" is its smallest name, and keys
-gradient maps and optimizer state.  A store that trains, and its copies, keep
-their owners in an arena: float64 data and gradient buffers in owner order (as
-`params.bin`).  Each owner's `.data` is a view into the first, and `backward`
-writes its gradient into its slice of the second."""
+Tied names refer to the *same* Tensor object, so mutation and gradient
+accumulation are shared automatically and trainability is uniform within a
+group by construction.  The canonical "owner" of a group is its
+lexicographically smallest name; gradient maps and optimizer state are keyed
+by owner.
+
+A store that trains keeps its owners in an arena, built at its first update:
+float64 data and gradient buffers in owner order (as `params.bin`).  Each
+owner's `.data` is a view into the first, and `backward` writes its gradient
+into its slice of the second.
+"""
 
 from __future__ import annotations
 
@@ -32,6 +38,8 @@ class ParameterStore:
         self._params: dict[str, Tensor] = {}
         self._groups_cache = self._arena = None
 
+    # -- construction -------------------------------------------------------
+
     def add(self, name, value, trainable=True):
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
@@ -47,6 +55,8 @@ class ParameterStore:
             raise ValueError(f"duplicate parameter name: {new_name}")
         self._params[new_name] = self._params[existing_name]
         self._groups_cache = self._arena = None
+
+    # -- access -------------------------------------------------------------
 
     def __contains__(self, name):
         return name in self._params
@@ -77,6 +87,8 @@ class ParameterStore:
     def trainable(self):
         return {n: t.requires_grad for n, t in self._params.items()}
 
+    # -- mutation -----------------------------------------------------------
+
     def arena(self):
         """The owners' arena, built after a layout change; rebound data is copied in."""
         a = self._arena = self._arena or _Arena(self.unique_items())
@@ -101,18 +113,18 @@ class ParameterStore:
             t.grad = None
 
     def gradient_map(self):
-        """{owner -> gradient array} for trainable parameters touched by backward."""
+        """{owner -> gradient array} for trainable parameters touched by backward.
+        The arrays are arena slices that the next backward overwrites: copy to keep."""
         return {owner: t.grad for owner, t in self.unique_items()
                 if t.requires_grad and t.grad is not None}
 
     def copy(self):
-        """Deep copy preserving ties, trainability and any arena; shares no memory."""
+        """Deep copy preserving tie structure and trainability; no arena until it trains."""
         clone = ParameterStore()
-        for owner, *tied in self._groups():
-            t = self._params[owner]  # an arena copies the data in
-            clone.add(owner, Tensor(t.data if self._arena else t.data.copy()), t.requires_grad)
-            for n in tied:
-                clone.tie(n, owner)
-        if self._arena:
-            clone.arena()
+        for group in self._groups():
+            t = self._params[group[0]]
+            nt = Tensor(t.data.copy())
+            nt.requires_grad = t.requires_grad
+            for n in group:
+                clone._params[n] = nt
         return clone

@@ -114,6 +114,26 @@ def test_unfrozen_owner_restarts_its_step_count_in_its_own_run():
     assert store["b"].data.tobytes() != store["a"].data.tobytes()
 
 
+def test_a_misshapen_gradient_changes_no_state():
+    """The shape check runs before any owner's gradient, slot or step count
+    changes, so the owners ahead of the misshapen one keep theirs."""
+    store = ParameterStore()
+    for n in ("a", "b", "c"):
+        store.add(n, np.ones(3))
+    state = OptimState()
+    adam_step(store, {n: np.full(3, 0.5) for n in "abc"}, state, 1e-2)
+    arena = store.arena()
+    before = (arena.data.copy(), arena.grad.copy(),
+              {n: (s["t"], s["m"].copy(), s["v"].copy()) for n, s in state.slots.items()})
+    with pytest.raises(ValueError, match="gradient shape \\(2,\\) does not match parameter c"):
+        adam_step(store, {"a": np.full(3, 0.25), "b": np.full(3, 0.25), "c": np.zeros(2)},
+                  state, 1e-2)
+    assert _bytes(arena.data) == _bytes(before[0]) and _bytes(arena.grad) == _bytes(before[1])
+    for n, (t, m, v) in before[2].items():
+        s = state.slots[n]
+        assert s["t"] == t and _bytes(s["m"]) == _bytes(m) and _bytes(s["v"]) == _bytes(v)
+
+
 # ---------------------------------------------------------------------------
 # gradients written into the arena
 

@@ -366,7 +366,8 @@ def test_full_seq2seq_gradients(rng):
 def _gradients(store, make_loss):
     store.zero_grad()
     ag.backward(make_loss())
-    return store.gradient_map()
+    # copies: the next backward on this store writes over its gradient arrays
+    return {owner: g.copy() for owner, g in store.gradient_map().items()}
 
 
 def _loss_cases(rng, fusion):
