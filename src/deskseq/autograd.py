@@ -209,9 +209,11 @@ def matmul(a, b):
 
 def linear(x, w, b):
     """Projection x @ w.T + b of activations [..., d_in] by a weight stored
-    [d_out, d_in] and a bias [d_out], as one tape node.  The backward makes
-    the numpy calls of the transpose -> matmul -> add chain, so every gradient
-    equals that chain's bit for bit."""
+    [d_out, d_in] and a bias [d_out], as one tape node.  The leading axes fold
+    into rows, so forward and backward each run one 2-D GEMM over all rows:
+    they make the numpy calls of the chain reshape to [rows, d_in] -> matmul
+    by the transposed weight -> add -> reshape back, and the output and every
+    gradient equal that chain's bit for bit."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if w.data.ndim != 2:
         raise ShapeError(f"linear weight must be 2-D [d_out, d_in], got {w.data.shape}")
@@ -219,13 +221,14 @@ def linear(x, w, b):
         raise ShapeError(f"linear bias {b.data.shape} does not match weight {w.data.shape}")
     if x.data.ndim < 2 or x.data.shape[-1] != w.data.shape[1]:
         raise ShapeError(f"linear input {x.data.shape} does not match weight {w.data.shape}")
-    out = np.matmul(x.data, w.data.T) + b.data
+    x2 = x.data.reshape(-1, w.data.shape[1])  # a view unless x's rows are scattered
+    out = (np.matmul(x2, w.data.T) + b.data).reshape(*x.data.shape[:-1], w.data.shape[0])
 
     def bwd(g):
-        gx = np.matmul(g, w.data) if x.requires_grad else None
-        gw = (_unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.data.shape[::-1]).T
-              if w.requires_grad else None)
-        return gx, gw, _unbroadcast(g, b.data.shape) if b.requires_grad else None
+        g2 = g.reshape(-1, w.data.shape[0])
+        gx = np.matmul(g2, w.data).reshape(x.data.shape) if x.requires_grad else None
+        gw = np.matmul(x2.T, g2).T if w.requires_grad else None
+        return gx, gw, g2.sum(axis=0) if b.requires_grad else None
 
     return _make(out, (x, w, b), bwd)
 

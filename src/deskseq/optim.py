@@ -47,15 +47,14 @@ def adam_step(store, grads, state, lr, cfg=AdamConfig()):
     value, moments and step count: no step and no weight decay.
     """
     arena = store.arena()
-    trainable = {o for o, t in zip(arena.owners, arena.tensors) if t.requires_grad}
-    unexpected = sorted(set(grads) - trainable)
+    homes = {o: h for o, h, t in zip(arena.owners, arena.homes, arena.tensors) if t.requires_grad}
+    unexpected = sorted(set(grads) - set(homes))
     if unexpected:
         raise ValueError(f"gradient map mismatch: frozen or unknown owners {unexpected}")
-    for owner, home in zip(arena.owners, arena.homes):  # before any state changes
-        g = grads.get(owner, home)
-        if g is not home and np.shape(g) != home.shape:
+    for owner, g in grads.items():  # before any state changes
+        if g is not homes[owner] and np.shape(g) != homes[owner].shape:
             raise ValueError(f"gradient shape {np.shape(g)} does not match parameter "
-                             f"{owner} shape {home.shape}")
+                             f"{owner} shape {homes[owner].shape}")
     if state._moments[0] is not arena:
         m, v = np.zeros(arena.bounds[-1]), np.zeros(arena.bounds[-1])
         state._moments = (arena, m, v, list(zip(arena.split(m), arena.split(v))))
@@ -91,5 +90,7 @@ def _update(p, g, m, v, a, b, t, lr, cfg):
     np.add(np.multiply(v, cfg.beta2, out=v), a, out=v)
     np.divide(m, 1.0 - cfg.beta1 ** t, out=a)
     np.add(np.sqrt(np.divide(v, 1.0 - cfg.beta2 ** t, out=b), out=b), cfg.eps, out=b)
-    np.add(np.divide(a, b, out=a), np.multiply(p, cfg.weight_decay, out=b), out=a)
+    np.divide(a, b, out=a)
+    if cfg.weight_decay:  # at 0, wd p is ±0 for a finite p and changes no bit of it
+        np.add(a, np.multiply(p, cfg.weight_decay, out=b), out=a)
     np.subtract(p, np.multiply(a, lr, out=a), out=p)

@@ -123,8 +123,7 @@ class ParameterStore:
         clone = ParameterStore()
         for group in self._groups():
             t = self._params[group[0]]
-            nt = Tensor(t.data.copy())
-            nt.requires_grad = t.requires_grad
+            nt = Tensor(t.data.copy(), requires_grad=t.requires_grad)
             for n in group:
                 clone._params[n] = nt
         return clone

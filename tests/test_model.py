@@ -400,8 +400,9 @@ def _loss_cases(rng, fusion):
 @pytest.mark.parametrize("fusion", [False, True])
 def test_linear_gradients_equal_the_composed_projection(rng, monkeypatch, fusion):
     """Every projection is one `linear` node; gradients of denoise and MLM
-    losses keep the bytes of the transpose -> matmul -> add projection, except
-    where three contributions to one tied table now sum in another order."""
+    losses keep the bytes of the reshape -> matmul -> add -> reshape projection
+    over all rows, except where three contributions to one tied table sum in
+    another order."""
     cases = _loss_cases(rng, fusion)
     fused = {k: _gradients(store, lambda: loss(store)) for k, (store, loss) in cases.items()}
     monkeypatch.setattr(ag, "linear", composed_linear)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deskseq import autograd as ag
@@ -84,11 +84,28 @@ class TestLinear:
            d_in=st.integers(1, 9), d_out=st.integers(1, 9))
     def test_output_and_gradients_equal_the_composed_chain_bit_for_bit(
             self, seed, lead, d_in, d_out):
-        """2-D and 3-D inputs: one node gives the bytes of transpose -> matmul -> add."""
+        """2-D and 3-D inputs: one node gives the bytes of the 2-D chain reshape ->
+        matmul -> add -> reshape."""
         results = []
         for project in (ag.linear, composed_linear):
             x, w, b, weights = _linear_operands(seed, lead, d_in, d_out)
             out = project(x, w, b)
+            ag.backward(sum_all(mul(out, Tensor(weights))))
+            results.append([t.tobytes() for t in (out.data, x.grad, w.grad, b.grad)])
+        assert results[0] == results[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           lead=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+           d_in=st.integers(1, 40), d_out=st.integers(1, 9))
+    @example(seed=0, lead=[3, 1], d_in=8, d_out=4)  # per-item 1-row GEMMs give other bytes
+    def test_leading_axes_fold_into_rows_bit_for_bit(self, seed, lead, d_in, d_out):
+        """[*lead, d_in] gives the bytes of the same rows as [prod(lead), d_in]:
+        one GEMM over all rows, forward and backward, whatever the lead axes."""
+        results = []
+        for shape in (tuple(lead), (int(np.prod(lead)),)):
+            x, w, b, weights = _linear_operands(seed, shape, d_in, d_out)
+            out = ag.linear(x, w, b)
             ag.backward(sum_all(mul(out, Tensor(weights))))
             results.append([t.tobytes() for t in (out.data, x.grad, w.grad, b.grad)])
         assert results[0] == results[1]
