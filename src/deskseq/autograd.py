@@ -2,8 +2,12 @@
 
 Tensors wrap numpy arrays; every differentiable op records its inputs and a
 closure computing input gradients, forming an implicit tape that `backward`
-replays in reverse topological order.  Single-threaded by contract so that
-identical seeds and inputs give bit-identical values and gradients.
+replays in reverse topological order.  The Python side is single-threaded,
+so identical seeds and inputs give bit-identical values and gradients as far
+as BLAS does.  BLAS threads: the tests (`tests/conftest.py`) and perfbench
+(`perfbench/run.py`) pin OpenBLAS to one thread; the command line leaves its
+default.  The desk chains gave the same bytes at one and at two threads on a
+2-core machine, but a BLAS may split a larger GEMM by thread count.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import numpy as np
 from scipy.special import erf
 
 IGNORE = -1  # label sentinel outside any vocabulary range
+LN_EPS = 1e-5  # added to each row's variance by `layer_norm`
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -315,20 +320,18 @@ def gelu(a):
     return _make(out, (a,), bwd)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
-    """Per-row (last axis) zero-mean/unit-variance normalization, then affine."""
+def layer_norm(x, gain, bias):
+    """Per-row (last axis) zero-mean/unit-variance (+ LN_EPS) normalization, then affine."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(
             f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} do not match feature dim {d}"
         )
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
     # the reductions np.mean and np.var make, with the centring done once
     xc = x.data - x.data.sum(axis=-1, keepdims=True) / d
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 
@@ -344,14 +347,14 @@ def layer_norm(x, gain, bias, eps=1e-5):
     return _make(out, (x, gain, bias), bwd)
 
 
-def softmax(a, axis=-1):
+def softmax(a):  # over the last axis
     a = as_tensor(a)
-    z = a.data - a.data.max(axis=axis, keepdims=True)
+    z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
+        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
 
     return _make(y, (a,), bwd)
 
@@ -422,7 +425,7 @@ def mix(states, weights):
     return _make(out, (weights, *states), bwd)
 
 
-def softmax_cross_entropy(logits, labels, ignore_index=IGNORE):
+def softmax_cross_entropy(logits, labels):
     """Mean negative log-likelihood over positions whose label is not IGNORE.
 
     All-IGNORE batches yield loss 0 with zero gradient.
@@ -434,7 +437,7 @@ def softmax_cross_entropy(logits, labels, ignore_index=IGNORE):
     n, v = logits.data.shape
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match {n} logit rows")
-    valid = labels != ignore_index
+    valid = labels != IGNORE
     if valid.any():
         lv = labels[valid]
         if lv.min() < 0 or lv.max() >= v:

@@ -299,15 +299,27 @@ def cmd_cost(out, cfg=None):
 # finetune / evaluate
 
 
-# the fields of a task row, by kind: each a string or a list of strings
+# the fields of a task row, by kind: each a string or a list of strings; the
+# first is the encoder input
 _ROW_FIELDS = {"generation": {"source": str, "target": str},
                "classification": {"text": str, "label": str},
                "labeling": {"tokens": list, "labels": list}}
 
 
-def _read_task(cfg, split, vocab, labels=None):
+def _read_vocab(cfg, mcfg):
+    """The vocabulary of config field `vocab`: no larger than the checkpoint's."""
+    vocab = _read(cfg, "vocab", D.Vocab.load)
+    if len(vocab) > mcfg.vocab_size:
+        raise ConfigError(f"config field 'vocab': {len(vocab)} tokens, more than "
+                          f"vocab_size {mcfg.vocab_size} of the checkpoint")
+    return vocab
+
+
+def _read_task(cfg, split, vocab, mcfg, labels=None, teacher_forced=False):
     """(kind, items, labels) of a split, its words encoded by `vocab`; ids
-    index `labels`, else the split's sorted labels."""
+    index `labels`, else the split's sorted labels.  Each encoder input must
+    fit the positions of the checkpoint config `mcfg`, and with
+    `teacher_forced` each generation target too, after BOS."""
     task = _require(cfg, "task")
     kind = _require(task, "kind")
     if kind not in _ROW_FIELDS:
@@ -326,15 +338,21 @@ def _read_task(cfg, split, vocab, labels=None):
                 raise ConfigError(f"{where} field '{key}' must be "
                                   f"{'a string' if typ is str else 'a list of strings'}, "
                                   f"got {value!r}")
+        source = r[next(iter(_ROW_FIELDS[kind]))]
+        n_source = len(source if kind == "labeling" else D.tokenize(source))
         # an encoder input without a token gives no state to score or decode from
-        if kind == "labeling":
-            if not r["tokens"]:
-                raise ConfigError(f"{where} has no tokens")
-            if len(r["labels"]) != len(r["tokens"]):
-                raise ConfigError(f"{where} has {len(r['tokens'])} tokens "
-                                  f"but {len(r['labels'])} labels")
-        elif not D.tokenize(r["text" if kind == "classification" else "source"]):
+        if not n_source:
             raise ConfigError(f"{where} has no tokens")
+        if kind == "labeling" and len(r["labels"]) != n_source:
+            raise ConfigError(f"{where} has {n_source} tokens but {len(r['labels'])} labels")
+        if n_source > mcfg.max_positions:
+            raise ConfigError(f"{where} has {n_source} tokens, more than "
+                              f"max_positions {mcfg.max_positions} of the checkpoint")
+        if teacher_forced and kind == "generation":
+            n_target = len(D.tokenize(r["target"])) + 1  # the decoder input gains BOS
+            if n_target > mcfg.max_positions:
+                raise ConfigError(f"{where} target has {n_target} tokens with BOS, more than "
+                                  f"max_positions {mcfg.max_positions} of the checkpoint")
     if kind == "generation":
         return kind, [(vocab.encode(D.tokenize(r["source"])),
                        vocab.encode(D.tokenize(r["target"]))) for r in rows], None
@@ -362,9 +380,9 @@ def cmd_finetune(cfg):
                           f"ints, got {seeds!r}")
     fcfg = _build(E.FinetuneConfig, cfg.get("finetune", {}), "finetune")
     mcfg, store, _, _ = _read(cfg, "checkpoint", C.load)
-    vocab = _read(cfg, "vocab", D.Vocab.load)
-    kind, train_set, labels = _read_task(cfg, "train", vocab)
-    _, dev_set, _ = _read_task(cfg, "dev", vocab, labels)
+    vocab = _read_vocab(cfg, mcfg)
+    kind, train_set, labels = _read_task(cfg, "train", vocab, mcfg, teacher_forced=True)
+    _, dev_set, _ = _read_task(cfg, "dev", vocab, mcfg, labels, teacher_forced=True)
     values = []
     for seed in seeds:
         if kind == "generation":
@@ -409,8 +427,8 @@ def cmd_evaluate(cfg):
         if gc.max_len > mcfg.max_positions:  # before the eval split is read
             raise ConfigError(f"config field 'max_len': max_len {gc.max_len} exceeds "
                               f"max_positions {mcfg.max_positions} of the checkpoint")
-    vocab = _read(cfg, "vocab", D.Vocab.load)
-    kind, eval_set, labels = _read_task(cfg, "eval", vocab, labels)
+    vocab = _read_vocab(cfg, mcfg)
+    kind, eval_set, labels = _read_task(cfg, "eval", vocab, mcfg, labels)
     records = []
     if kind == "generation":
         scores = []  # one (sciem, rouge1, rouge2, rougeL) per item

@@ -24,9 +24,11 @@ class Vocab:
     def __init__(self, tokens):
         """`tokens` is the ordered non-special token list."""
         self.id_to_token = list(SPECIAL_TOKENS) + list(tokens)
-        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
-        if len(self.token_to_id) != len(self.id_to_token):
+        if len(set(self.id_to_token)) != len(self.id_to_token):
             raise ValueError("duplicate tokens in vocabulary")
+        # a word that spells a special token is text: only the program
+        # inserts special ids, so the word encodes as UNK
+        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token) if i >= NUM_SPECIALS}
 
     def __len__(self):
         return len(self.id_to_token)
@@ -64,7 +66,8 @@ def tokenize(text):
 def build_vocab(docs, budget):
     """Deterministic vocabulary: specials, then tokens by (freq desc, lex asc).
 
-    `docs` is an iterable of token lists.
+    `docs` is an iterable of token lists.  A word that spells a special token
+    is not counted: it encodes as UNK.
     """
     if budget < NUM_SPECIALS:
         raise ValueError(f"vocab budget {budget} smaller than {NUM_SPECIALS} specials")
@@ -76,6 +79,8 @@ def build_vocab(docs, budget):
             counts[tok] = counts.get(tok, 0) + 1
     if empty:
         raise ValueError("cannot build a vocabulary from an empty corpus")
+    for special in SPECIAL_TOKENS:
+        counts.pop(special, None)
     ordered = sorted(counts, key=lambda t: (-counts[t], t))
     return Vocab(ordered[: budget - NUM_SPECIALS])
 
@@ -173,34 +178,26 @@ def mlm_corrupt(ids, nc, rng, vocab_size):
     return out, labels
 
 
-def denoise_corrupt(ids, nc, rng, forced_spans=None, span_log=None):
-    """Span corruption for seq2seq de-noising.
-
-    Samples zero-truncated Poisson(lambda) span lengths at unselected
-    non-special starts until >= ratio * len tokens are selected (the final span
-    may overshoot); spans never cross DOC boundaries or already-selected
-    positions.  SPAN_DROP removes the selected tokens; SPAN_MASK collapses each
-    contiguous selected run to a single MASK.  The target is always the
-    original sequence.
-
-    `forced_spans` (list of (start, end) half-open) bypasses sampling, for
-    deterministic tests.  `span_log`, when given a list, receives the realized
-    (start, end) of every sampled span.
-    """
+def denoise_corrupt(ids, nc, rng):
+    """Span corruption for seq2seq de-noising: `_apply_spans` of `_draw_spans`."""
     if nc.mode not in (SPAN_DROP, SPAN_MASK):
         raise ValueError(f"denoise_corrupt needs a span mode, got {nc.mode}")
     ids = list(ids)
     if not ids:
         raise ValueError("cannot corrupt an empty sequence")
-    n = len(ids)
-    arr = np.asarray(ids)
-    selectable = arr >= NUM_SPECIALS
-    selected = np.zeros(n, dtype=bool)
+    return _apply_spans(ids, nc, _draw_spans(ids, nc, rng))
 
-    if forced_spans is not None:
-        for s, e in forced_spans:
-            selected[s:e] = True
-    elif selectable.any():
+
+def _draw_spans(ids, nc, rng):
+    """(start, end) half-open spans in draw order: zero-truncated Poisson(lambda)
+    span lengths at unselected non-special starts until >= ratio * len tokens are
+    selected (the final span may overshoot); spans never cross DOC boundaries or
+    already-selected positions."""
+    n = len(ids)
+    selectable = np.asarray(ids) >= NUM_SPECIALS
+    selected = np.zeros(n, dtype=bool)
+    spans = []
+    if selectable.any():
         budget = nc.corruption_ratio * n
         while selected.sum() < budget:
             candidates = np.flatnonzero(selectable & ~selected)
@@ -214,9 +211,16 @@ def denoise_corrupt(ids, nc, rng, forced_spans=None, span_log=None):
             while end < n and end - start < length and selectable[end] and not selected[end]:
                 end += 1
             selected[start:end] = True
-            if span_log is not None and end > start:
-                span_log.append((start, end))
+            spans.append((start, end))
+    return spans
 
+
+def _apply_spans(ids, nc, spans):
+    """(source, target): SPAN_DROP drops the spans, SPAN_MASK puts one MASK per run."""
+    arr = np.asarray(ids)
+    selected = np.zeros(len(arr), dtype=bool)
+    for s, e in spans:
+        selected[s:e] = True
     keep = ~selected
     if nc.mode == SPAN_MASK:  # and the first position of each selected run
         keep |= selected & ~np.concatenate(([False], selected[:-1]))

@@ -17,7 +17,7 @@ from . import autograd as ag
 from . import data as D
 from . import model as M
 from . import train as T
-from .optim import AdamConfig, OptimState
+from .optim import OptimState
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +189,11 @@ def beam_search(cfg, store, src_ids, gc):
     return finished[0][0]
 
 
-def perplexity(cfg, store, pairs, batch_size=16):
+def perplexity(cfg, store, pairs):
     """exp(mean token NLL) over teacher-forced (source, target) pairs."""
     if not pairs:
         raise ValueError("perplexity needs a nonempty stream")
-    return float(np.exp(T.eval_denoise_loss(cfg, store, pairs, batch_size)))
+    return float(np.exp(T.eval_denoise_loss(cfg, store, pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +231,6 @@ def _finetune(ft, train_set, fcfg, seed, warmup_kind, batch_loss, dev_metric):
     a copy of the best-scoring store.  The loop stops after the epoch that
     spends the update budget.  Returns (best store, record).
     """
-    adam = AdamConfig(weight_decay=fcfg.weight_decay)
     opt = OptimState()
     total = min(fcfg.max_updates, fcfg.epochs * math.ceil(len(train_set) / fcfg.batch_size))
     sched = T.LrSchedule(peak=fcfg.peak_lr, total_steps=total,
@@ -246,7 +245,8 @@ def _finetune(ft, train_set, fcfg, seed, warmup_kind, batch_loss, dev_metric):
                 break
             batch = [train_set[i] for i in order[lo : lo + fcfg.batch_size]]
             loss = batch_loss(batch, np.random.default_rng(D.seed_for(seed, step)))
-            T.train_step(ft, loss, opt, T.lr_at(sched, step), adam, f"fine-tune step {step}")
+            T.train_step(ft, loss, opt, T.lr_at(sched, step), fcfg.weight_decay,
+                         f"fine-tune step {step}")
             step += 1
         value = dev_metric()
         history.append(value)

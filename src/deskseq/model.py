@@ -31,6 +31,7 @@ STANDARD = "standard"
 FUSION = "fusion"
 
 NEG_INF = -1e9  # additive mask value; exp() underflows to exactly 0
+INIT_STD = 0.02  # of every initial weight matrix and embedding table
 
 
 @dataclass
@@ -58,13 +59,13 @@ class ModelConfig:
 # initialization
 
 
-def trunc_normal(rng, shape, std=0.02):
-    """normal(0, std) truncated at +-2 std via rejection resampling."""
-    out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
+def trunc_normal(rng, shape):
+    """normal(0, INIT_STD) truncated at +-2 INIT_STD via rejection resampling."""
+    out = rng.normal(0.0, INIT_STD, size=shape)
+    bad = np.abs(out) > 2.0 * INIT_STD
     while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * INIT_STD
     return out
 
 

@@ -14,14 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _CHUNK = 65536  # elements per pass: the six arrays of a pass stay in cache
-
-
-@dataclass
-class AdamConfig:
-    beta1: float = 0.9
-    beta2: float = 0.99
-    eps: float = 1e-8
-    weight_decay: float = 0.0
+BETA1, BETA2, EPS = 0.9, 0.99, 1e-8
 
 
 @dataclass
@@ -30,15 +23,8 @@ class OptimState:
     # (arena, m buffer, v buffer, per arena owner its (m, v) views)
     _moments: tuple = field(default=(None,), init=False, repr=False, compare=False)
 
-    def slot(self, owner, shape):
-        s = self.slots.get(owner)
-        if s is None:
-            s = {"m": np.zeros(shape), "v": np.zeros(shape), "t": 0}
-            self.slots[owner] = s
-        return s
 
-
-def adam_step(store, grads, state, lr, cfg=AdamConfig()):
+def adam_step(store, grads, state, lr, weight_decay):
     """One AdamW update of the trainable parameters that `grads` names.
 
     `grads` is keyed by owner name and may name only trainable owners, so
@@ -79,18 +65,18 @@ def adam_step(store, grads, state, lr, cfg=AdamConfig()):
         for c in range(lo, hi, _CHUNK):
             e = min(c + _CHUNK, hi)
             _update(arena.data[c:e], arena.grad[c:e], m[c:e], v[c:e], a[:e - c], b[:e - c],
-                    t, lr, cfg)
+                    t, lr, weight_decay)
 
 
-def _update(p, g, m, v, a, b, t, lr, cfg):
+def _update(p, g, m, v, a, b, t, lr, wd):
     """In place, `a` and `b` scratch: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
     p = p - lr (m / (1 - b1^t) / (sqrt(v / (1 - b2^t)) + eps) + wd p)."""
-    np.add(np.multiply(m, cfg.beta1, out=m), np.multiply(g, 1.0 - cfg.beta1, out=a), out=m)
-    np.multiply(np.multiply(g, g, out=a), 1.0 - cfg.beta2, out=a)
-    np.add(np.multiply(v, cfg.beta2, out=v), a, out=v)
-    np.divide(m, 1.0 - cfg.beta1 ** t, out=a)
-    np.add(np.sqrt(np.divide(v, 1.0 - cfg.beta2 ** t, out=b), out=b), cfg.eps, out=b)
+    np.add(np.multiply(m, BETA1, out=m), np.multiply(g, 1.0 - BETA1, out=a), out=m)
+    np.multiply(np.multiply(g, g, out=a), 1.0 - BETA2, out=a)
+    np.add(np.multiply(v, BETA2, out=v), a, out=v)
+    np.divide(m, 1.0 - BETA1 ** t, out=a)
+    np.add(np.sqrt(np.divide(v, 1.0 - BETA2 ** t, out=b), out=b), EPS, out=b)
     np.divide(a, b, out=a)
-    if cfg.weight_decay:  # at 0, wd p is ±0 for a finite p and changes no bit of it
-        np.add(a, np.multiply(p, cfg.weight_decay, out=b), out=a)
+    if wd:  # at 0, wd p is ±0 for a finite p and changes no bit of it
+        np.add(a, np.multiply(p, wd, out=b), out=a)
     np.subtract(p, np.multiply(a, lr, out=a), out=p)

@@ -18,7 +18,7 @@ import numpy as np
 from . import autograd as ag
 from . import data as D
 from . import model as M
-from .optim import AdamConfig, OptimState, adam_step
+from .optim import OptimState, adam_step
 
 
 class TrainingDiverged(RuntimeError):
@@ -219,7 +219,7 @@ def _pin_heap():
         mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
 
 
-def train_step(store, loss, opt_state, lr, adam, where):
+def train_step(store, loss, opt_state, lr, weight_decay, where):
     """One AdamW update of `store` from a scalar loss; returns the loss value.
     Raises TrainingDiverged, naming `where`, before touching any parameter if
     the loss is not finite.  Gradients and the update go through the store's
@@ -230,7 +230,7 @@ def train_step(store, loss, opt_state, lr, adam, where):
     _pin_heap()
     store.zero_grad()
     ag.backward(loss)
-    adam_step(store, store.gradient_map(), opt_state, lr, adam)
+    adam_step(store, store.gradient_map(), opt_state, lr, weight_decay)
     return value
 
 
@@ -259,7 +259,7 @@ def run_stage(cfg, store, sequences, stage, seed, opt_state=None, step_base=0):
         else:
             src, src_mask, dec_in, labels = make_denoise_batch(batch_seqs, stage.noise, slot_rngs)
             loss = denoise_step_loss(cfg, store, src, src_mask, dec_in, labels, train_rng=drop_rng)
-        value = train_step(store, loss, opt_state, lr, AdamConfig(),
+        value = train_step(store, loss, opt_state, lr, 0.0,
                            f"stage '{stage.name}' step {step_base + step}")
         trace.append({"step": step_base + step, "stage": stage.name,
                       "lr": lr, "loss": value})
@@ -304,13 +304,15 @@ def run_plan(plan, sequences, seed, donor=None, on_stage_end=None):
 # ---------------------------------------------------------------------------
 # evaluation helpers
 
+_EVAL_BATCH = 16  # pairs per teacher-forced forward
 
-def eval_denoise_loss(cfg, store, pairs, batch_size=16):
+
+def eval_denoise_loss(cfg, store, pairs):
     """Teacher-forced mean token NLL over fixed (source, target) pairs."""
     total_nll, total_tok = 0.0, 0
     with ag.no_grad():
-        for i in range(0, len(pairs), batch_size):
-            src, src_mask, dec_in, labels = pad_pairs(pairs[i : i + batch_size])
+        for i in range(0, len(pairs), _EVAL_BATCH):
+            src, src_mask, dec_in, labels = pad_pairs(pairs[i : i + _EVAL_BATCH])
             loss = denoise_step_loss(cfg, store, src, src_mask, dec_in, labels)
             n = int((labels != ag.IGNORE).sum())
             total_nll += loss.item() * n

@@ -1,3 +1,9 @@
+import os
+
+# one BLAS thread, as perfbench/run.py pins: threaded desk-size GEMMs nearly
+# double the CPU time for little wall time (set before numpy loads BLAS)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 
@@ -73,7 +79,7 @@ def composed_attention(q, k, v, heads, mask=None):
                       1.0 / np.sqrt(hd))
     if mask is not None:
         scores = ag.add(scores, ag.Tensor(mask))
-    ctx = ag.matmul(ag.softmax(scores, axis=-1), split(v))
+    ctx = ag.matmul(ag.softmax(scores), split(v))
     return ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)), (b, tq, d))
 
 
@@ -104,10 +110,21 @@ def mul(a, b):
                                                         ag._unbroadcast(g * a.data, b.data.shape)))
 
 
-def reference_adam_step(store, grads, state, lr, cfg):
-    """AdamW one owner at a time, as `optim.adam_step` did before the arena:
-    each owner's moments and value rebuilt as new arrays, in sorted owner
-    order.  The arena update must equal it bit for bit."""
+def slot(state, owner, shape):
+    """The AdamW slot of `owner` in `state`, made with zero moments at step 0
+    if it has none."""
+    s = state.slots.get(owner)
+    if s is None:
+        s = {"m": np.zeros(shape), "v": np.zeros(shape), "t": 0}
+        state.slots[owner] = s
+    return s
+
+
+def reference_adam_step(store, grads, state, lr, weight_decay):
+    """AdamW (beta1 0.9, beta2 0.99, eps 1e-8) one owner at a time, as
+    `optim.adam_step` did before the arena: each owner's moments and value
+    rebuilt as new arrays, in sorted owner order.  The arena update must equal
+    it bit for bit."""
     trainable = {owner for owner, t in store.unique_items() if t.requires_grad}
     unexpected = sorted(set(grads) - trainable)
     if unexpected:
@@ -119,14 +136,14 @@ def reference_adam_step(store, grads, state, lr, cfg):
             raise ValueError(
                 f"gradient shape {g.shape} does not match parameter {owner} shape {p.data.shape}"
             )
-        s = state.slot(owner, p.data.shape)
+        s = slot(state, owner, p.data.shape)
         s["t"] += 1
         t = s["t"]
-        s["m"] = cfg.beta1 * s["m"] + (1.0 - cfg.beta1) * g
-        s["v"] = cfg.beta2 * s["v"] + (1.0 - cfg.beta2) * (g * g)
-        mhat = s["m"] / (1.0 - cfg.beta1 ** t)
-        vhat = s["v"] / (1.0 - cfg.beta2 ** t)
-        p.data = p.data - lr * (mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * p.data)
+        s["m"] = 0.9 * s["m"] + (1.0 - 0.9) * g
+        s["v"] = 0.99 * s["v"] + (1.0 - 0.99) * (g * g)
+        mhat = s["m"] / (1.0 - 0.9 ** t)
+        vhat = s["v"] / (1.0 - 0.99 ** t)
+        p.data = p.data - lr * (mhat / (np.sqrt(vhat) + 1e-8) + weight_decay * p.data)
 
 
 def reference_backward(loss):

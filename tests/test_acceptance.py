@@ -181,8 +181,8 @@ def test_corruption_statistics():
             covered = total = 0
             for i in range(n_tokens // 500):
                 ids = list(rng.integers(6, 256, size=500))
-                log = []
-                src, tgt = D.denoise_corrupt(ids, nc, rng, span_log=log)
+                log = D._draw_spans(ids, nc, rng)
+                src, tgt = D._apply_spans(ids, nc, log)
                 assert tgt == ids  # target always equals the original
                 covered += sum(e - s for s, e in log)
                 total += len(ids)

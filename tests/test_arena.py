@@ -17,7 +17,7 @@ from deskseq import model as M
 from deskseq import optim as O
 from deskseq import train as T
 from deskseq.autograd import Tensor
-from deskseq.optim import AdamConfig, OptimState, adam_step
+from deskseq.optim import OptimState, adam_step
 from deskseq.params import ParameterStore
 
 from conftest import mul, reference_adam_step, reference_backward, sum_all
@@ -74,7 +74,6 @@ def test_adam_step_equals_the_per_owner_reference_bit_for_bit(data, seed, weight
     frozen_until = {o: data.draw(st.integers(0, 3)) for o in owners}
     steps = data.draw(st.integers(1, 4))
     reload_at = data.draw(st.integers(0, steps))
-    cfg = AdamConfig(weight_decay=weight_decay)
     state, ref_state = OptimState(), OptimState()
     with mock.patch.object(O, "_CHUNK", chunk), tempfile.TemporaryDirectory() as tmp:
         for step in range(steps):
@@ -94,8 +93,8 @@ def test_adam_step_equals_the_per_owner_reference_bit_for_bit(data, seed, weight
                     home = arena.homes[arena.owners.index(o)]
                     home[...] = grads[o]
                     mine[o] = home
-            adam_step(store, mine, state, 1e-2, cfg)
-            reference_adam_step(ref, grads, ref_state, 1e-2, cfg)
+            adam_step(store, mine, state, 1e-2, weight_decay)
+            reference_adam_step(ref, grads, ref_state, 1e-2, weight_decay)
             _same_state(store, ref, state, ref_state)
 
 
@@ -106,9 +105,9 @@ def test_unfrozen_owner_restarts_its_step_count_in_its_own_run():
     state, g = OptimState(), {n: np.full(3, 0.5) for n in "abc"}
     store.set_trainable("b", False)
     for _ in range(2):
-        adam_step(store, {n: g[n] for n in "ac"}, state, 1e-2)
+        adam_step(store, {n: g[n] for n in "ac"}, state, 1e-2, 0.0)
     store.set_trainable("b", True)
-    adam_step(store, g, state, 1e-2)
+    adam_step(store, g, state, 1e-2, 0.0)
     assert [state.slots[n]["t"] for n in "abc"] == [3, 1, 3]
     assert store["a"].data.tobytes() == store["c"].data.tobytes()
     assert store["b"].data.tobytes() != store["a"].data.tobytes()
@@ -121,13 +120,13 @@ def test_a_misshapen_gradient_changes_no_state():
     for n in ("a", "b", "c"):
         store.add(n, np.ones(3))
     state = OptimState()
-    adam_step(store, {n: np.full(3, 0.5) for n in "abc"}, state, 1e-2)
+    adam_step(store, {n: np.full(3, 0.5) for n in "abc"}, state, 1e-2, 0.0)
     arena = store.arena()
     before = (arena.data.copy(), arena.grad.copy(),
               {n: (s["t"], s["m"].copy(), s["v"].copy()) for n, s in state.slots.items()})
     with pytest.raises(ValueError, match="gradient shape \\(2,\\) does not match parameter c"):
         adam_step(store, {"a": np.full(3, 0.25), "b": np.full(3, 0.25), "c": np.zeros(2)},
-                  state, 1e-2)
+                  state, 1e-2, 0.0)
     assert _bytes(arena.data) == _bytes(before[0]) and _bytes(arena.grad) == _bytes(before[1])
     for n, (t, m, v) in before[2].items():
         s = state.slots[n]
@@ -230,7 +229,7 @@ def _train_once(store, rng):
     tokens = rng.integers(6, TINY.vocab_size, size=(2, 5))
     opt = OptimState()
     T.train_step(store, T.mlm_step_loss(TINY, store, tokens, tokens, tokens != 0), opt, 1e-2,
-                 AdamConfig(), "step")
+                 0.0, "step")
     return opt
 
 

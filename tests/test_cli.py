@@ -20,6 +20,8 @@ from deskseq import model as M
 from deskseq import synth as S
 from deskseq.optim import OptimState
 
+from conftest import slot
+
 
 def write_config(path, body):
     body = {"version": cli.CONFIG_VERSION, **body}
@@ -259,6 +261,28 @@ class TestPack:
                                  "out": str(tmp_path / d), "target_len": 8})
             assert cli.main(["pack", "--config", cfgp]) == cli.EXIT_OK
         assert tree_bytes(tmp_path / "p1") == tree_bytes(tmp_path / "p2")
+
+    @pytest.mark.parametrize("count", [1, 40])
+    @pytest.mark.parametrize("word", D.SPECIAL_TOKENS)
+    def test_a_word_that_spells_a_special_token_packs_as_unk(self, tmp_path, capsys, word,
+                                                             count):
+        """Only the program inserts special ids: a corpus word `<pad>`, `[DOC]`
+        and the like is text, rare or frequent, and encodes as `<unk>`."""
+        corpus = tmp_path / "corpus.jsonl"
+        D.write_jsonl(corpus, [{"text": f"b c {word} a [DOC] b <mask> c", "lang": "en"},
+                               {"text": " ".join([word] * (count - 1) + ["a"]), "lang": "en"}])
+        cfgp = write_config(tmp_path / "pack.json", {"corpus": str(corpus), "target_len": 8,
+                                                     "out": str(tmp_path / "o")})
+        assert cli.main(["pack", "--config", cfgp]) == cli.EXIT_OK
+        vocab = D.Vocab.load(tmp_path / "o" / "vocab.json")
+        assert vocab.id_to_token[D.NUM_SPECIALS:] == ["a", "b", "c"]
+        man = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        seqs = cli.load_packed(str(tmp_path / "o"))
+        for seq, bounds in zip(seqs, man["doc_boundaries"]):
+            assert [i for i, t in enumerate(seq) if t == D.DOC] == bounds
+            assert all(t >= D.NUM_SPECIALS or t in (D.DOC, D.UNK) for t in seq)
+        # the word `count` times, and the first document's `[DOC]` and `<mask>`
+        assert sum(t == D.UNK for seq in seqs for t in seq) == count + 2
 
     def test_language_with_only_empty_text_is_packed(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -705,7 +729,7 @@ class TestFinetuneEvaluate:
         base = make_classification_task(tmp_path)
         cfg, store, _, _ = C.load(base["checkpoint"])
         opt = OptimState()
-        opt.slot("embed.tok", store["embed.tok"].shape)["t"] = 1
+        slot(opt, "embed.tok", store["embed.tok"].shape)["t"] = 1
         ckpt = tmp_path / "ckpt"
         C.save(ckpt, cfg, store, opt_state=opt)
         if fault == "empty dir":
@@ -745,17 +769,22 @@ class TestFinetuneEvaluate:
         assert f"config field '{split}' must name an existing path" in capsys.readouterr().err
         assert not (tmp_path / "tuned").exists()
 
-    @pytest.mark.parametrize("fault", ["missing", "not JSON", "tokens not a list"])
+    @pytest.mark.parametrize("fault", ["missing", "not JSON", "tokens not a list",
+                                       "larger than vocab_size"])
     @pytest.mark.parametrize("verb", ["finetune", "evaluate"])
     def test_unreadable_vocab_is_config_error(self, tmp_path, capsys, fault, verb):
-        base = make_classification_task(tmp_path)
+        base = make_classification_task(tmp_path)  # vocab_size 64
         if fault == "missing":
             os.remove(base["vocab"])
+        elif fault == "larger than vocab_size":
+            D.build_vocab([[f"w{i}" for i in range(59)]], budget=65).save(base["vocab"])
         else:
             (tmp_path / "vocab.json").write_text(
                 "{nope" if fault == "not JSON" else json.dumps({"tokens": 5}))
         assert cli.main([verb, "--config", finetune_config(tmp_path, base)]) == cli.EXIT_CONFIG
-        assert "config error: config field 'vocab'" in capsys.readouterr().err
+        detail = {"larger than vocab_size": ": 65 tokens, more than vocab_size 64 "
+                                            "of the checkpoint"}.get(fault, "")
+        assert f"config error: config field 'vocab'{detail}" in capsys.readouterr().err
         assert not (tmp_path / "tuned").exists()
 
     @pytest.mark.parametrize("task, fault", [
@@ -1056,9 +1085,9 @@ class TestFinetuneEvaluate:
                       [{"text": f"w{i}", "label": lab} for i, lab in enumerate("abc")])
         D.write_jsonl(tmp_path / "dev.jsonl",
                       [{"text": f"w{i}", "label": lab} for i, lab in enumerate("bc")])
-        vocab = D.Vocab.load(base["vocab"])
-        _, _, labels = cli._read_task(base, "train", vocab)
-        _, dev_set, _ = cli._read_task(base, "dev", vocab, labels)
+        vocab, mcfg = D.Vocab.load(base["vocab"]), C.load(base["checkpoint"])[0]
+        _, _, labels = cli._read_task(base, "train", vocab, mcfg)
+        _, dev_set, _ = cli._read_task(base, "dev", vocab, mcfg, labels)
         assert labels == ["a", "b", "c"]
         assert [lab for _, lab in dev_set] == [1, 2]
         # a dev label that train never saw is a config error
@@ -1074,3 +1103,43 @@ class TestFinetuneEvaluate:
         assert cli.main(["finetune", "--config", ftp]) == cli.EXIT_CONFIG
         assert f"metric {metric} not valid" in capsys.readouterr().err
         assert not (tmp_path / "tuned" / "tuned_seed0").exists()
+
+    @pytest.mark.parametrize("verb", ["finetune", "evaluate"])
+    @pytest.mark.parametrize("kind", ["classification", "labeling", "generation"])
+    def test_task_source_past_the_positions_is_config_error_before_any_update(
+            self, tmp_path, capsys, monkeypatch, verb, kind):
+        """The checkpoints hold max_positions 16: a row of 17 words is
+        rejected as it is read, naming its split, row and file."""
+        base = MAKE_TASK[kind](tmp_path)
+        rows = D.read_jsonl(tmp_path / "dev.jsonl")
+        words = [f"w{i % 4}" if kind != "labeling" else "a" for i in range(17)]
+        rows[1].update({"classification": {"text": " ".join(words)},
+                        "labeling": {"tokens": words, "labels": ["O"] * 17},
+                        "generation": {"source": " ".join(words)}}[kind])
+        D.write_jsonl(tmp_path / "dev.jsonl", rows)
+        monkeypatch.setattr(E.T, "train_step", lambda *a: pytest.fail("an update ran"))
+        assert cli.main([verb, "--config", finetune_config(tmp_path, base)]) == cli.EXIT_CONFIG
+        split = "dev" if verb == "finetune" else "eval"
+        assert (f"config error: task {split} row 2 ({tmp_path / 'dev.jsonl'}) has 17 tokens, "
+                f"more than max_positions 16 of the checkpoint") in capsys.readouterr().err
+        assert not (tmp_path / "tuned").exists()
+
+    @pytest.mark.parametrize("n_words, code", [(15, cli.EXIT_OK), (16, cli.EXIT_CONFIG)])
+    def test_finetune_generation_target_must_fit_the_positions_with_bos(
+            self, tmp_path, capsys, n_words, code):
+        """A teacher-forced decoder reads BOS + target: 16 positions hold a
+        target of 15 words.  `evaluate` only decodes, so it takes either."""
+        base = make_generation_task(tmp_path)
+        rows = D.read_jsonl(tmp_path / "dev.jsonl")
+        rows[2]["target"] = " ".join(f"w{i % 12}" for i in range(n_words))
+        D.write_jsonl(tmp_path / "dev.jsonl", rows)
+        cfgp = finetune_config(tmp_path, base, metric="perplexity", epochs=1)
+        assert cli.main(["finetune", "--config", cfgp]) == code
+        if code == cli.EXIT_CONFIG:
+            assert (f"config error: task dev row 3 ({tmp_path / 'dev.jsonl'}) target has "
+                    f"17 tokens with BOS, more than max_positions 16 of the checkpoint"
+                    in capsys.readouterr().err)
+            assert not (tmp_path / "tuned").exists()
+        evp = write_config(tmp_path / "ev.json", {"out": str(tmp_path / "evald"), **base,
+                                                  "max_len": 4})
+        assert cli.main(["evaluate", "--config", evp]) == cli.EXIT_OK

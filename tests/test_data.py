@@ -215,17 +215,13 @@ class TestMlmCorrupt:
 class TestDenoiseCorrupt:
     def test_forced_span_drop(self):
         nc = NoiseConfig(mode=D.SPAN_DROP)
-        src, tgt = D.denoise_corrupt([10, 11, 12, 13, 14], nc,
-                                     np.random.default_rng(0),
-                                     forced_spans=[(1, 3)])
+        src, tgt = D._apply_spans([10, 11, 12, 13, 14], nc, [(1, 3)])
         assert src == [10, 13, 14]
         assert tgt == [10, 11, 12, 13, 14]
 
     def test_forced_span_mask_collapses_run(self):
         nc = NoiseConfig(mode=D.SPAN_MASK)
-        src, tgt = D.denoise_corrupt([10, 11, 12, 13, 14], nc,
-                                     np.random.default_rng(0),
-                                     forced_spans=[(1, 3), (3, 4)])
+        src, tgt = D._apply_spans([10, 11, 12, 13, 14], nc, [(1, 3), (3, 4)])
         # adjacent spans form one contiguous run -> a single MASK
         assert src == [10, MASK, 14]
         assert tgt == [10, 11, 12, 13, 14]
@@ -242,9 +238,8 @@ class TestDenoiseCorrupt:
         nc = NoiseConfig(mode=D.SPAN_DROP, corruption_ratio=0.5)
         ids = [10, 11, 12, DOC, 13, 14, 15]
         for seed in range(40):
-            log = []
-            src, _ = D.denoise_corrupt(ids, nc, np.random.default_rng(seed),
-                                       span_log=log)
+            log = D._draw_spans(ids, nc, np.random.default_rng(seed))
+            src, _ = D._apply_spans(ids, nc, log)
             assert DOC in src  # the separator itself is never selected
             for s, e in log:
                 assert not any(ids[i] == DOC for i in range(s, e))
@@ -253,8 +248,7 @@ class TestDenoiseCorrupt:
         nc = NoiseConfig(mode=D.SPAN_DROP, corruption_ratio=0.15)
         ids = list(range(6, 206))
         for seed in range(10):
-            log = []
-            D.denoise_corrupt(ids, nc, np.random.default_rng(seed), span_log=log)
+            log = D._draw_spans(ids, nc, np.random.default_rng(seed))
             covered = sum(e - s for s, e in log)
             assert covered >= 0.15 * len(ids)
             # overshoot is bounded by one span
@@ -267,8 +261,7 @@ class TestDenoiseCorrupt:
         ids = list(range(6, 5006))
         lengths = []
         for seed in range(30):
-            log = []
-            D.denoise_corrupt(ids, nc, np.random.default_rng(seed), span_log=log)
+            log = D._draw_spans(ids, nc, np.random.default_rng(seed))
             lengths.extend(e - s for s, e in log)
         mean = np.mean(lengths)
         assert 2.6 < mean < 3.4
@@ -291,9 +284,9 @@ class TestDenoiseCorrupt:
            mode=st.sampled_from([D.SPAN_DROP, D.SPAN_MASK]),
            ratio=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
     def test_target_is_the_input_and_no_span_touches_a_separator(self, ids, mode, ratio, seed):
-        log = []
-        src, tgt = D.denoise_corrupt(ids, NoiseConfig(mode=mode, corruption_ratio=ratio),
-                                     np.random.default_rng(seed), span_log=log)
+        nc = NoiseConfig(mode=mode, corruption_ratio=ratio)
+        log = D._draw_spans(ids, nc, np.random.default_rng(seed))
+        src, tgt = D._apply_spans(ids, nc, log)
         assert tgt == ids
         for s, e in log:
             assert 0 <= s < e <= len(ids)

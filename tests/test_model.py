@@ -12,7 +12,7 @@ from deskseq import autograd as ag
 from deskseq import data as D
 from deskseq import model as M
 from deskseq.autograd import Tensor
-from deskseq.optim import AdamConfig, OptimState, adam_step
+from deskseq.optim import OptimState, adam_step
 
 from conftest import composed_attention, composed_linear, finite_diff_check
 
@@ -209,7 +209,7 @@ class TestWarmStart:
         emb_before = store["embed.tok"].data.copy()
         store.zero_grad()
         ag.backward(loss)
-        adam_step(store, store.gradient_map(), OptimState(), lr=1e-2)
+        adam_step(store, store.gradient_map(), OptimState(), lr=1e-2, weight_decay=0.0)
         np.testing.assert_array_equal(store["embed.tok"].data, emb_before)
         assert not np.array_equal(store["lm_head.w"].data, store["embed.tok"].data)
 
@@ -252,7 +252,7 @@ class TestExtractEncoder:
         loss = ag.softmax_cross_entropy(ag.reshape(logits, (-1, enc_cfg.vocab_size)), labels)
         enc.zero_grad()
         ag.backward(loss)
-        adam_step(enc, enc.gradient_map(), OptimState(), lr=1e-2)
+        adam_step(enc, enc.gradient_map(), OptimState(), lr=1e-2, weight_decay=0.0)
         assert not np.array_equal(enc["mlm_head.w"].data, enc["embed.tok"].data)
 
     @pytest.mark.parametrize("kw,offender", [

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from deskseq import autograd as ag
 from deskseq import model as M
 from deskseq.autograd import IGNORE, ShapeError, Tensor
-from deskseq.optim import AdamConfig, OptimState, adam_step
+from deskseq.optim import OptimState, adam_step
 from deskseq.params import ParameterStore
 
 from conftest import (composed_attention, composed_linear, finite_diff_check, mul, rel_err,
@@ -262,8 +262,9 @@ class TestLayerNorm:
 
     def test_symmetric_unit_variance_fixed_point(self):
         x = Tensor(np.array([[1.0, -1.0]]))
-        out = ag.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12)
-        np.testing.assert_allclose(out.data, [[1.0, -1.0]], atol=1e-6)
+        out = ag.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)))
+        # unit variance, so each entry is +-1 / sqrt(1 + eps) with eps 1e-5
+        np.testing.assert_allclose(out.data, [[1.0, -1.0]] / np.sqrt(1 + 1e-5), rtol=1e-12)
 
     def test_matches_scalar_formula(self, rng):
         x = rng.normal(size=(1, 8))
@@ -273,7 +274,7 @@ class TestLayerNorm:
         mu = x[0].mean()
         var = ((x[0] - mu) ** 2).mean()
         expect = (x[0] - mu) / np.sqrt(var + eps) * g + b
-        out = ag.layer_norm(Tensor(x), Tensor(g), Tensor(b), eps=eps)
+        out = ag.layer_norm(Tensor(x), Tensor(g), Tensor(b))
         np.testing.assert_allclose(out.data[0], expect, rtol=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -449,21 +450,18 @@ class TestAdam:
     def test_first_step_moves_by_lr(self):
         store = self._store([1.0])
         state = OptimState()
-        cfg = AdamConfig(eps=1e-12, weight_decay=0.0)
-        adam_step(store, {"w": np.array([1.0])}, state, lr=0.01, cfg=cfg)
+        adam_step(store, {"w": np.array([1.0])}, state, lr=0.01, weight_decay=0.0)
         # bias-corrected m-hat = v-hat = 1 at step 1, so the step is -lr
         assert abs(store["w"].data[0] - (1.0 - 0.01)) < 1e-9
 
     def test_zero_gradient_no_decay_is_identity(self):
         store = self._store([2.5])
-        adam_step(store, {"w": np.array([0.0])}, OptimState(), lr=0.1,
-                  cfg=AdamConfig(weight_decay=0.0))
+        adam_step(store, {"w": np.array([0.0])}, OptimState(), lr=0.1, weight_decay=0.0)
         assert store["w"].data[0] == 2.5
 
     def test_decoupled_decay_scales_parameter(self):
         store = self._store([2.0])
-        adam_step(store, {"w": np.array([0.0])}, OptimState(), lr=1e-3,
-                  cfg=AdamConfig(weight_decay=0.1))
+        adam_step(store, {"w": np.array([0.0])}, OptimState(), lr=1e-3, weight_decay=0.1)
         assert abs(store["w"].data[0] - 2.0 * (1 - 1e-4)) < 1e-15
 
     def test_frozen_parameter_bit_identical(self):
@@ -472,7 +470,7 @@ class TestAdam:
         before = store["frozen"].data.copy()
         state = OptimState()
         for _ in range(10):
-            adam_step(store, {"w": np.array([0.7])}, state, lr=0.01)
+            adam_step(store, {"w": np.array([0.7])}, state, lr=0.01, weight_decay=0.0)
         np.testing.assert_array_equal(store["frozen"].data, before)
         assert "frozen" not in state.slots
 
@@ -481,26 +479,26 @@ class TestAdam:
         store.add("frozen", np.array([3.0]), trainable=False)
         with pytest.raises(ValueError, match="mismatch"):
             adam_step(store, {"w": np.array([0.0]), "x": np.array([0.0])},
-                      OptimState(), lr=0.01)
+                      OptimState(), lr=0.01, weight_decay=0.0)
         with pytest.raises(ValueError, match="mismatch"):
             adam_step(store, {"w": np.array([0.0]), "frozen": np.array([0.0])},
-                      OptimState(), lr=0.01)
+                      OptimState(), lr=0.01, weight_decay=0.0)
 
     def test_a_trainable_owner_left_out_takes_no_step(self):
         """An owner the loss did not reach keeps its value, moments and step
         count: no step and no weight decay."""
         store = self._store([1.0])
         store.add("unreached", np.array([3.0]))
-        state, cfg = OptimState(), AdamConfig(weight_decay=0.1)
-        adam_step(store, {"w": np.array([0.7])}, state, lr=0.01, cfg=cfg)
+        state = OptimState()
+        adam_step(store, {"w": np.array([0.7])}, state, lr=0.01, weight_decay=0.1)
         assert store["w"].data[0] != 1.0
         assert store["unreached"].data.tobytes() == np.array([3.0]).tobytes()
         assert "unreached" not in state.slots
         adam_step(store, {"w": np.array([0.7]), "unreached": np.array([0.5])}, state,
-                  lr=0.01, cfg=cfg)
+                  lr=0.01, weight_decay=0.1)
         value = store["unreached"].data.copy()
         slot = {k: np.copy(v) for k, v in state.slots["unreached"].items()}
-        adam_step(store, {"w": np.array([0.7])}, state, lr=0.01, cfg=cfg)
+        adam_step(store, {"w": np.array([0.7])}, state, lr=0.01, weight_decay=0.1)
         assert store["unreached"].data.tobytes() == value.tobytes()
         assert state.slots["unreached"]["t"] == slot["t"] == 1
         for k in ("m", "v"):
@@ -510,13 +508,13 @@ class TestAdam:
     def test_shape_mismatch_rejected(self):
         store = self._store([1.0, 2.0])
         with pytest.raises(ValueError, match="shape"):
-            adam_step(store, {"w": np.zeros(3)}, OptimState(), lr=0.01)
+            adam_step(store, {"w": np.zeros(3)}, OptimState(), lr=0.01, weight_decay=0.0)
 
     def test_step_counter_increments(self):
         store = self._store([1.0])
         state = OptimState()
         for expected in (1, 2, 3):
-            adam_step(store, {"w": np.array([0.5])}, state, lr=0.01)
+            adam_step(store, {"w": np.array([0.5])}, state, lr=0.01, weight_decay=0.0)
             assert state.slots["w"]["t"] == expected
 
 

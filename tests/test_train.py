@@ -17,9 +17,11 @@ from deskseq import presets as P
 from deskseq import synth as S
 from deskseq import train as T
 from deskseq.data import NoiseConfig
-from deskseq.optim import AdamConfig, OptimState
+from deskseq.optim import OptimState
 from deskseq.params import ParameterStore
 from deskseq.train import LrSchedule, PlanInit, TrainPlan, TrainStage, lr_at
+
+from conftest import slot
 
 
 def small_cfg(dec=2, **kw):
@@ -383,7 +385,7 @@ class TestCheckpoints:
         cfg = small_cfg(dec=0)
         store = M.init_mlm_encoder(cfg, 0)
         opt = OptimState()
-        opt.slot("embed.tok", store["embed.tok"].shape)
+        slot(opt, "embed.tok", store["embed.tok"].shape)
         C.save(tmp_path / "ck", cfg, store, opt_state=opt)
         assert sorted(f.name for f in (tmp_path / "ck").iterdir()) == [
             "manifest.json", "optim.bin", "params.bin"]
@@ -395,7 +397,7 @@ class TestCheckpoints:
         cfg = small_cfg(dec=0)
         store, opt = M.init_mlm_encoder(cfg, 0), OptimState()
         for owner, t in store.unique_items()[:3]:
-            opt.slot(owner, t.shape)["t"] = 2
+            slot(opt, owner, t.shape)["t"] = 2
         C.save(tmp_path / "ck", cfg, store, opt_state=opt)
         newer = store.copy()
         for _, t in newer.unique_items():
@@ -462,9 +464,9 @@ def checkpoint_states(draw):
             store.tie(draw(st.sampled_from([f"a{i}.{j}", f"z{i}.{j}"])), f"p{i}.w")
     for owner, t in store.unique_items():
         if draw(st.booleans()):
-            slot = opt.slot(owner, t.shape)
-            slot["m"], slot["v"] = rng.normal(size=t.shape), rng.random(size=t.shape)
-            slot["t"] = draw(st.integers(0, 10**6))
+            s = slot(opt, owner, t.shape)
+            s["m"], s["v"] = rng.normal(size=t.shape), rng.random(size=t.shape)
+            s["t"] = draw(st.integers(0, 10**6))
     return store, opt
 
 
@@ -497,12 +499,13 @@ def test_save_load_save_is_byte_identical_and_loads_what_was_saved(state, with_o
 
 
 class TestEvalLoss:
-    def test_denoise_eval_matches_manual_weighting(self, rng):
+    def test_denoise_eval_matches_manual_weighting(self, rng, monkeypatch):
         cfg = small_cfg()
         store = M.init_seq2seq(cfg, 0)
         pairs = [(list(rng.integers(6, 32, size=5)), list(rng.integers(6, 32, size=3)))
                  for _ in range(5)]
-        whole = T.eval_denoise_loss(cfg, store, pairs, batch_size=5)
+        monkeypatch.setattr(T, "_EVAL_BATCH", 5)
+        whole = T.eval_denoise_loss(cfg, store, pairs)
         # token-weighted mean over single-pair batches must agree
         totals, toks = 0.0, 0
         for p in pairs:
@@ -523,7 +526,7 @@ class TestEvalLoss:
                 E.perplexity(cfg, store, pairs)
                 E.beam_search(cfg, store, pairs[0][0], E.GenConfig(beam_size=2, max_len=4))
             T.train_step(store, T.denoise_step_loss(cfg, store, *batch), OptimState(), 1e-3,
-                         AdamConfig(), "step 0")
+                         0.0, "step 0")
             results.append({n: (store[n].grad.tobytes(), store[n].data.tobytes())
                             for n in store.names() if store[n].grad is not None})
         assert results[0] and results[0] == results[1]
