@@ -108,14 +108,14 @@ def backward(loss):
     """Populate .grad for every tensor the scalar `loss` depends on.
 
     Each gradient equals zeros, then `+=` of each contribution in tape order,
-    bit for bit.  A store parameter's first contribution is written into its
-    arena slice (`0.0 + g`, so -0.0 comes out +0.0, as from zeros).  An inner
-    node adopts its first contribution when that has the layout zeros would
-    have (a strided one would change BLAS bits downstream); an adopted array
-    may be another node's gradient too, so it is never written to, and a
-    second contribution makes a new array.  Any other leaf gets zeros.  A store
-    parameter's `.grad` is its arena slice every time: the next backward
-    overwrites it.
+    bit for bit.  An inner node adopts its first contribution when that has
+    the layout zeros would have (a strided one would change BLAS bits
+    downstream); an adopted array may be another node's gradient too, so it is
+    never written to, and a second contribution makes a new array.  Any other
+    first contribution is written as `0.0 + g` (so -0.0 comes out +0.0, as
+    from zeros) into a store parameter's arena slice, else into a new array
+    laid out as `np.zeros_like` lays out the data.  A store parameter's `.grad`
+    is its arena slice every time: the next backward overwrites it.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar, got shape {loss.data.shape}")
@@ -151,14 +151,12 @@ def backward(loss):
                     parent.grad = np.add(parent.grad, g, out=np.empty_like(parent.grad))
                 else:
                     parent.grad += g
-            elif parent._home is not None:
-                parent.grad = np.add(g, 0.0, out=parent._home)
             elif parent._backward is not None and _zeros_like_layout(g, parent.data):
                 parent.grad = g
                 adopted.add(id(parent))
-            else:
-                parent.grad = np.zeros_like(parent.data)
-                parent.grad += g
+            else:  # zeros, then `+= g`, in one pass
+                out = np.empty_like(parent.data) if parent._home is None else parent._home
+                parent.grad = np.add(g, 0.0, out=out)
 
 
 def _unbroadcast(g, shape):

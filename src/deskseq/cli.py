@@ -2,8 +2,9 @@
 
 Verbs: pretrain, finetune, evaluate, cost, pack.  Each takes a JSON config
 (--config; `cost --table1` none) and an --out override; the two that draw,
-pretrain and finetune, also an int `seed` and a --seed override.  Exit codes:
-0 success, 2 config error, 3 runtime abort.  (config, seed) fully determines
+pretrain and finetune, also an int `seed` and a --seed override.  Every verb
+but evaluate rejects a top-level key it does not read.  Exit codes: 0
+success, 2 config error, 3 runtime abort.  (config, seed) fully determines
 every output byte: no timestamps or machine state enter any file.
 """
 
@@ -52,8 +53,10 @@ def _load_config(path, args):
     if args.out is not None:
         cfg["out"] = args.out
     if "seed" in args:  # a verb that draws
-        if args.seed is not None:
+        if args.seed is not None:  # replaces `seed`, and a finetune's `seeds` list
             cfg["seed"] = args.seed
+            if "seeds" in cfg:
+                cfg["seeds"] = [args.seed]
         if "seed" not in cfg:
             raise ConfigError("config field 'seed' is required (no implicit randomness)")
         if not _is_int(cfg["seed"]):
@@ -79,6 +82,14 @@ def _build(fn, d, what, *args):
         return fn(*args, **_object(d, f"config field '{what}'"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config field '{what}': {exc}") from exc
+
+
+def _check_keys(cfg, verb, read):
+    """Each top-level key of `cfg` must be `version`, `out` or one of `read`,
+    the keys `verb` reads: another is a config error naming it."""
+    unread = sorted(set(cfg) - {"version", "out", *read})
+    if unread:
+        raise ConfigError(f"config fields {unread} are not read by {verb}")
 
 
 def _require(cfg, field):
@@ -126,13 +137,22 @@ def _load_sequences(cfg):
 def cmd_pretrain(cfg):
     out = _require(cfg, "out")
     preset = _require(cfg, "plan")
-    plan = (_build(P.desk_plan, cfg.get("scale", {}), "scale", preset)
-            if isinstance(preset, str) else _plan_from_dict(preset))
+    named = isinstance(preset, str)
+    if named:
+        scale = _object(cfg.get("scale", {}), "config field 'scale'")
+        if "fusion" in scale:  # desk_plan takes it from the preset's cross-attention
+            raise ConfigError(f"config field 'scale': 'fusion' is fixed by the preset {preset}")
+        plan = _build(P.desk_plan, scale, "scale", preset)
+    else:
+        plan = _plan_from_dict(preset)
+    field = {"random": None, "warm_start": "donor"}.get(plan.init.kind, "base")
+    _check_keys(cfg, f"pretrain of {'a preset' if named else 'an inline plan'} "
+                f"with init kind {plan.init.kind}",
+                {"seed", "plan", "corpus", field, "scale" if named else None})
     sequences = _load_sequences(cfg)
     _check_corpus(plan, sequences)
     donor = None
-    if plan.init.kind != "random":
-        field = "donor" if plan.init.kind == "warm_start" else "base"
+    if field:
         source, donor, _, _ = _read(cfg, field, C.load, plan.init.path)
         # row shapes show every size but the head count; a checkpoint is continued
         # as the plan's model, so all of its config but dropout must be the plan's
@@ -222,6 +242,7 @@ def load_packed(path):
 
 def cmd_pack(cfg):
     out = _require(cfg, "out")
+    _check_keys(cfg, "pack", {"corpus", "target_len", "vocab_budget"})
     target_len, budget = cfg.get("target_len", 64), cfg.get("vocab_budget", 256)
     for field, value, least in (("target_len", target_len, 2),
                                 ("vocab_budget", budget, D.NUM_SPECIALS)):
@@ -265,6 +286,8 @@ def cmd_cost(out, cfg=None):
     config `cfg` lists, or without a config that of the registry and Table 1's
     savings."""
     table1 = cfg is None
+    if not table1:
+        _check_keys(cfg, "cost", {"plans"})
     plans = P.registry_plans() if table1 else costmod.charge_donors(
         [_plan_from_dict(d) for d in _nonempty_list(cfg, "plans", "inline plan")])
     costs = [costmod.tu_cost(p) for p in plans]
@@ -373,6 +396,7 @@ def _read_task(cfg, split, vocab, mcfg, labels=None, teacher_forced=False):
 
 def cmd_finetune(cfg):
     out = _require(cfg, "out")
+    _check_keys(cfg, "finetune", {"seed", "seeds", "finetune", "checkpoint", "vocab", "task"})
     seeds = cfg.get("seeds", [cfg["seed"]])
     if not (isinstance(seeds, list) and seeds and all(_is_int(s) for s in seeds)
             and len(set(seeds)) == len(seeds)):

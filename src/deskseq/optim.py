@@ -1,10 +1,11 @@
 """AdamW with decoupled weight decay and per-parameter bias correction.
 
-Moments live in two buffers laid out as the store's arena; `slots[owner]`
-holds views `m`, `v` into them and a step count `t` from the owner's first
-step, so a parameter unfrozen mid-plan starts from zero.  A step updates runs
-of arena neighbours with equal `t` in place, chunk by chunk, op for op as the
-per-tensor update: the bytes do not depend on the runs or the chunks.
+A step reads only the gradients `backward` wrote into the store's arena.  Its
+moments live in two buffers laid out as the arena, viewed by `slots[owner]`'s
+`m` and `v` (moments held elsewhere, as loaded, are copied in at their first
+step), with a step count `t` from the owner's first step.  Runs of arena
+neighbours with equal `t` are updated in place, chunk by chunk, op for op as
+the per-tensor update: the bytes do not depend on the runs or the chunks.
 """
 
 from __future__ import annotations
@@ -20,46 +21,38 @@ BETA1, BETA2, EPS = 0.9, 0.99, 1e-8
 @dataclass
 class OptimState:
     slots: dict = field(default_factory=dict)  # owner -> {"m", "v", "t"}
-    # (arena, m buffer, v buffer, per arena owner its (m, v) views)
+    # (arena, m buffer, v buffer): the moments laid out as the arena
     _moments: tuple = field(default=(None,), init=False, repr=False, compare=False)
 
 
 def adam_step(store, grads, state, lr, weight_decay):
-    """One AdamW update of the trainable parameters that `grads` names.
-
-    `grads` is keyed by owner name and may name only trainable owners, so
-    frozen parameters are untouched (bit-identical before/after).  A
-    trainable owner it leaves out, one the loss never reached, keeps its
-    value, moments and step count: no step and no weight decay.
+    """One AdamW update of the owners in `grads`, each mapped to the arena
+    slice that `backward` wrote its gradient into (`store.gradient_map()`).
+    Anything else, a frozen or unknown owner included, is refused before any
+    state changes.  A trainable owner left out, one the loss never reached,
+    keeps its value, moments and step count: no step and no weight decay.
     """
-    arena = store.arena()
-    homes = {o: h for o, h, t in zip(arena.owners, arena.homes, arena.tensors) if t.requires_grad}
-    unexpected = sorted(set(grads) - set(homes))
-    if unexpected:
-        raise ValueError(f"gradient map mismatch: frozen or unknown owners {unexpected}")
-    for owner, g in grads.items():  # before any state changes
-        if g is not homes[owner] and np.shape(g) != homes[owner].shape:
-            raise ValueError(f"gradient shape {np.shape(g)} does not match parameter "
-                             f"{owner} shape {homes[owner].shape}")
+    arena, written = store.arena(), store.gradient_map()
+    wrong = sorted(o for o, g in grads.items() if o not in written or g is not written[o])
+    if wrong:
+        raise ValueError(f"gradient map mismatch: {wrong} must be trainable owners, each "
+                         "mapped to the arena slice of its shape that backward wrote")
     if state._moments[0] is not arena:
-        m, v = np.zeros(arena.bounds[-1]), np.zeros(arena.bounds[-1])
-        state._moments = (arena, m, v, list(zip(arena.split(m), arena.split(v))))
-    _, m, v, views = state._moments
+        state._moments = (arena, np.zeros(arena.bounds[-1]), np.zeros(arena.bounds[-1]))
+    _, m, v = state._moments
     runs = []  # [first element, end element, step count]
-    for i, owner in enumerate(arena.owners):
+    for owner, lo, hi in zip(arena.owners, arena.bounds, arena.bounds[1:]):
         if owner not in grads:
             continue
-        if grads[owner] is not arena.homes[i]:  # not from `backward`, which writes there
-            arena.homes[i][...] = grads[owner]
-        mv, vv = views[i]
-        s = state.slots.setdefault(owner, {"m": mv, "v": vv, "t": 0})
-        if s["m"] is not mv or s["v"] is not vv:  # moments held elsewhere: copied in
+        s = state.slots.setdefault(owner, {"m": 0.0, "v": 0.0, "t": 0})
+        if getattr(s["m"], "base", None) is not m:  # new, or held elsewhere: copied in
+            mv, vv = m[lo:hi].reshape(grads[owner].shape), v[lo:hi].reshape(grads[owner].shape)
             mv[...], vv[...], s["m"], s["v"] = s["m"], s["v"], mv, vv
         s["t"] += 1
-        if runs and runs[-1][1:] == [arena.bounds[i], s["t"]]:  # the last run goes on
-            runs[-1][1] = arena.bounds[i + 1]
+        if runs and runs[-1][1:] == [lo, s["t"]]:  # the last run goes on
+            runs[-1][1] = hi
         else:
-            runs.append([arena.bounds[i], arena.bounds[i + 1], s["t"]])
+            runs.append([lo, hi, s["t"]])
     a, b = np.empty(_CHUNK), np.empty(_CHUNK)
     for lo, hi, t in runs:
         for c in range(lo, hi, _CHUNK):

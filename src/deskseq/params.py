@@ -8,8 +8,8 @@ by owner.
 
 A store that trains keeps its owners in an arena, built at its first update:
 float64 data and gradient buffers in owner order (as `params.bin`).  Each
-owner's `.data` is a view into the first, and `backward` writes its gradient
-into its slice of the second.
+owner's `.data` is a view into the first; `backward` writes its gradient into
+its slice of the second, and AdamW reads no other gradient array.
 """
 
 from __future__ import annotations
@@ -113,10 +113,10 @@ class ParameterStore:
             t.grad = None
 
     def gradient_map(self):
-        """{owner -> gradient array} for trainable parameters touched by backward.
-        The arrays are arena slices that the next backward overwrites: copy to keep."""
+        """{owner -> its arena gradient slice} for the trainable owners that backward
+        wrote since `zero_grad`; the next backward overwrites them: copy to keep."""
         return {owner: t.grad for owner, t in self.unique_items()
-                if t.requires_grad and t.grad is not None}
+                if t.requires_grad and t.grad is not None and t.grad is t._home}
 
     def copy(self):
         """Deep copy preserving tie structure and trainability; no arena until it trains."""

@@ -110,6 +110,17 @@ def mul(a, b):
                                                         ag._unbroadcast(g * a.data, b.data.shape)))
 
 
+def arena_gradients(store, grads):
+    """Each array of `grads` ({owner: array}) written into its owner's arena
+    slice as `backward` leaves a first contribution after `zero_grad`
+    (`0.0 + g`): {owner: that slice}, the map `optim.adam_step` takes."""
+    store.zero_grad()
+    for owner, g in grads.items():
+        t = store[owner]
+        t.grad = np.add(g, 0.0, out=t._home)
+    return {owner: store[owner].grad for owner in grads}
+
+
 def slot(state, owner, shape):
     """The AdamW slot of `owner` in `state`, made with zero moments at step 0
     if it has none."""

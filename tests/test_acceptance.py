@@ -370,7 +370,7 @@ def test_determinism(tmp_path):
                                {"text": "f g h", "lang": "fr"}])
         for d in ("p1", "p2"):
             cfgp = write_config(tmp_path / f"{d}.json",
-                                {"seed": 0, "corpus": str(corpus),
+                                {"corpus": str(corpus),
                                  "out": str(tmp_path / d), "target_len": 4})
             assert cli.main(["pack", "--config", cfgp]) == 0
         assert tree_bytes(tmp_path / "p1") == tree_bytes(tmp_path / "p2")

@@ -20,7 +20,7 @@ from deskseq.autograd import Tensor
 from deskseq.optim import OptimState, adam_step
 from deskseq.params import ParameterStore
 
-from conftest import mul, reference_adam_step, reference_backward, sum_all
+from conftest import arena_gradients, mul, reference_adam_step, reference_backward, sum_all
 
 TINY = M.ModelConfig(encoder_layers=1, d_model=8, d_ffn=16, heads=2, vocab_size=16,
                      max_positions=8)
@@ -57,8 +57,8 @@ shapes = st.lists(st.integers(1, 4), min_size=0, max_size=3).map(tuple)
 def test_adam_step_equals_the_per_owner_reference_bit_for_bit(data, seed, weight_decay, chunk):
     """Random owner shapes and tie groups; per step, each owner frozen until
     a drawn step (so its `t` restarts behind the others), reached or not, and
-    its gradient handed over as its arena slice or as an array of its own.
-    A drawn step saves and reloads the store and its optimizer state."""
+    its gradient handed over as its arena slice.  A drawn step saves and
+    reloads the store and its optimizer state."""
     rng = np.random.default_rng(seed)
     owner_shapes = data.draw(st.lists(shapes, min_size=1, max_size=6))
     store, ref = ParameterStore(), ParameterStore()
@@ -86,14 +86,7 @@ def test_adam_step_equals_the_per_owner_reference_bit_for_bit(data, seed, weight
             reached = [o for o in owners
                        if step >= frozen_until[o] and data.draw(st.booleans())]
             grads = {o: _signed_values(rng, store[o].data.shape) for o in reached}
-            mine = dict(grads)
-            if data.draw(st.booleans()):  # as `backward` leaves them: in the arena
-                arena = store.arena()
-                for o in reached:
-                    home = arena.homes[arena.owners.index(o)]
-                    home[...] = grads[o]
-                    mine[o] = home
-            adam_step(store, mine, state, 1e-2, weight_decay)
+            adam_step(store, arena_gradients(store, grads), state, 1e-2, weight_decay)
             reference_adam_step(ref, grads, ref_state, 1e-2, weight_decay)
             _same_state(store, ref, state, ref_state)
 
@@ -105,32 +98,40 @@ def test_unfrozen_owner_restarts_its_step_count_in_its_own_run():
     state, g = OptimState(), {n: np.full(3, 0.5) for n in "abc"}
     store.set_trainable("b", False)
     for _ in range(2):
-        adam_step(store, {n: g[n] for n in "ac"}, state, 1e-2, 0.0)
+        adam_step(store, arena_gradients(store, {n: g[n] for n in "ac"}), state, 1e-2, 0.0)
     store.set_trainable("b", True)
-    adam_step(store, g, state, 1e-2, 0.0)
+    adam_step(store, arena_gradients(store, g), state, 1e-2, 0.0)
     assert [state.slots[n]["t"] for n in "abc"] == [3, 1, 3]
     assert store["a"].data.tobytes() == store["c"].data.tobytes()
     assert store["b"].data.tobytes() != store["a"].data.tobytes()
 
 
-def test_a_misshapen_gradient_changes_no_state():
-    """The shape check runs before any owner's gradient, slot or step count
-    changes, so the owners ahead of the misshapen one keep theirs."""
+def test_a_gradient_that_is_not_a_trainable_owners_arena_slice_changes_no_state():
+    """A copy of an owner's slice, an array of another shape, a frozen
+    owner's slice and an unknown owner: each is refused before any value,
+    moment or step count changes, so the owners ahead of it keep theirs."""
     store = ParameterStore()
-    for n in ("a", "b", "c"):
+    for n in ("a", "b", "c", "d"):
         store.add(n, np.ones(3))
+    store.set_trainable("d", False)
     state = OptimState()
-    adam_step(store, {n: np.full(3, 0.5) for n in "abc"}, state, 1e-2, 0.0)
+    adam_step(store, arena_gradients(store, {n: np.full(3, 0.5) for n in "abc"}), state,
+              1e-2, 0.0)
     arena = store.arena()
+    slices = arena_gradients(store, {n: np.full(3, 0.25) for n in "abcd"})
+    ahead = {n: slices[n] for n in "ab"}
     before = (arena.data.copy(), arena.grad.copy(),
               {n: (s["t"], s["m"].copy(), s["v"].copy()) for n, s in state.slots.items()})
-    with pytest.raises(ValueError, match="gradient shape \\(2,\\) does not match parameter c"):
-        adam_step(store, {"a": np.full(3, 0.25), "b": np.full(3, 0.25), "c": np.zeros(2)},
-                  state, 1e-2, 0.0)
-    assert _bytes(arena.data) == _bytes(before[0]) and _bytes(arena.grad) == _bytes(before[1])
-    for n, (t, m, v) in before[2].items():
-        s = state.slots[n]
-        assert s["t"] == t and _bytes(s["m"]) == _bytes(m) and _bytes(s["v"]) == _bytes(v)
+    for wrong in ({"c": slices["c"].copy()}, {"c": np.zeros(2)}, {"d": slices["d"]},
+                  {"e": np.zeros(3)}):
+        with pytest.raises(ValueError, match="gradient map mismatch"):
+            adam_step(store, ahead | wrong, state, 1e-2, 0.0)
+        assert _bytes(arena.data) == _bytes(before[0]) and _bytes(arena.grad) == _bytes(before[1])
+        for n, (t, m, v) in before[2].items():
+            s = state.slots[n]
+            assert s["t"] == t and _bytes(s["m"]) == _bytes(m) and _bytes(s["v"]) == _bytes(v)
+    adam_step(store, ahead | {"c": slices["c"]}, state, 1e-2, 0.0)  # the slices themselves
+    assert [state.slots[n]["t"] for n in "abc"] == [2, 2, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +197,26 @@ def test_a_transposed_contribution_is_summed_in_the_parameter_layout(rng):
 
     for new, old in _leaf_grads(build, [w, bare]):
         assert new.tobytes() == old.tobytes() and new.flags.c_contiguous
+
+
+def test_a_leaf_laid_out_transposed_keeps_its_layout(rng):
+    """A bare leaf whose data is not C-ordered: its gradient is laid out as
+    `np.zeros_like(data)` and holds the bytes of zeros, then `+=`."""
+    leaf = Tensor(_signed_values(rng, (5, 3)).T, requires_grad=True)
+    assert not leaf.data.flags.c_contiguous
+    c, d = Tensor(_signed_values(rng, (3, 5))), Tensor(rng.normal(size=(5, 3)))
+
+    def build(l):  # a C-ordered first contribution, then a transposed view
+        return ag.add(sum_all(mul(l, c)), sum_all(mul(ag.transpose(l), d)))
+
+    grads = []
+    for run in (ag.backward, reference_backward):
+        leaf.grad = None
+        run(build(leaf))
+        grads.append(leaf.grad)
+    new, old = grads
+    assert new.strides == old.strides == leaf.data.strides
+    assert new.tobytes("A") == old.tobytes("A")
 
 
 def test_an_adopted_gradient_shared_by_two_parents_is_not_written_to(rng):

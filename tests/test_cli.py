@@ -182,7 +182,7 @@ class TestCost:
     def test_plans_must_be_a_list_of_inline_plans(self, tmp_path, capsys, plans):
         """`--table1` is the one way to ask for the registry."""
         cfgp = write_config(tmp_path / "c.json", {
-            "seed": 0, "out": str(tmp_path / "o"), "plans": plans})
+            "out": str(tmp_path / "o"), "plans": plans})
         assert cli.main(["cost", "--config", cfgp]) == cli.EXIT_CONFIG
         assert (f"config field 'plans' must list at least one inline plan, got {plans!r}"
                 in capsys.readouterr().err)
@@ -190,13 +190,23 @@ class TestCost:
 
     @pytest.mark.parametrize("plans", [None, []])
     def test_config_without_plans_is_config_error(self, tmp_path, capsys, plans):
-        body = {"seed": 0, "out": str(tmp_path / "o")}
+        body = {"out": str(tmp_path / "o")}
         if plans is not None:
             body["plans"] = plans
         assert cli.main(["cost", "--config", write_config(tmp_path / "c.json", body)]) \
             == cli.EXIT_CONFIG
         captured = capsys.readouterr()
         assert "config field 'plans' must list at least one inline plan" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_unread_top_level_key_is_config_error(self, tmp_path, capsys):
+        """`--table1`, not a config key, asks for the registry."""
+        cfgp = write_config(tmp_path / "c.json", {
+            "out": str(tmp_path / "o"), "plans": [INLINE_PLAN], "table1": True})
+        assert cli.main(["cost", "--config", cfgp]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config fields ['table1'] are not read by cost" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "o").exists()
 
@@ -209,7 +219,7 @@ class TestCost:
                     "stages": [{"name": "s", "objective": objective, "steps": steps,
                                 "lr": {"peak": 1e-4, "total_steps": steps, "warmup_steps": 0},
                                 "freeze": ["Encoder"] if dec else []}]}
-        cfgp = write_config(tmp_path / "c.json", {"seed": 0, "plans": [
+        cfgp = write_config(tmp_path / "c.json", {"plans": [
             plan("donor", 0, "mlm", 500_000),
             plan("warm", 12, "denoise", 100_000, init={"kind": "warm_start", "path": "donor"}),
             plan("cold", 12, "denoise", 100_000,
@@ -237,7 +247,7 @@ class TestPack:
     def test_outputs_and_token_conservation(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "corpus.jsonl")
         cfgp = write_config(tmp_path / "pack.json",
-                            {"seed": 0, "corpus": corpus,
+                            {"corpus": corpus,
                              "out": str(tmp_path / "packed"), "target_len": 8})
         assert cli.main(["pack", "--config", cfgp]) == cli.EXIT_OK
         man = json.loads((tmp_path / "packed" / "manifest.json").read_text())
@@ -257,7 +267,7 @@ class TestPack:
         corpus = write_corpus(tmp_path / "corpus.jsonl")
         for d in ("p1", "p2"):
             cfgp = write_config(tmp_path / f"{d}.json",
-                                {"seed": 0, "corpus": corpus,
+                                {"corpus": corpus,
                                  "out": str(tmp_path / d), "target_len": 8})
             assert cli.main(["pack", "--config", cfgp]) == cli.EXIT_OK
         assert tree_bytes(tmp_path / "p1") == tree_bytes(tmp_path / "p2")
@@ -288,7 +298,7 @@ class TestPack:
         corpus = tmp_path / "corpus.jsonl"
         D.write_jsonl(corpus, [CORPUS[0], {"text": "", "lang": "fr"}])
         cfgp = write_config(tmp_path / "pack.json",
-                            {"seed": 0, "corpus": str(corpus), "out": str(tmp_path / "o")})
+                            {"corpus": str(corpus), "out": str(tmp_path / "o")})
         assert cli.main(["pack", "--config", cfgp]) == cli.EXIT_OK
         man = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert man["token_counts"] == {"en": 3, "fr": 0}
@@ -298,7 +308,7 @@ class TestPack:
                                               ("target_len", 8.0), ("vocab_budget", True)])
     def test_non_int_size_is_config_error_before_out(self, tmp_path, capsys, field, value):
         cfgp = write_config(tmp_path / "pack.json",
-                            {"seed": 0, "corpus": write_corpus(tmp_path / "corpus.jsonl"),
+                            {"corpus": write_corpus(tmp_path / "corpus.jsonl"),
                              "out": str(tmp_path / "o"), field: value})
         assert cli.main(["pack", "--config", cfgp]) == cli.EXIT_CONFIG
         assert f"config field '{field}' must be an int, got {value!r}" in capsys.readouterr().err
@@ -323,14 +333,14 @@ class TestPack:
         corpus = tmp_path / "corpus.jsonl"
         D.write_jsonl(corpus, [{"text": t, "lang": "en"} for t in texts])
         cfgp = write_config(tmp_path / "pack.json",
-                            {"seed": 0, "corpus": str(corpus), "out": str(tmp_path / "o")})
+                            {"corpus": str(corpus), "out": str(tmp_path / "o")})
         assert cli.main(["pack", "--config", cfgp]) == cli.EXIT_CONFIG
         assert f"config field 'corpus': {corpus} holds no tokens" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_corpus_path(self, tmp_path, capsys):
         cfgp = write_config(tmp_path / "c.json",
-                            {"seed": 0, "corpus": str(tmp_path / "nope.jsonl"),
+                            {"corpus": str(tmp_path / "nope.jsonl"),
                              "out": str(tmp_path / "o")})
         assert cli.main(["pack", "--config", cfgp]) == cli.EXIT_CONFIG
 
@@ -338,18 +348,27 @@ class TestPack:
         corpus = tmp_path / "corpus.jsonl"
         D.write_jsonl(corpus, [CORPUS[0], {"text": 5, "lang": "en"}])
         cfgp = write_config(tmp_path / "pack.json",
-                            {"seed": 0, "corpus": str(corpus), "out": str(tmp_path / "o")})
+                            {"corpus": str(corpus), "out": str(tmp_path / "o")})
         assert cli.main(["pack", "--config", cfgp]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"malformed corpus record at {corpus} line 2" in err
         assert "'text' and 'lang' must be strings, got 5, 'en'" in err
         assert not (tmp_path / "o").exists()
 
+    def test_unread_top_level_key_is_config_error_before_out(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path / "pack.json", {
+            "corpus": write_corpus(tmp_path / "corpus.jsonl"), "out": str(tmp_path / "o"),
+            "target_length": 8})
+        assert cli.main(["pack", "--config", cfgp]) == cli.EXIT_CONFIG
+        assert ("config fields ['target_length'] are not read by pack"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_truncated_packed_bin_rejected(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "corpus.jsonl")
         packed = tmp_path / "packed"
         cfgp = write_config(tmp_path / "pack.json",
-                            {"seed": 0, "corpus": corpus, "out": str(packed), "target_len": 8})
+                            {"corpus": corpus, "out": str(packed), "target_len": 8})
         assert cli.main(["pack", "--config", cfgp]) == cli.EXIT_OK
         total = sum(json.loads((packed / "manifest.json").read_text())["sequence_lengths"])
         data = (packed / "packed.bin").read_bytes()
@@ -403,7 +422,7 @@ class TestPretrain:
     def test_packed_corpus_feeds_training(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "corpus.jsonl")
         packp = write_config(tmp_path / "pack.json",
-                             {"seed": 0, "corpus": corpus,
+                             {"corpus": corpus,
                               "out": str(tmp_path / "packed"), "target_len": 8,
                               "vocab_budget": 64})
         assert cli.main(["pack", "--config", packp]) == cli.EXIT_OK
@@ -541,6 +560,32 @@ class TestPretrain:
             "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})
         assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
         assert "config field 'init': unknown init kind: warm-start" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("plan, extra, fragment", [
+        (INLINE_PLAN, {"doner": "donor_ckpt"},
+         "['doner'] are not read by pretrain of an inline plan with init kind random"),
+        (INLINE_PLAN, {"scale": {"d_model": 32}},
+         "['scale'] are not read by pretrain of an inline plan"),
+        (INLINE_PLAN, {"donor": "donor_ckpt", "base": "base_ckpt"},
+         "['base', 'donor'] are not read by pretrain of an inline plan with init kind random"),
+        ({**INLINE_PLAN, "init": {"kind": "warm_start"},
+          "model": {**INLINE_PLAN["model"], "decoder_layers": 1}}, {"base": "base_ckpt"},
+         "['base'] are not read by pretrain of an inline plan with init kind warm_start"),
+        ("roberta-12e", {"doner": "donor_ckpt"},
+         "['doner'] are not read by pretrain of a preset with init kind random"),
+        ("roberta-12e", {"scale": {"d_model": 32, "fusion": True}},
+         "config field 'scale': 'fusion' is fixed by the preset roberta-12e"),
+    ])
+    def test_a_key_the_plan_does_not_read_is_config_error_before_out(self, tmp_path, capsys,
+                                                                     plan, extra, fragment):
+        """A misspelt key, `scale` beside an inline plan, a `donor` or `base`
+        that the init kind does not read, and a `scale` key the preset fixes."""
+        cfgp = write_config(tmp_path / "c.json", {
+            "seed": 0, "out": str(tmp_path / "run"), "plan": plan, **extra,
+            "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})
+        assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
+        assert fragment in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("change, fragment", [
@@ -713,6 +758,27 @@ class TestFinetuneEvaluate:
             "checkpoint": str(tmp_path / "bad"), "finetune": {"head_hidden": [16]}})
         assert cli.main(["finetune", "--config", ftp]) == cli.EXIT_RUNTIME
         assert "non-finite loss at fine-tune step 0" in capsys.readouterr().err
+
+    def test_unread_top_level_key_is_config_error_before_out(self, tmp_path, capsys):
+        """A misspelt `seeds` would otherwise run seed 0 alone."""
+        base = make_classification_task(tmp_path)
+        cfgp = write_config(tmp_path / "ft.json", {
+            "seed": 0, "seedz": [0, 1], "out": str(tmp_path / "tuned"), **base,
+            "finetune": {"epochs": 1, "max_updates": 2, "head_hidden": [16]}})
+        assert cli.main(["finetune", "--config", cfgp]) == cli.EXIT_CONFIG
+        assert "config fields ['seedz'] are not read by finetune" in capsys.readouterr().err
+        assert not (tmp_path / "tuned").exists()
+
+    def test_seed_option_replaces_the_seeds_list(self, tmp_path):
+        base = make_classification_task(tmp_path)
+        cfgp = write_config(tmp_path / "ft.json", {
+            "seed": 0, "seeds": [0, 1], "out": str(tmp_path / "tuned"), **base,
+            "finetune": {"epochs": 1, "max_updates": 2, "head_hidden": [16]}})
+        assert cli.main(["finetune", "--config", cfgp, "--seed", "7"]) == cli.EXIT_OK
+        assert sorted(os.listdir(tmp_path / "tuned")) == ["report.json", "report_seed7.jsonl",
+                                                          "tuned_seed7"]
+        report = json.loads((tmp_path / "tuned" / "report.json").read_text())
+        assert list(report["seeds"]) == ["7"]
 
     def test_unknown_finetune_key_is_config_error(self, tmp_path, capsys):
         base = make_classification_task(tmp_path)

@@ -11,8 +11,8 @@ from deskseq.autograd import IGNORE, ShapeError, Tensor
 from deskseq.optim import OptimState, adam_step
 from deskseq.params import ParameterStore
 
-from conftest import (composed_attention, composed_linear, finite_diff_check, mul, rel_err,
-                      square, sum_all)
+from conftest import (arena_gradients, composed_attention, composed_linear, finite_diff_check,
+                      mul, rel_err, square, sum_all)
 
 
 class TestNoGrad:
@@ -450,18 +450,21 @@ class TestAdam:
     def test_first_step_moves_by_lr(self):
         store = self._store([1.0])
         state = OptimState()
-        adam_step(store, {"w": np.array([1.0])}, state, lr=0.01, weight_decay=0.0)
+        adam_step(store, arena_gradients(store, {"w": np.array([1.0])}), state, lr=0.01,
+                  weight_decay=0.0)
         # bias-corrected m-hat = v-hat = 1 at step 1, so the step is -lr
         assert abs(store["w"].data[0] - (1.0 - 0.01)) < 1e-9
 
     def test_zero_gradient_no_decay_is_identity(self):
         store = self._store([2.5])
-        adam_step(store, {"w": np.array([0.0])}, OptimState(), lr=0.1, weight_decay=0.0)
+        adam_step(store, arena_gradients(store, {"w": np.array([0.0])}), OptimState(), lr=0.1,
+                  weight_decay=0.0)
         assert store["w"].data[0] == 2.5
 
     def test_decoupled_decay_scales_parameter(self):
         store = self._store([2.0])
-        adam_step(store, {"w": np.array([0.0])}, OptimState(), lr=1e-3, weight_decay=0.1)
+        adam_step(store, arena_gradients(store, {"w": np.array([0.0])}), OptimState(), lr=1e-3,
+                  weight_decay=0.1)
         assert abs(store["w"].data[0] - 2.0 * (1 - 1e-4)) < 1e-15
 
     def test_frozen_parameter_bit_identical(self):
@@ -470,7 +473,8 @@ class TestAdam:
         before = store["frozen"].data.copy()
         state = OptimState()
         for _ in range(10):
-            adam_step(store, {"w": np.array([0.7])}, state, lr=0.01, weight_decay=0.0)
+            adam_step(store, arena_gradients(store, {"w": np.array([0.7])}), state, lr=0.01,
+                      weight_decay=0.0)
         np.testing.assert_array_equal(store["frozen"].data, before)
         assert "frozen" not in state.slots
 
@@ -490,15 +494,18 @@ class TestAdam:
         store = self._store([1.0])
         store.add("unreached", np.array([3.0]))
         state = OptimState()
-        adam_step(store, {"w": np.array([0.7])}, state, lr=0.01, weight_decay=0.1)
+        adam_step(store, arena_gradients(store, {"w": np.array([0.7])}), state, lr=0.01,
+                  weight_decay=0.1)
         assert store["w"].data[0] != 1.0
         assert store["unreached"].data.tobytes() == np.array([3.0]).tobytes()
         assert "unreached" not in state.slots
-        adam_step(store, {"w": np.array([0.7]), "unreached": np.array([0.5])}, state,
+        adam_step(store, arena_gradients(store, {"w": np.array([0.7]),
+                                                 "unreached": np.array([0.5])}), state,
                   lr=0.01, weight_decay=0.1)
         value = store["unreached"].data.copy()
         slot = {k: np.copy(v) for k, v in state.slots["unreached"].items()}
-        adam_step(store, {"w": np.array([0.7])}, state, lr=0.01, weight_decay=0.1)
+        adam_step(store, arena_gradients(store, {"w": np.array([0.7])}), state, lr=0.01,
+                  weight_decay=0.1)
         assert store["unreached"].data.tobytes() == value.tobytes()
         assert state.slots["unreached"]["t"] == slot["t"] == 1
         for k in ("m", "v"):
@@ -514,7 +521,8 @@ class TestAdam:
         store = self._store([1.0])
         state = OptimState()
         for expected in (1, 2, 3):
-            adam_step(store, {"w": np.array([0.5])}, state, lr=0.01, weight_decay=0.0)
+            adam_step(store, arena_gradients(store, {"w": np.array([0.5])}), state, lr=0.01,
+                      weight_decay=0.0)
             assert state.slots["w"]["t"] == expected
 
 
