@@ -230,7 +230,7 @@ def linear(x, w, b):
     def bwd(g):
         g2 = g.reshape(-1, w.data.shape[0])
         gx = np.matmul(g2, w.data).reshape(x.data.shape) if x.requires_grad else None
-        gw = np.matmul(x2.T, g2).T if w.requires_grad else None
+        gw = np.matmul(g2.T, x2) if w.requires_grad else None  # C order, as the arena
         return gx, gw, g2.sum(axis=0) if b.requires_grad else None
 
     return _make(out, (x, w, b), bwd)

@@ -140,8 +140,10 @@ def cmd_pretrain(cfg):
     named = isinstance(preset, str)
     if named:
         scale = _object(cfg.get("scale", {}), "config field 'scale'")
-        if "fusion" in scale:  # desk_plan takes it from the preset's cross-attention
-            raise ConfigError(f"config field 'scale': 'fusion' is fixed by the preset {preset}")
+        fixed = [k for k in ("name", "enc", "dec", "fusion") if k in scale]
+        if fixed:  # desk_plan takes them from the preset: its name, layers and cross-attention
+            raise ConfigError(f"config field 'scale': {', '.join(map(repr, fixed))} "
+                              f"{'is' if len(fixed) == 1 else 'are'} fixed by the preset {preset}")
         plan = _build(P.desk_plan, scale, "scale", preset)
     else:
         plan = _plan_from_dict(preset)

@@ -1,20 +1,25 @@
-"""AdamW with decoupled weight decay and per-parameter bias correction.
+"""AdamW with decoupled weight decay, in Kingma & Ba's folded form.
 
 A step reads only the gradients `backward` wrote into the store's arena.  Its
 moments live in two buffers laid out as the arena, viewed by `slots[owner]`'s
 `m` and `v` (moments held elsewhere, as loaded, are copied in at their first
 step), with a step count `t` from the owner's first step.  Runs of arena
-neighbours with equal `t` are updated in place, chunk by chunk, op for op as
-the per-tensor update: the bytes do not depend on the runs or the chunks.
+neighbours with equal `t` are updated in place, chunk by chunk.  The update
+folds both bias corrections into one step size and an ε scaled by
+sqrt(1 - β2^t) (Kingma & Ba 2015, §2), so each chunk takes 9 elementwise passes,
+10 with decay, mostly BLAS `dscal`/`daxpy`.  An element's arithmetic does not
+depend on its neighbours: the bytes do not depend on the runs or the chunks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import daxpy, dscal
 
-_CHUNK = 65536  # elements per pass: the six arrays of a pass stay in cache
+_CHUNK = 65536  # elements per pass: the at most three 512 KiB arrays of a pass fit a 2 MiB L2
 BETA1, BETA2, EPS = 0.9, 0.99, 1e-8
 
 
@@ -62,14 +67,32 @@ def adam_step(store, grads, state, lr, weight_decay):
 
 
 def _update(p, g, m, v, a, b, t, lr, wd):
-    """In place, `a` and `b` scratch: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
-    p = p - lr (m / (1 - b1^t) / (sqrt(v / (1 - b2^t)) + eps) + wd p)."""
-    np.add(np.multiply(m, BETA1, out=m), np.multiply(g, 1.0 - BETA1, out=a), out=m)
-    np.multiply(np.multiply(g, g, out=a), 1.0 - BETA2, out=a)
-    np.add(np.multiply(v, BETA2, out=v), a, out=v)
-    np.divide(m, 1.0 - BETA1 ** t, out=a)
-    np.add(np.sqrt(np.divide(v, 1.0 - BETA2 ** t, out=b), out=b), EPS, out=b)
-    np.divide(a, b, out=a)
-    if wd:  # at 0, wd p is ±0 for a finite p and changes no bit of it
-        np.add(a, np.multiply(p, wd, out=b), out=a)
-    np.subtract(p, np.multiply(a, lr, out=a), out=p)
+    """In place on 1-D float64 arrays, `a` and `b` scratch, with c1 = 1 - b1^t
+    and c2 = 1 - b2^t: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+    p = (1 - lr wd) p - lr sqrt(c2) / c1 * m / (sqrt(v) + eps sqrt(c2)), which is
+    p - lr (m / c1 / (sqrt(v / c2) + eps) + wd p) in exact arithmetic."""
+    c1, root_c2 = 1.0 - BETA1 ** t, math.sqrt(1.0 - BETA2 ** t)
+    _axpy(1.0 - BETA1, g, _scal(BETA1, m))
+    _axpy(1.0 - BETA2, np.multiply(g, g, out=a), _scal(BETA2, v))
+    np.divide(m, np.add(np.sqrt(v, out=b), EPS * root_c2, out=b), out=a)
+    if wd:  # at 0 the scale is 1 and changes no bit of p
+        _scal(1.0 - lr * wd, p)
+    _axpy(-lr * root_c2 / c1, a, p)
+
+
+def _scal(alpha, x):
+    """x = alpha x, in place."""
+    return _in_place(dscal(alpha, x), x)
+
+
+def _axpy(alpha, x, y):
+    """y = y + alpha x, in place."""
+    return _in_place(daxpy(x, y, a=alpha), y)
+
+
+def _in_place(out, x):
+    # f2py hands back a copy, and leaves `x` as it was, unless `x` is a 1-D
+    # contiguous float64 array: the update would be lost without a word
+    if out is not x:
+        raise TypeError("AdamW's BLAS operands must be 1-D contiguous float64 arrays")
+    return x

@@ -132,10 +132,11 @@ def slot(state, owner, shape):
 
 
 def reference_adam_step(store, grads, state, lr, weight_decay):
-    """AdamW (beta1 0.9, beta2 0.99, eps 1e-8) one owner at a time, as
-    `optim.adam_step` did before the arena: each owner's moments and value
-    rebuilt as new arrays, in sorted owner order.  The arena update must equal
-    it bit for bit."""
+    """AdamW (beta1 0.9, beta2 0.99, eps 1e-8) in its textbook form, one
+    owner at a time: each owner's moments and value rebuilt as new arrays, in
+    sorted owner order.  `optim.adam_step` runs the folded form, which equals
+    it in exact arithmetic; in float64 it must stay within the rounding bound
+    that `test_arena.py` derives."""
     trainable = {owner for owner, t in store.unique_items() if t.requires_grad}
     unexpected = sorted(set(grads) - trainable)
     if unexpected:

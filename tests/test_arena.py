@@ -1,6 +1,7 @@
-"""The parameter arena: AdamW over it equals the per-owner update bit for bit,
-`backward` writes gradients into it as zeros-then-`+=` would, and a store,
-its copy and their optimizer states share no memory."""
+"""The parameter arena: AdamW over it equals the per-owner update bit for bit
+and the textbook formula within its rounding bound, `backward` writes
+gradients into it as zeros-then-`+=` would, and a store, its copy and their
+optimizer states share no memory."""
 
 import tempfile
 from unittest import mock
@@ -20,7 +21,8 @@ from deskseq.autograd import Tensor
 from deskseq.optim import OptimState, adam_step
 from deskseq.params import ParameterStore
 
-from conftest import arena_gradients, mul, reference_adam_step, reference_backward, sum_all
+from conftest import (arena_gradients, mul, reference_adam_step, reference_backward, slot,
+                      sum_all)
 
 TINY = M.ModelConfig(encoder_layers=1, d_model=8, d_ffn=16, heads=2, vocab_size=16,
                      max_positions=8)
@@ -48,6 +50,20 @@ def _same_state(store, ref, state, ref_state):
         assert _bytes(s["m"]) == _bytes(r["m"]) and _bytes(s["v"]) == _bytes(r["v"]), owner
 
 
+def _per_owner_update(store, grads, state, lr, weight_decay):
+    """`optim._update` over each owner's whole value, one owner at a time in
+    sorted order, on copies laid out flat: no arena, no runs, no chunks."""
+    for owner in sorted(grads):
+        p = store[owner]
+        s = slot(state, owner, p.data.shape)
+        s["t"] += 1
+        flat = [np.array(x, dtype=float).reshape(-1)
+                for x in (p.data, grads[owner], s["m"], s["v"])]
+        n = flat[0].size
+        O._update(*flat, np.empty(n), np.empty(n), s["t"], lr, weight_decay)
+        p.data, s["m"], s["v"] = (x.reshape(p.data.shape) for x in flat[:1] + flat[2:])
+
+
 shapes = st.lists(st.integers(1, 4), min_size=0, max_size=3).map(tuple)
 
 
@@ -58,7 +74,8 @@ def test_adam_step_equals_the_per_owner_reference_bit_for_bit(data, seed, weight
     """Random owner shapes and tie groups; per step, each owner frozen until
     a drawn step (so its `t` restarts behind the others), reached or not, and
     its gradient handed over as its arena slice.  A drawn step saves and
-    reloads the store and its optimizer state."""
+    reloads the store and its optimizer state.  The reference runs the same
+    kernel per owner, unchunked: the arena's runs and chunks change no bit."""
     rng = np.random.default_rng(seed)
     owner_shapes = data.draw(st.lists(shapes, min_size=1, max_size=6))
     store, ref = ParameterStore(), ParameterStore()
@@ -87,8 +104,75 @@ def test_adam_step_equals_the_per_owner_reference_bit_for_bit(data, seed, weight
                        if step >= frozen_until[o] and data.draw(st.booleans())]
             grads = {o: _signed_values(rng, store[o].data.shape) for o in reached}
             adam_step(store, arena_gradients(store, grads), state, 1e-2, weight_decay)
-            reference_adam_step(ref, grads, ref_state, 1e-2, weight_decay)
+            _per_owner_update(ref, grads, ref_state, 1e-2, weight_decay)
             _same_state(store, ref, state, ref_state)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+def test_adam_step_is_the_textbook_adamw_within_its_rounding_bound(rng, weight_decay):
+    """Eight steps of `adam_step` against `conftest.reference_adam_step`, the
+    textbook formula, within a bound derived from float64 rounding alone.
+
+    Both sides compute, from the same float constants (b1, b2, 1 - b1, 1 - b2,
+    eps, lr, wd, c1 = 1 - b1^t, c2 = 1 - b2^t), the same exact-arithmetic m,
+    v and p.  A rounding is at most U = 2^-53 relative to its result; a daxpy
+    counts as two (fused, it rounds once).  To first order in U, each side is
+    within E of exact arithmetic, element by element, where ' marks the step
+    before:
+
+    - m: 3 roundings (b1 m', (1 - b1) g, the sum), each at most U times
+      M = b1 |m'| + (1 - b1) |g|:  E_m = b1 E_m' + 3 U M.
+    - v: 4 roundings (g g, its scaling, b2 v', the sum) of terms no larger
+      than v:  E_v = b2 E_v' + 4 U v.
+    - p = (1 - lr wd) p' - S, with S = k m / D, k = lr sqrt(c2) / c1 and
+      D = sqrt(v) + eps sqrt(c2).  E_m moves S by k E_m / D; E_v moves sqrt(v),
+      so D, by at most E_v / (2 v) relative.  Then come at most 13 roundings,
+      each at most U times |S|, |p'| or |p|: the folded side's 4 in D, 1
+      division, 3 in k, 2 in the daxpy and 3 in the decay (the textbook
+      side's are 9):  E_p = (1 - lr wd) E_p' + k (E_m + |m| E_v / (2 v)) / D
+      + 13 U (|S| + |p'| + |p|).
+
+    The two sides then differ by at most 2 E.  The U^2 terms left out are
+    O(t U) relative to those kept, so a 1% margin covers them."""
+    lr, u, margin = 1e-2, np.finfo(float).eps / 2, 2 * 1.01
+    store, ref = ParameterStore(), ParameterStore()
+    for k, shape in enumerate([(3, 4), (5,), (2, 2, 3)]):
+        value = rng.normal(size=shape)
+        store.add(f"p{k}", value.copy())
+        ref.add(f"p{k}", value.copy())
+    state, ref_state = OptimState(), OptimState()
+    e_m, e_v, e_p = ({o: 0.0 for o in store.names()} for _ in range(3))
+    for t in range(1, 9):
+        grads = {o: rng.normal(size=store[o].data.shape) for o in store.names()}
+        before = {o: (ref[o].data, ref_state.slots[o]["m"] if t > 1 else 0.0) for o in grads}
+        adam_step(store, arena_gradients(store, grads), state, lr, weight_decay)
+        reference_adam_step(ref, grads, ref_state, lr, weight_decay)
+        k = lr * np.sqrt(1.0 - O.BETA2 ** t) / (1.0 - O.BETA1 ** t)
+        for o, g in grads.items():
+            p_prev, m_prev = before[o]
+            p, m, v = ref[o].data, ref_state.slots[o]["m"], ref_state.slots[o]["v"]
+            d = np.sqrt(v) + O.EPS * np.sqrt(1.0 - O.BETA2 ** t)
+            e_m[o] = O.BETA1 * e_m[o] + 3 * u * (O.BETA1 * abs(m_prev) + (1.0 - O.BETA1) * abs(g))
+            e_v[o] = O.BETA2 * e_v[o] + 4 * u * v
+            e_p[o] = ((1.0 - lr * weight_decay) * e_p[o]
+                      + k * (e_m[o] + abs(m) * e_v[o] / (2 * v)) / d
+                      + 13 * u * (k * abs(m) / d + abs(p_prev) + abs(p)))
+            s = state.slots[o]
+            for name, new, old, e in (("m", s["m"], m, e_m[o]), ("v", s["v"], v, e_v[o]),
+                                      ("p", store[o].data, p, e_p[o])):
+                assert np.all(abs(new - old) <= margin * e), (o, t, name)
+
+
+@pytest.mark.parametrize("operand", [np.ones(16)[::2], np.ones(8)[::-1],
+                                     np.ones(8, dtype=np.float32), np.ones((2, 4))])
+@pytest.mark.parametrize("name", ["p", "m", "v"])
+def test_a_blas_operand_that_f2py_would_copy_is_refused(name, operand):
+    """f2py hands `dscal`/`daxpy` a copy of an operand that is not a 1-D
+    contiguous float64 array, and leaves the original as it was: `_update`
+    refuses it rather than lose the update without a word."""
+    arrays = {k: np.ones(8) for k in "pgmv"} | {name: operand}
+    with pytest.raises(TypeError, match="1-D contiguous float64"):
+        O._update(*arrays.values(), np.empty(8), np.empty(8), 1, 1e-2, 0.1)
 
 
 def test_unfrozen_owner_restarts_its_step_count_in_its_own_run():

@@ -576,11 +576,20 @@ class TestPretrain:
          "['doner'] are not read by pretrain of a preset with init kind random"),
         ("roberta-12e", {"scale": {"d_model": 32, "fusion": True}},
          "config field 'scale': 'fusion' is fixed by the preset roberta-12e"),
+        ("roberta-12e", {"scale": {"enc": 2}},
+         "config field 'scale': 'enc' is fixed by the preset roberta-12e"),
+        ("roberta-12e", {"scale": {"dec": 0}},
+         "config field 'scale': 'dec' is fixed by the preset roberta-12e"),
+        ("roberta-12e", {"scale": {"name": "bart-12e12d"}},
+         "config field 'scale': 'name' is fixed by the preset roberta-12e"),
+        ("roberta-12e", {"scale": {"name": "x", "enc": 2, "dec": 2}},
+         "config field 'scale': 'name', 'enc', 'dec' are fixed by the preset roberta-12e"),
     ])
     def test_a_key_the_plan_does_not_read_is_config_error_before_out(self, tmp_path, capsys,
                                                                      plan, extra, fragment):
         """A misspelt key, `scale` beside an inline plan, a `donor` or `base`
-        that the init kind does not read, and a `scale` key the preset fixes."""
+        that the init kind does not read, and a `scale` key the preset fixes
+        (`name`, `enc`, `dec`, `fusion`), not one Python's call would clash on."""
         cfgp = write_config(tmp_path / "c.json", {
             "seed": 0, "out": str(tmp_path / "run"), "plan": plan, **extra,
             "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})
