@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 # one BLAS thread, as perfbench/run.py pins: threaded desk-size GEMMs nearly
 # double the CPU time for little wall time (set before numpy loads BLAS)
@@ -6,6 +7,22 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import pytest
+
+
+def traced_peak_mib(fn):
+    """The peak, in MiB, of what `tracemalloc` traces (numpy's arrays
+    included) beyond what was live before `fn()` ran."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def rel_err(a, b):

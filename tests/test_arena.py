@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deskseq import autograd as ag
@@ -308,10 +308,83 @@ def test_an_adopted_gradient_shared_by_two_parents_is_not_written_to(rng):
     c = Tensor(rng.normal(size=(2, 3)))
     x = ag.scale(w, 1.0)
     y = ag.add(x, x)  # add's backward hands both parents the same array
+    received = {}  # backward releases inner gradients: observe them in the closures
+    for name, node in (("y", y), ("x", x)):
+        def spy(g, name=name, closure=node._backward):
+            received[name] = g
+            return closure(g)
+        node._backward = spy
     ag.backward(sum_all(mul(y, c)))
-    np.testing.assert_array_equal(y.grad, c.data)
-    np.testing.assert_array_equal(x.grad, 2.0 * c.data)
+    np.testing.assert_array_equal(received["y"], c.data)  # x adopted it: never written to
+    np.testing.assert_array_equal(received["x"], 2.0 * c.data)
     np.testing.assert_array_equal(w.grad, 2.0 * c.data)
+
+
+_GRAPH_OPS = {  # (a, b, [2, 3] w, [3, 3] m, [3] v, dropout rng) -> a [2, 3] node
+    "add": lambda a, b, w, m, v, r: ag.add(a, b),
+    "mul": lambda a, b, w, m, v, r: mul(a, b),
+    "scale": lambda a, b, w, m, v, r: ag.scale(a, -1.5),
+    "gelu": lambda a, b, w, m, v, r: ag.gelu(a),
+    "softmax": lambda a, b, w, m, v, r: ag.softmax(a),
+    "layer_norm": lambda a, b, w, m, v, r: ag.layer_norm(a, v, v),
+    "linear": lambda a, b, w, m, v, r: ag.linear(a, m, v),
+    "transpose": lambda a, b, w, m, v, r: ag.reshape(ag.transpose(a), (2, 3)),
+    "dropout": lambda a, b, w, m, v, r: ag.dropout(a, 0.5, r),
+    "leaf": lambda a, b, w, m, v, r: w,
+}
+
+
+def _random_graph(ops, leaves, c, seed):
+    """A scalar loss over `leaves` built by `ops`: each (name, i, j) applies
+    `_GRAPH_OPS[name]` to earlier nodes i and j, so nodes fan out and in."""
+    r = np.random.default_rng(seed)
+    nodes = [leaves[0]]
+    for name, i, j in ops:
+        nodes.append(_GRAPH_OPS[name](nodes[i % len(nodes)], nodes[j % len(nodes)], *leaves, r))
+    return sum_all(mul(ag.add(nodes[-1], nodes[len(nodes) // 2]), c))
+
+
+def _inner_nodes(loss):
+    """The recorded nodes reachable from `loss`."""
+    seen, stack = {}, [loss]
+    while stack:
+        t = stack.pop()
+        if t._backward is not None and id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return list(seen.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(st.tuples(st.sampled_from(sorted(_GRAPH_OPS)), st.integers(0, 15),
+                              st.integers(0, 15)), max_size=12),
+       seed=st.integers(0, 2**31 - 1))
+@example(ops=[("add", 0, 0), ("add", 1, 0)], seed=0)  # an adopted array shared, then summed into
+def test_backward_consumes_the_tape_and_leaves_the_reference_leaf_gradients(ops, seed):
+    """On random op graphs, each side on its own fresh graph: the leaves (a
+    store parameter and two bare tensors) get the reference's gradient bytes,
+    no reached inner node keeps a closure, parent links or a gradient, and a
+    second backward over the consumed tape raises."""
+    rng = np.random.default_rng(seed)
+    store = ParameterStore()
+    leaves = [store.add("w", _signed_values(rng, (2, 3))),
+              Tensor(rng.normal(size=(3, 3)), requires_grad=True),
+              Tensor(rng.normal(size=3), requires_grad=True)]
+    c = Tensor(_signed_values(rng, (2, 3)))
+    grads = []
+    for run in (reference_backward, ag.backward):
+        store.zero_grad()
+        leaves[1].grad = leaves[2].grad = None
+        loss = _random_graph(ops, leaves, c, seed)
+        inner = _inner_nodes(loss)
+        run(loss)
+        grads.append([None if t.grad is None else t.grad.tobytes() for t in leaves])
+    assert grads[0] == grads[1]
+    assert loss in inner
+    for t in inner:
+        assert t._backward is None and t._parents is None and t.grad is None
+    with pytest.raises(RuntimeError, match="consumed"):
+        ag.backward(loss)
 
 
 def test_backward_writes_each_reached_owner_into_its_arena_slice(rng):
