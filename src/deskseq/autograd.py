@@ -408,12 +408,22 @@ def gather_rows(x, batch_idx, pos_idx):
 
 
 def dropout(a, p, rng):
-    """Inverted dropout as one tape node; identity when p == 0."""
+    """Inverted dropout as one tape node; identity when p == 0.  It saves a
+    bool mask `keep`: `(x * c) * keep`, with c = 1/(1 - p) > 0, has the bytes
+    of x times the float mask `keep / (1 - p)` wherever x * c is finite, a
+    dropped entry included (±0 with the sign of x)."""
     a = as_tensor(a)
     if p <= 0.0:
         return a
-    keep = (rng.random(a.data.shape) >= p).astype(a.data.dtype) / (1.0 - p)
-    return _make(a.data * keep, (a,), lambda g: (g * keep,))
+    keep = rng.random(a.data.shape) >= p
+    c = 1.0 / (1.0 - p)
+
+    def masked(x):
+        out = x * c
+        out *= keep
+        return out
+
+    return _make(masked(a.data), (a,), lambda g: (masked(g),))
 
 
 def mix(states, weights):
