@@ -226,30 +226,35 @@ def matmul(a, b):
     return _make(out, (a, b), bwd)
 
 
-def linear(x, w, b):
+def linear(x, w, b=None):
     """Projection x @ w.T + b of activations [..., d_in] by a weight stored
-    [d_out, d_in] and a bias [d_out], as one tape node.  The leading axes fold
-    into rows, so forward and backward each run one 2-D GEMM over all rows:
-    they make the numpy calls of the chain reshape to [rows, d_in] -> matmul
-    by the transposed weight -> add -> reshape back, and the output and every
-    gradient equal that chain's bit for bit."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    [d_out, d_in] and a bias [d_out] or None, as one tape node.  The leading
+    axes fold into rows, so forward and backward each run one 2-D GEMM over
+    all rows: they make the numpy calls of the chain reshape to [rows, d_in]
+    -> matmul by the transposed weight -> add (without a bias, none) ->
+    reshape back, and the output and every gradient equal that chain's bit
+    for bit.  Without a bias, backward returns None in its place."""
+    x, w = as_tensor(x), as_tensor(w)
+    b = None if b is None else as_tensor(b)
     if w.data.ndim != 2:
         raise ShapeError(f"linear weight must be 2-D [d_out, d_in], got {w.data.shape}")
-    if b.data.shape != w.data.shape[:1]:
+    if b is not None and b.data.shape != w.data.shape[:1]:
         raise ShapeError(f"linear bias {b.data.shape} does not match weight {w.data.shape}")
     if x.data.ndim < 2 or x.data.shape[-1] != w.data.shape[1]:
         raise ShapeError(f"linear input {x.data.shape} does not match weight {w.data.shape}")
     x2 = x.data.reshape(-1, w.data.shape[1])  # a view unless x's rows are scattered
-    out = (np.matmul(x2, w.data.T) + b.data).reshape(*x.data.shape[:-1], w.data.shape[0])
+    out = np.matmul(x2, w.data.T)
+    if b is not None:
+        out += b.data
+    out = out.reshape(*x.data.shape[:-1], w.data.shape[0])
 
     def bwd(g):
         g2 = g.reshape(-1, w.data.shape[0])
         gx = np.matmul(g2, w.data).reshape(x.data.shape) if x.requires_grad else None
         gw = np.matmul(g2.T, x2) if w.requires_grad else None  # C order, as the arena
-        return gx, gw, g2.sum(axis=0) if b.requires_grad else None
+        return gx, gw, g2.sum(axis=0) if b is not None and b.requires_grad else None
 
-    return _make(out, (x, w, b), bwd)
+    return _make(out, (x, w) if b is None else (x, w, b), bwd)
 
 
 def attention(q, k, v, heads, mask=None):

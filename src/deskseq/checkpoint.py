@@ -19,7 +19,7 @@ from .model import ModelConfig
 from .optim import OptimState
 from .params import ParameterStore
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 DTYPE = np.dtype("<f8")
 
 

@@ -98,9 +98,9 @@ def _ln_rows(prefix, d):
     return [(f"{prefix}.g", (d,), _ones), (f"{prefix}.b", (d,), _zeros)]
 
 
-def _attn_rows(prefix, d):
+def _attn_rows(prefix, d):  # no key bias: softmax ignores the shift q.bk it adds to a row
     return ([(f"{prefix}.w{p}", (d, d), trunc_normal) for p in "qkvo"]
-            + [(f"{prefix}.b{p}", (d,), _zeros) for p in "qkvo"])
+            + [(f"{prefix}.b{p}", (d,), _zeros) for p in "qvo"])
 
 
 def _ffn_rows(prefix, d, dff):
@@ -183,7 +183,7 @@ def _attention(store, prefix, x_q, x_kv, heads, mask, cache=None):
     """
     q = ag.linear(x_q, store[f"{prefix}.wq"], store[f"{prefix}.bq"])
     if x_kv is not None:
-        k = ag.linear(x_kv, store[f"{prefix}.wk"], store[f"{prefix}.bk"])
+        k = ag.linear(x_kv, store[f"{prefix}.wk"])
         v = ag.linear(x_kv, store[f"{prefix}.wv"], store[f"{prefix}.bv"])
     if cache is not None:
         if x_kv is not None:

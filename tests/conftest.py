@@ -62,15 +62,16 @@ def finite_diff_check(make_loss, tensors, rng, samples_per_tensor=4,
             )
 
 
-def composed_linear(x, w, b):
+def composed_linear(x, w, b=None):
     """The projection as one 2-D GEMM over all rows, in five tape nodes
-    (reshape to [rows, d_in], transpose, matmul, add, reshape back): the
-    reference `autograd.linear` must equal bit for bit."""
+    (reshape to [rows, d_in], transpose, matmul, add, reshape back; no add
+    without a bias): the reference `autograd.linear` must equal bit for bit."""
     from deskseq import autograd as ag
 
     x = ag.as_tensor(x)
-    rows = ag.reshape(x, (-1, x.shape[-1]))
-    out = ag.add(ag.matmul(rows, ag.transpose(w)), b)
+    out = ag.matmul(ag.reshape(x, (-1, x.shape[-1])), ag.transpose(w))
+    if b is not None:
+        out = ag.add(out, b)
     return ag.reshape(out, (*x.shape[:-1], out.shape[-1]))
 
 

@@ -96,6 +96,25 @@ class TestLinear:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
+           lead=st.lists(st.integers(1, 5), min_size=1, max_size=2),
+           d_in=st.integers(1, 9), d_out=st.integers(1, 9))
+    def test_without_a_bias_equals_the_chain_without_the_add_bit_for_bit(
+            self, seed, lead, d_in, d_out):
+        """b=None: the bytes of reshape -> matmul -> reshape, one node with
+        parents (x, w), and a backward that returns None for the bias."""
+        x, w, _, weights = _linear_operands(seed, lead, d_in, d_out)
+        out = ag.linear(x, w)
+        assert out._parents == (x, w) and out._backward(weights)[2] is None
+        results = []
+        for project in (ag.linear, composed_linear):
+            x, w, _, weights = _linear_operands(seed, lead, d_in, d_out)
+            out = project(x, w)
+            ag.backward(sum_all(mul(out, Tensor(weights))))
+            results.append([t.tobytes() for t in (out.data, x.grad, w.grad)])
+        assert results[0] == results[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
            lead=st.lists(st.integers(1, 5), min_size=1, max_size=3),
            d_in=st.integers(1, 40), d_out=st.integers(1, 9))
     @example(seed=0, lead=[3, 1], d_in=8, d_out=4)  # per-item 1-row GEMMs give other bytes

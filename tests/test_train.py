@@ -380,6 +380,15 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="unsupported checkpoint format"):
             C.load(tmp_path / "ck")
 
+    def test_a_v2_checkpoint_is_refused(self, tmp_path):
+        """Format 2 stored an attention key bias per attention; format 3 has none."""
+        cfg = small_cfg(dec=1)
+        C.save(tmp_path / "ck", cfg, M.init_seq2seq(cfg, 0))
+        mpath = tmp_path / "ck" / "manifest.json"
+        mpath.write_text(mpath.read_text().replace('"format_version": 3', '"format_version": 2'))
+        with pytest.raises(ValueError, match=r"unsupported checkpoint format: 2 \(reads 3\)"):
+            C.load(tmp_path / "ck")
+
 
     def test_checkpoint_is_three_files_and_float64_only(self, tmp_path):
         cfg = small_cfg(dec=0)
