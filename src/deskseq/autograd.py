@@ -112,10 +112,11 @@ def backward(loss):
     and its gradients have gone to its parents, the node drops its closure,
     its parent links and its own `.grad`, and the walk drops the node, so its
     saved arrays, its gradient and (when nothing else holds it) its output are
-    freed while the walk goes on; one warm desk 12+12 update on 24-token
-    documents peaks at about a third less traced memory for it.  Afterwards
-    only leaves hold `.grad`, and a second backward that reaches a consumed
-    node raises instead of reaching nothing: build the graph again.
+    freed while the walk goes on.  A warm desk 12+12 update on 24-token
+    documents peaked at 103.7 MiB of traced allocations when backward held all
+    of these until it returned, and at 65.7 MiB consuming the tape.
+    Afterwards only leaves hold `.grad`, and a later backward that reaches a
+    consumed node raises instead of reaching nothing: build the graph again.
 
     Each gradient equals zeros, then `+=` of each contribution in tape order,
     bit for bit.  An inner node adopts its first contribution when that has
@@ -172,7 +173,6 @@ def backward(loss):
                 parent.grad = np.add(g, 0.0, out=out)
         # consumed: `_parents = None` marks it for a later walk
         node._backward = node._parents = node.grad = None
-        adopted.discard(id(node))
 
 
 def _unbroadcast(g, shape):
