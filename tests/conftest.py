@@ -176,9 +176,21 @@ def reference_adam_step(store, grads, state, lr, weight_decay):
         p.data = p.data - lr * (mhat / (np.sqrt(vhat) + 1e-8) + weight_decay * p.data)
 
 
+def _zeros_for(node):
+    """Zeros laid out as `np.zeros_like` lays out a tape node's output: a
+    leaf's own data, else the shape, dtype and layout the node records."""
+    from deskseq import autograd as ag
+
+    if isinstance(node, ag.Tensor):
+        return np.zeros_like(node.data)
+    return np.zeros(node.shape, node.dtype) if node._like is None else np.zeros_like(node._like)
+
+
 def reference_backward(loss):
     """`autograd.backward` as it was before the arena: every gradient starts
-    as zeros and takes `+=` of each contribution in tape order."""
+    as zeros and takes `+=` of each contribution in tape order.  It walks from
+    `loss` itself, whose `_parents` and `_backward` are its node's, and keeps
+    the tape."""
     topo, seen, stack = [], set(), [(loss, False)]
     while stack:
         node, done = stack.pop()
@@ -200,5 +212,5 @@ def reference_backward(loss):
             if g is None or not parent.requires_grad:
                 continue
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
+                parent.grad = _zeros_for(parent)
             parent.grad += g

@@ -4,6 +4,7 @@ gradients into it as zeros-then-`+=` would, and a store, its copy and their
 optimizer states share no memory."""
 
 import tempfile
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from deskseq import evalft as E
 from deskseq import model as M
 from deskseq import optim as O
 from deskseq import train as T
-from deskseq.autograd import Tensor
+from deskseq.autograd import IGNORE, Tensor
 from deskseq.optim import OptimState, adam_step
 from deskseq.params import ParameterStore
 
@@ -385,6 +386,55 @@ def test_backward_consumes_the_tape_and_leaves_the_reference_leaf_gradients(ops,
         assert t._backward is None and t._parents is None and t.grad is None
     with pytest.raises(RuntimeError, match="consumed"):
         ag.backward(loss)
+
+
+def test_an_output_no_closure_saved_dies_with_the_callers_reference(rng):
+    """Tape nodes link to nodes, not to values: the data of a `dropout`
+    output, of a residual `add` and of the logits, which no closure saves,
+    is freed once the caller drops them while the loss's tape lives, and
+    backward still gives the reference's leaf gradient bytes."""
+    x = Tensor(_signed_values(rng, (2, 3, 4)), requires_grad=True)
+    w, v = Tensor(rng.normal(size=(4, 4)), requires_grad=True), Tensor(rng.normal(size=4))
+    labels = np.array([1, IGNORE, 0, 3, IGNORE, 2])
+
+    def build():
+        d = ag.dropout(ag.linear(x, w), 0.5, np.random.default_rng(1))
+        r = ag.add(x, d)
+        logits = ag.reshape(ag.layer_norm(r, v, v), (-1, 4))
+        return ag.softmax_cross_entropy(logits, labels), (d, r, logits)
+
+    loss, outputs = build()
+    refs = [weakref.ref(t.data) for t in outputs]
+    del outputs
+    assert [ref() for ref in refs] == [None] * 3
+    assert loss._backward is not None
+    ag.backward(loss)
+    new = [x.grad.tobytes(), w.grad.tobytes()]
+    x.grad = w.grad = None
+    reference_backward(build()[0])
+    assert new == [x.grad.tobytes(), w.grad.tobytes()]
+
+
+def test_a_wrapper_assigned_to_an_outputs_backward_runs_exactly_once(rng):
+    """The contract perfbench's tracing relies on: backward runs what was
+    assigned to an op output's `_backward`, once, with the output's gradient.
+    A leaf has no closure to wrap."""
+    x, w, b = (Tensor(rng.normal(size=shape), requires_grad=True)
+               for shape in ((2, 3, 4), (5, 4), (5,)))
+    c = Tensor(rng.normal(size=(2, 3, 5)))
+    out = ag.linear(x, w, b)
+    closure, received = out._backward, []
+
+    def wrapper(g):
+        received.append(g.copy())
+        return closure(g)
+
+    out._backward = wrapper
+    assert out._backward is wrapper
+    ag.backward(sum_all(mul(out, c)))
+    assert len(received) == 1 and received[0].tobytes() == c.data.tobytes()
+    with pytest.raises(AttributeError, match="op output"):
+        x._backward = wrapper
 
 
 def test_backward_writes_each_reached_owner_into_its_arena_slice(rng):

@@ -1,9 +1,12 @@
 """Tensor kernel: op oracles, gradient checks, and the optimizer contract."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from deskseq import autograd as ag
 from deskseq import model as M
@@ -273,6 +276,31 @@ class TestDropout:
         assert ag.dropout(x, 0.0, np.random.default_rng(0)) is x
 
 
+class TestGelu:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    def test_output_and_gradient_equal_the_formula_bit_for_bit(self, seed, shape):
+        """The node saves only the slope, computed in forward: the output is
+        `x * cdf` and the gradient `g * (cdf + x * pdf)`, byte for byte."""
+        rng = np.random.default_rng(seed)
+        x, g = rng.normal(size=shape) * 3.0, rng.normal(size=shape)
+        cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+        pdf = np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
+        out = ag.gelu(Tensor(x, requires_grad=True))
+        (grad,) = out._backward(g)
+        assert out.data.tobytes() == (x * cdf).tobytes()
+        assert grad.tobytes() == (g * (cdf + x * pdf)).tobytes()
+
+    def test_records_no_node_and_computes_no_slope_under_no_grad(self):
+        x = Tensor(np.linspace(-3.0, 3.0, 7), requires_grad=True)
+        with ag.no_grad(), mock.patch.object(ag.np, "exp", side_effect=AssertionError("slope")):
+            out = ag.gelu(x)
+        assert not out.requires_grad
+        assert out._backward is None and out._parents == ()
+        assert out.data.tobytes() == ag.gelu(x).data.tobytes()
+
+
 class TestLayerNorm:
     def test_constant_row_maps_to_bias(self):
         x = Tensor(np.full((1, 3), 7.0))
@@ -345,6 +373,33 @@ class TestCrossEntropy:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             ag.softmax_cross_entropy(Tensor(np.zeros((1, 4))), np.array([4]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), v=st.integers(1, 40),
+           scored=st.sampled_from([0.0, 0.15, 0.5, 1.0]), g=st.sampled_from([1.0, -0.75]))
+    def test_scoring_only_the_labelled_rows_keeps_the_whole_batch_bytes(
+            self, seed, n, v, scored, g):
+        """The loss and gradient bytes of normalizing every row, the scored
+        ones picked afterwards: each row's reductions are its own.  Unscored
+        rows get zeros times the scale (-0.0 under a negative gradient)."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, v)) * 5.0
+        labels = np.where(rng.random(n) < scored, rng.integers(0, v, size=n), IGNORE)
+        valid = labels != IGNORE
+        z = x - x.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        ref_grad = np.zeros_like(x)
+        if valid.any():
+            ref_loss = np.asarray((-logp[valid, labels[valid]]).mean())
+            ref_grad[valid] = np.exp(logp)[valid]
+            ref_grad[valid, labels[valid]] -= 1.0
+            ref_grad = ref_grad * (g / valid.sum())
+        else:
+            ref_loss = np.asarray(0.0)
+        loss = ag.softmax_cross_entropy(Tensor(x, requires_grad=True), labels)
+        (grad,) = loss._backward(np.asarray(g))
+        assert loss.data.tobytes() == ref_loss.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
 
     def test_invariant_to_position_permutation(self, rng):
         logits = rng.normal(size=(6, 5))
