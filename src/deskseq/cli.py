@@ -414,10 +414,9 @@ def cmd_finetune(cfg):
         if kind == "generation":
             tuned, record = E.finetune_seq2seq(mcfg, store, train_set, dev_set, fcfg, seed)
         else:
-            spec = M.HeadSpec(kind=kind, label_count=len(labels),
-                              hidden=fcfg.head_hidden)
-            tuned, record = E.finetune_classifier(mcfg, store, spec, train_set,
-                                                  dev_set, fcfg, seed)
+            spec = M.HeadSpec(kind=kind, label_count=len(labels), hidden=fcfg.head_hidden)
+            tuned, record = E.finetune_classifier(mcfg, store, spec, train_set, dev_set,
+                                                  fcfg, seed)
         os.makedirs(out, exist_ok=True)  # at the first write: a config fault leaves no out/
         values.append(record["best"])
         provenance = {"task": kind, "seed": seed, "metric": record["metric"]}
@@ -430,7 +429,7 @@ def cmd_finetune(cfg):
                         "epochs": [repr(v) for v in record["epochs"]]}])
     agg = E.aggregate_seeds(values)
     _write_json(os.path.join(out, "report.json"),
-                {"task": kind, "metric": fcfg.metric,
+                {"task": kind, "metric": record["metric"],
                  "mean": repr(agg["mean"]), "std": repr(agg["std"]),
                  "seeds": {str(s): repr(v) for s, v in zip(seeds, values)}})
     return EXIT_OK
@@ -475,12 +474,8 @@ def cmd_evaluate(cfg):
         if spec.label_count != len(labels):
             raise ConfigError(f"task head has {spec.label_count} labels, "
                               f"the eval split {len(labels)}")
-        preds = E.head_predictions(mcfg, store, spec, eval_set)
-        if kind == "classification":
-            value = float(np.mean([p == item[-1] for p, item in zip(preds, eval_set)]))
-        else:
-            value = E.entity_f1([[labels[i] for i in p] for p in preds],
-                                [[labels[i] for i in item[-1]] for item in eval_set])[2]
+        value = E.head_score("accuracy" if kind == "classification" else "entity_f1",
+                             E.head_predictions(mcfg, store, spec, eval_set), eval_set, labels)
         summary = {"metric": repr(value)}
     os.makedirs(out, exist_ok=True)  # after every config check: an exit 2 leaves no out/
     D.write_jsonl(os.path.join(out, "eval_records.jsonl"), records)

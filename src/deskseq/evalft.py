@@ -207,7 +207,7 @@ class FinetuneConfig:
     batch_size: int = 16
     epochs: int = 5
     max_updates: int = 1000
-    metric: str = "accuracy"  # accuracy (task heads) | perplexity | sciem (seq2seq)
+    metric: str | None = None  # None: the protocol's first metric (see _PROTOCOLS)
     head_hidden: list = field(default_factory=lambda: [64])
     freeze: tuple = ("Embedding",)
     weight_decay: float = 0.1
@@ -219,45 +219,54 @@ class FinetuneConfig:
         self.freeze = T.check_freeze(self.freeze)
 
 
-def _metric_better(metric, a, b):
-    return a < b if metric == "perplexity" else a > b
+# per protocol, the metrics a dev epoch may be selected by (the first is the
+# default) and the warm-up kind
+_PROTOCOLS = {"head": (("accuracy",), "linear"),
+              "seq2seq": (("perplexity", "sciem"), "exponential")}
 
 
-def _finetune(ft, train_set, fcfg, seed, warmup_kind, batch_loss, dev_metric):
-    """The epoch loop shared by both fine-tuning protocols.
+def _finetune(protocol, cfg, ft, train_set, dev_set, fcfg, seed, batch_loss, dev_score):
+    """The one fine-tuning routine, for both protocols ("head" or "seq2seq").
 
-    Each epoch shuffles `train_set`, takes one `train_step` of `ft` per batch
-    on `batch_loss(batch, dropout_rng)`, then scores `dev_metric()` and keeps
-    a copy of the best-scoring store.  The loop stops after the epoch that
-    spends the update budget.  Returns (best store, record).
+    It checks the splits and the metric before any update, then trains `ft`
+    under `fcfg.freeze` and `fcfg.dropout`.  Each epoch shuffles `train_set`,
+    takes one `train_step` per batch on `batch_loss(run_cfg, batch,
+    dropout_rng)`, then scores `dev_score(metric)` and keeps a copy of the
+    best store: lowest perplexity, otherwise highest score, and on a tie the
+    earlier epoch's.  The loop stops after the epoch that spends the update
+    budget.  Returns (best store, record).
     """
+    if not train_set or not dev_set:
+        raise ValueError("empty train or validation split")
+    metrics, warmup_kind = _PROTOCOLS[protocol]
+    metric = metrics[0] if fcfg.metric is None else fcfg.metric
+    if metric not in metrics:
+        raise ValueError(f"metric {metric} not valid for {protocol} fine-tuning")
+    T.apply_freeze_plan(ft, fcfg.freeze)
+    run_cfg = replace(cfg, dropout=fcfg.dropout)
     opt = OptimState()
     total = min(fcfg.max_updates, fcfg.epochs * math.ceil(len(train_set) / fcfg.batch_size))
     sched = T.LrSchedule(peak=fcfg.peak_lr, total_steps=total,
                          warmup_steps=min(fcfg.warmup_steps, total), warmup_kind=warmup_kind)
     rng = np.random.default_rng(seed)
-    best_metric, best_store, history = None, None, []
-    step = 0
+    best, best_store, history, step = None, None, [], 0
     for _epoch in range(fcfg.epochs):
         order = rng.permutation(len(train_set))
         for lo in range(0, len(order), fcfg.batch_size):
             if step >= total:
                 break
             batch = [train_set[i] for i in order[lo : lo + fcfg.batch_size]]
-            loss = batch_loss(batch, np.random.default_rng(D.seed_for(seed, step)))
+            loss = batch_loss(run_cfg, batch, np.random.default_rng(D.seed_for(seed, step)))
             T.train_step(ft, loss, opt, T.lr_at(sched, step), fcfg.weight_decay,
                          f"fine-tune step {step}")
             step += 1
-        value = dev_metric()
+        value = dev_score(metric)
         history.append(value)
-        if best_metric is None or _metric_better(fcfg.metric, value, best_metric):
-            best_metric = value
-            best_store = ft.copy()
+        if best is None or (value < best if metric == "perplexity" else value > best):
+            best, best_store = value, ft.copy()
         if step >= total:
             break
-    record = {"metric": fcfg.metric, "best": best_metric, "epochs": history,
-              "updates": step}
-    return best_store, record
+    return best_store, {"metric": metric, "best": best, "epochs": history, "updates": step}
 
 
 def finetune_classifier(cfg, store, spec, train_set, dev_set, fcfg, seed):
@@ -267,16 +276,11 @@ def finetune_classifier(cfg, store, spec, train_set, dev_set, fcfg, seed):
     labeling (ids, word_starts, labels-per-word).
     Returns (best ParameterStore, record with per-epoch metrics).
     """
-    if not train_set or not dev_set:
-        raise ValueError("empty train or validation split")
-    if fcfg.metric != "accuracy":
-        raise ValueError(f"metric {fcfg.metric} not valid for head fine-tuning")
+    # an MLM head left trainable gets no gradient from the head loss, so no update
     ft = M.attach_head(store, spec, cfg.d_model, seed)
-    T.apply_freeze_plan(ft, fcfg.freeze)  # the unused MLM head gets no gradient, so no update
-    run_cfg = replace(cfg, dropout=fcfg.dropout)
-    return _finetune(ft, train_set, fcfg, seed, "linear",
-                     lambda batch, rng: _head_loss(run_cfg, ft, spec, batch, train_rng=rng),
-                     lambda: _head_metric(cfg, ft, spec, dev_set, fcfg.metric))
+    return _finetune("head", cfg, ft, train_set, dev_set, fcfg, seed,
+                     lambda run_cfg, batch, rng: _head_loss(run_cfg, ft, spec, batch, rng),
+                     lambda metric: _head_metric(cfg, ft, spec, dev_set, metric))
 
 
 def _head_logits(cfg, store, spec, batch, train_rng=None):
@@ -293,20 +297,17 @@ def _head_loss(cfg, ft, spec, batch, train_rng=None):
     return ag.softmax_cross_entropy(_head_logits(cfg, ft, spec, batch, train_rng), labels)
 
 
-_HEAD_CHUNK = 16  # items per encoder forward when predicting
-
-
 def head_predictions(cfg, store, spec, items):
     """Argmax label ids per item: an id, or a list of them (labeling).
 
-    One forward per `_HEAD_CHUNK` items, padded to the chunk's longest.  A
-    logit can differ from a one-item forward's in the last bits (a BLAS
+    One forward per `train.EVAL_BATCH` items, padded to the chunk's longest.
+    A logit can differ from a one-item forward's in the last bits (a BLAS
     result depends on a matmul's row count); (config, seed) still fixes it.
     """
     preds = []
     with ag.no_grad():
-        for lo in range(0, len(items), _HEAD_CHUNK):
-            chunk = items[lo : lo + _HEAD_CHUNK]
+        for lo in range(0, len(items), T.EVAL_BATCH):
+            chunk = items[lo : lo + T.EVAL_BATCH]
             ids = np.argmax(_head_logits(cfg, store, spec, chunk).data, axis=1)
             if spec.kind == "classification":
                 preds.extend(ids.tolist())
@@ -316,10 +317,21 @@ def head_predictions(cfg, store, spec, items):
     return preds
 
 
+def head_score(metric, preds, items, labels=None):
+    """Score a head's predicted label ids against the gold ids of `items`.
+
+    `accuracy` counts an item when its label, or every word's label, is
+    right; `entity_f1` scores BIO chunks on the label names, `labels` by id.
+    """
+    if metric == "accuracy":
+        return float(np.mean([p == item[-1] for p, item in zip(preds, items)]))
+    return entity_f1([[labels[i] for i in p] for p in preds],
+                     [[labels[i] for i in item[-1]] for item in items])[2]
+
+
 def _head_metric(cfg, ft, spec, dev_set, metric):
-    """Dev accuracy; `metric` is always "accuracy", kept for perfbench's tracing."""
-    preds = head_predictions(cfg, ft, spec, dev_set)
-    return float(np.mean([p == item[-1] for p, item in zip(preds, dev_set)]))
+    """The dev score of `ft`'s head by `metric`: one call per dev evaluation."""
+    return head_score(metric, head_predictions(cfg, ft, spec, dev_set), dev_set)
 
 
 def finetune_seq2seq(cfg, store, train_pairs, dev_pairs, fcfg, seed):
@@ -327,25 +339,19 @@ def finetune_seq2seq(cfg, store, train_pairs, dev_pairs, fcfg, seed):
     selecting the best checkpoint by teacher-forced perplexity or by exact
     match of the output id list with the target's ([12, 3] does not match
     [1, 23], unlike their space-joined strings)."""
-    if not train_pairs or not dev_pairs:
-        raise ValueError("empty train or validation split")
-    if fcfg.metric not in ("perplexity", "sciem"):
-        raise ValueError(f"metric {fcfg.metric} not valid for seq2seq fine-tuning")
     ft = store.copy()
-    T.apply_freeze_plan(ft, fcfg.freeze)
-    run_cfg = replace(cfg, dropout=fcfg.dropout)
 
-    def dev_metric():
-        if fcfg.metric == "perplexity":
+    def dev_score(metric):
+        if metric == "perplexity":
             return perplexity(cfg, ft, dev_pairs)
         gc = GenConfig(beam_size=3, max_len=cfg.max_positions - 1)
         return float(np.mean([list(beam_search(cfg, ft, s, gc)) == list(t)
                               for s, t in dev_pairs]))
 
-    return _finetune(ft, train_pairs, fcfg, seed, "exponential",
-                     lambda batch, rng: T.denoise_step_loss(run_cfg, ft, *T.pad_pairs(batch),
-                                                            train_rng=rng),
-                     dev_metric)
+    return _finetune("seq2seq", cfg, ft, train_pairs, dev_pairs, fcfg, seed,
+                     lambda run_cfg, batch, rng: T.denoise_step_loss(
+                         run_cfg, ft, *T.pad_pairs(batch), train_rng=rng),
+                     dev_score)
 
 
 def aggregate_seeds(values):

@@ -322,6 +322,7 @@ def decoder_forward(cfg, store, target_in, enc_states, src_pad_mask=None, train_
                         for i in range(cfg.decoder_layers)]
         else:
             memories = [final_mem] * cfg.decoder_layers
+    del enc_states  # standard cross-attention reads only the last: free the rest now
 
     x = ag.add(ag.embedding(store["dec.embed.tok"], target_in),
                ag.embedding(store["dec.embed.pos"], np.arange(start, start + s)))
@@ -452,8 +453,8 @@ def head_features(cfg, store, spec, tokens, pad_mask=None, word_starts=None, tra
     labeling: the first subword of each word; `word_starts` is a list of
     strictly-increasing index lists, one per batch row.
     """
-    states = encoder_forward(cfg, store, tokens, pad_mask, train_rng=train_rng)
-    out = encoder_output(store, states)
+    out = encoder_output(store, encoder_forward(cfg, store, tokens, pad_mask,
+                                                train_rng=train_rng))
     if spec.kind == "classification":
         b = np.asarray(tokens).shape[0]
         return ag.gather_rows(out, np.arange(b), np.zeros(b, dtype=int))

@@ -119,6 +119,10 @@ class TrainStage:
             raise ValueError("stage step count must be positive")
         if self.objective not in (MLM, DENOISE):
             raise ValueError(f"unknown objective: {self.objective}")
+        last = self.lr_offset + self.steps - 1  # the schedule step of the stage's last update
+        if self.lr_offset < 0 or last > self.lr.total_steps:
+            raise ValueError(f"stage {self.name}: steps {self.lr_offset}..{last} outside "
+                             f"schedule range [0, {self.lr.total_steps}]")
         self.freeze = check_freeze(self.freeze)
 
 
@@ -187,16 +191,20 @@ def make_denoise_batch(seqs, nc, rngs):
     return pad_pairs([D.denoise_corrupt(seq, nc, rng) for seq, rng in zip(seqs, rngs)])
 
 
+# The two losses hand the encoder states straight to their reader, holding no
+# local: a state no closure saved is freed before the loss is built.
+
+
 def mlm_step_loss(cfg, store, tokens, labels, pad_mask, train_rng=None):
-    states = M.encoder_forward(cfg, store, tokens, pad_mask, train_rng=train_rng)
-    logits = M.mlm_logits(store, M.encoder_output(store, states))
+    logits = M.mlm_logits(store, M.encoder_output(
+        store, M.encoder_forward(cfg, store, tokens, pad_mask, train_rng=train_rng)))
     flat = ag.reshape(logits, (-1, cfg.vocab_size))
     return ag.softmax_cross_entropy(flat, labels.reshape(-1))
 
 
 def denoise_step_loss(cfg, store, src_tokens, src_mask, dec_in, labels, train_rng=None):
-    states = M.encoder_forward(cfg, store, src_tokens, src_mask, train_rng=train_rng)
-    logits = M.decoder_forward(cfg, store, dec_in, states, src_mask, train_rng=train_rng)
+    logits = M.decoder_forward(cfg, store, dec_in, M.encoder_forward(
+        cfg, store, src_tokens, src_mask, train_rng=train_rng), src_mask, train_rng=train_rng)
     flat = ag.reshape(logits, (-1, cfg.vocab_size))
     return ag.softmax_cross_entropy(flat, labels.reshape(-1))
 
@@ -284,8 +292,17 @@ def init_plan_store(plan, seed, donor=None):
     return donor
 
 
+_NOISE_MODES = {MLM: (D.MLM_MASK,), DENOISE: (D.SPAN_DROP, D.SPAN_MASK)}  # by objective
+
+
 def run_plan(plan, sequences, seed, donor=None, on_stage_end=None):
-    """Run all stages in order; returns (store, per-stage traces, opt_state)."""
+    """Run all stages in order; returns (store, per-stage traces, opt_state).
+    A stage whose noise mode its objective cannot use fails before any update
+    (MLM masking never reads the mode; a cost config may leave it unset)."""
+    for st in plan.stages:
+        if st.noise.mode not in _NOISE_MODES[st.objective]:
+            raise ValueError(f"stage {st.name}: {st.objective} needs noise mode "
+                             f"{' or '.join(_NOISE_MODES[st.objective])}, got {st.noise.mode}")
     store = init_plan_store(plan, seed, donor)
     opt_state = OptimState()
     traces = []
@@ -304,17 +321,16 @@ def run_plan(plan, sequences, seed, donor=None, on_stage_end=None):
 # ---------------------------------------------------------------------------
 # evaluation helpers
 
-_EVAL_BATCH = 16  # pairs per teacher-forced forward
+EVAL_BATCH = 16  # items per no-grad scoring forward: teacher-forced pairs, task-head items
 
 
 def eval_denoise_loss(cfg, store, pairs):
     """Teacher-forced mean token NLL over fixed (source, target) pairs."""
     total_nll, total_tok = 0.0, 0
     with ag.no_grad():
-        for i in range(0, len(pairs), _EVAL_BATCH):
-            src, src_mask, dec_in, labels = pad_pairs(pairs[i : i + _EVAL_BATCH])
-            loss = denoise_step_loss(cfg, store, src, src_mask, dec_in, labels)
-            n = int((labels != ag.IGNORE).sum())
-            total_nll += loss.item() * n
+        for i in range(0, len(pairs), EVAL_BATCH):
+            batch = pad_pairs(pairs[i : i + EVAL_BATCH])  # ends in the labels
+            n = int((batch[-1] != ag.IGNORE).sum())
+            total_nll += denoise_step_loss(cfg, store, *batch).item() * n
             total_tok += n
     return total_nll / max(total_tok, 1)

@@ -5,6 +5,7 @@ optimizer states share no memory."""
 
 import tempfile
 import weakref
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -413,6 +414,42 @@ def test_an_output_no_closure_saved_dies_with_the_callers_reference(rng):
     x.grad = w.grad = None
     reference_backward(build()[0])
     assert new == [x.grad.tobytes(), w.grad.tobytes()]
+
+
+@pytest.mark.parametrize("objective", ["mlm", "denoise"])
+def test_the_encoder_states_before_the_last_are_dead_when_the_loss_is_built(rng, monkeypatch,
+                                                                          objective):
+    """The MLM head and standard cross-attention read only the last encoder
+    state, through the final LN.  No closure saves the states before it, so
+    none is alive by the time the loss is built."""
+    cfg = M.ModelConfig(encoder_layers=2, decoder_layers=1, d_model=8, d_ffn=16, heads=2,
+                        vocab_size=16, max_positions=8, dropout=0.1)
+    encoder_forward, cross_entropy = M.encoder_forward, ag.softmax_cross_entropy
+    refs, alive = [], []
+
+    def keeping_refs(*args, **kwargs):
+        states = encoder_forward(*args, **kwargs)
+        refs.extend(weakref.ref(s.data) for s in states[:-1])
+        return states
+
+    def checking(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        return cross_entropy(*args, **kwargs)
+
+    monkeypatch.setattr(M, "encoder_forward", keeping_refs)
+    monkeypatch.setattr(ag, "softmax_cross_entropy", checking)
+    tokens = rng.integers(6, 16, size=(2, 5))
+    drop = np.random.default_rng(0)
+    if objective == "mlm":
+        enc_cfg = replace(cfg, decoder_layers=0)
+        loss = T.mlm_step_loss(enc_cfg, M.init_mlm_encoder(enc_cfg, 0), tokens, tokens,
+                               tokens > 0, train_rng=drop)
+    else:
+        pairs = [(row.tolist(), row[:3].tolist()) for row in tokens]
+        loss = T.denoise_step_loss(cfg, M.init_seq2seq(cfg, 0), *T.pad_pairs(pairs),
+                                   train_rng=drop)
+    assert alive == [[False, False]]
+    ag.backward(loss)
 
 
 def test_a_wrapper_assigned_to_an_outputs_backward_runs_exactly_once(rng):

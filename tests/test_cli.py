@@ -458,6 +458,37 @@ class TestPretrain:
         assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
         assert "donor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault", ["schedule", "mlm", "denoise"])
+    def test_a_stage_that_cannot_run_is_config_error_before_out_exists(self, tmp_path,
+                                                                       capsys, fault):
+        """The second stage cannot run: its schedule ends before its last
+        step, or its noise mode is not one its objective corrupts by.  Each
+        is found before the first stage writes `out/`."""
+        first = {**INLINE_PLAN["stages"][0], "name": "a",
+                 "lr": {"peak": 1e-3, "total_steps": 4, "warmup_steps": 1}}
+        second = {**first, "name": "b", "lr_offset": 3, "steps": 1}
+        model = INLINE_PLAN["model"]
+        if fault == "schedule":
+            second["steps"] = 5
+            message = ("config field 'stage 1': stage b: steps 3..7 outside schedule "
+                       "range [0, 4]")
+        elif fault == "mlm":
+            second["noise"] = {"mode": "span_drop"}
+            message = "stage b: mlm needs noise mode mlm_mask, got span_drop"
+        else:
+            model = {**model, "decoder_layers": 1}
+            first = {**first, "objective": "denoise", "noise": {"mode": "span_mask"}}
+            second = {**second, "objective": "denoise"}
+            del second["noise"]
+            message = "stage b: denoise needs noise mode span_drop or span_mask, got mlm_mask"
+        cfgp = write_config(tmp_path / "c.json", {
+            "seed": 0, "out": str(tmp_path / "run"),
+            "plan": {**INLINE_PLAN, "model": model, "stages": [first, second]},
+            "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})
+        assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("objective, limit", [("mlm", 40), ("denoise", 39)])
     def test_sequence_past_the_positions_is_config_error(self, tmp_path, capsys,
                                                          objective, limit):
@@ -882,7 +913,7 @@ class TestFinetuneEvaluate:
             cfgp = finetune_config(tmp_path, {
                 "vocab": str(tmp_path / "vocab.json"), "checkpoint": str(tmp_path / "s2s"),
                 "task": {"kind": "generation", "train": str(tmp_path / "pairs.jsonl"),
-                         "dev": str(tmp_path / "pairs.jsonl")}})
+                         "dev": str(tmp_path / "pairs.jsonl")}}, metric="accuracy")
         assert cli.main(["finetune", "--config", cfgp]) == cli.EXIT_CONFIG
         assert fault in capsys.readouterr().err
         assert not (tmp_path / "tuned").exists()
@@ -1198,6 +1229,19 @@ class TestFinetuneEvaluate:
         assert (f"config error: task {split} row 2 ({tmp_path / 'dev.jsonl'}) has 17 tokens, "
                 f"more than max_positions 16 of the checkpoint") in capsys.readouterr().err
         assert not (tmp_path / "tuned").exists()
+
+    def test_generation_finetune_without_a_metric_selects_by_perplexity(self, tmp_path):
+        """A protocol's first metric is its default: perplexity for seq2seq,
+        written into the report under its name."""
+        cfgp = finetune_config(tmp_path, make_generation_task(tmp_path))
+        assert cli.main(["finetune", "--config", cfgp]) == cli.EXIT_OK
+        report = D.read_jsonl(tmp_path / "tuned" / "report_seed0.jsonl")[0]
+        assert report["metric"] == "perplexity"
+        assert report["best"] == min(report["epochs"], key=float)
+        _, tuned, manifest, _ = C.load(tmp_path / "tuned" / "tuned_seed0")
+        assert manifest["provenance"]["metric"] == "perplexity"
+        assert json.loads((tmp_path / "tuned" / "report.json").read_text())["metric"] == \
+            "perplexity"
 
     @pytest.mark.parametrize("n_words, code", [(15, cli.EXIT_OK), (16, cli.EXIT_CONFIG)])
     def test_finetune_generation_target_must_fit_the_positions_with_bos(

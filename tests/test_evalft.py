@@ -470,6 +470,27 @@ class TestFinetune:
         assert record["best"] == max(record["epochs"])
         assert E._head_metric(cfg, best, spec, dev, "accuracy") == record["best"]
 
+    def test_a_dev_score_tie_keeps_the_earlier_epochs_store(self, monkeypatch):
+        """Every epoch scores the same, so the store after epoch 1 is kept."""
+        seen = []
+
+        def constant(cfg, ft, spec, dev_set, metric):
+            seen.append({n: ft[n].data.tobytes() for n in ft.names()})
+            return 0.5
+
+        monkeypatch.setattr(E, "_head_metric", constant)
+        cfg = tiny_cfg(decoder_layers=0, vocab_size=64)
+        train, dev = separable_classification(n_train=16, n_dev=4, n_labels=2,
+                                                seq_len=6, vocab_size=64, seed=3)
+        spec = M.HeadSpec(kind="classification", label_count=2, hidden=[8])
+        best, record = E.finetune_classifier(
+            cfg, M.init_mlm_encoder(cfg, 0), spec, train, dev,
+            FinetuneConfig(peak_lr=1e-2, warmup_steps=1, batch_size=8, epochs=3, dropout=0.0),
+            seed=0)
+        assert record["epochs"] == [0.5] * 3
+        assert seen[0] != seen[-1]
+        assert {n: best[n].data.tobytes() for n in best.names()} == seen[0]
+
     @pytest.mark.parametrize("metric", ["entity_f1", "sciem"])
     def test_head_finetune_rejects_other_metrics_before_training(self, metric, monkeypatch):
         def train_step(*args, **kwargs):

@@ -246,6 +246,27 @@ class TestRunPlan:
         assert [len(t) for t in traces] == [3, 2]
         assert traces[1][0]["step"] == 3  # continues global numbering
 
+    @pytest.mark.parametrize("lr_offset, steps, ok", [(0, 5, True), (2, 3, True),
+                                                      (-1, 2, False), (2, 4, False)])
+    def test_a_stage_runs_inside_its_schedule(self, lr_offset, steps, ok):
+        """Steps lr_offset .. lr_offset + steps - 1 must lie in [0, total_steps]."""
+        def build():
+            return TrainStage(name="s", objective=T.MLM, steps=steps,
+                              lr=LrSchedule(peak=1e-3, total_steps=4),
+                              noise=NoiseConfig(), lr_offset=lr_offset)
+        if ok:
+            build()
+            return
+        last = lr_offset + steps - 1
+        with pytest.raises(ValueError, match=f"stage s: steps {lr_offset}..{last} outside "
+                                             f"schedule range \\[0, 4\\]"):
+            build()
+
+    @pytest.mark.parametrize("steps_per_100k", [1, 2, 3, 7, 40, 400])
+    def test_every_desk_preset_runs_inside_its_schedule(self, steps_per_100k):
+        for plan in P.registry_plans():
+            P.desk_plan(plan.name, steps_per_100k=steps_per_100k)
+
     def test_denoise_without_decoder_rejected(self):
         with pytest.raises(ValueError, match="decoder"):
             TrainPlan(name="p", model=small_cfg(dec=0), stages=[stage(T.DENOISE, 1)])
@@ -513,7 +534,7 @@ class TestEvalLoss:
         store = M.init_seq2seq(cfg, 0)
         pairs = [(list(rng.integers(6, 32, size=5)), list(rng.integers(6, 32, size=3)))
                  for _ in range(5)]
-        monkeypatch.setattr(T, "_EVAL_BATCH", 5)
+        monkeypatch.setattr(T, "EVAL_BATCH", 5)
         whole = T.eval_denoise_loss(cfg, store, pairs)
         # token-weighted mean over single-pair batches must agree
         totals, toks = 0.0, 0
