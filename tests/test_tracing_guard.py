@@ -7,6 +7,7 @@ it breaks it silently, since the probe skips that name when it is absent.
 """
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,7 @@ def test_an_installed_probe_counts_pretraining_and_dev_evaluation(monkeypatch):
     before = _bindings()
     cfg = M.ModelConfig(encoder_layers=1, decoder_layers=1, d_model=8, d_ffn=16, heads=2,
                         vocab_size=32, max_positions=16)
-    enc_cfg = M.ModelConfig(encoder_layers=1, decoder_layers=0, d_model=8, d_ffn=16,
-                            heads=2, vocab_size=32, max_positions=16)
+    enc_cfg = replace(cfg, decoder_layers=0)
     rng = np.random.default_rng(0)
     seqs = [rng.integers(6, 32, size=10).tolist() for _ in range(8)]
     plan = T.TrainPlan(name="p", model=cfg, stages=[T.TrainStage(
