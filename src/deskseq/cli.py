@@ -57,9 +57,9 @@ def _load_config(path, args):
             cfg["seed"] = args.seed
             if "seeds" in cfg:
                 cfg["seeds"] = [args.seed]
-        if "seed" not in cfg:
+        if "seed" not in cfg and "seeds" not in cfg:  # a finetune runs its `seeds` alone
             raise ConfigError("config field 'seed' is required (no implicit randomness)")
-        if not _is_int(cfg["seed"]):
+        if "seed" in cfg and not _is_int(cfg["seed"]):
             raise ConfigError(f"config field 'seed' must be an int, got {cfg['seed']!r}")
     return cfg
 
@@ -186,10 +186,10 @@ def cmd_pretrain(cfg):
 def _check_corpus(plan, sequences):
     """Reject a corpus the plan's model cannot read, before step 0 and before
     any output exists: a token id outside the vocabulary, or a sequence longer
-    than the positions (one fewer for de-noising, whose decoder input gains BOS)."""
+    than the positions (one fewer with a decoder, whose input gains BOS)."""
     cfg = plan.model
     limit, why = cfg.max_positions, "max_positions"
-    if any(st.objective == T.DENOISE for st in plan.stages):
+    if cfg.decoder_layers:
         limit, why = limit - 1, f"max_positions {limit} less the de-noising BOS"
     for n, seq in enumerate(sequences):
         if len(seq) > limit:
@@ -209,7 +209,8 @@ def _plan_from_dict(d):
     for n, s in enumerate(_nonempty_list(d, "stages", "stage")):
         stage = dict(_object(s, f"stage {n}"))
         stage["lr"] = _build(T.LrSchedule, _require(s, "lr"), "lr")
-        stage["noise"] = _build(D.NoiseConfig, s.get("noise", {}), "noise")
+        if "noise" in s:  # else the objective's default
+            stage["noise"] = _build(D.NoiseConfig, s["noise"], "noise")
         stages.append(_build(T.TrainStage, stage, f"stage {n}"))
     init = _build(T.PlanInit, d.get("init", {}), "init")
     return T.TrainPlan(name=_require(d, "name"), model=model, stages=stages, init=init)
@@ -399,7 +400,7 @@ def _read_task(cfg, split, vocab, mcfg, labels=None, teacher_forced=False):
 def cmd_finetune(cfg):
     out = _require(cfg, "out")
     _check_keys(cfg, "finetune", {"seed", "seeds", "finetune", "checkpoint", "vocab", "task"})
-    seeds = cfg.get("seeds", [cfg["seed"]])
+    seeds = cfg["seeds"] if "seeds" in cfg else [cfg["seed"]]
     if not (isinstance(seeds, list) and seeds and all(_is_int(s) for s in seeds)
             and len(set(seeds)) == len(seeds)):
         raise ConfigError(f"config field 'seeds' must be a non-empty list of distinct "

@@ -67,14 +67,11 @@ def tu_cost(plan):
         raise ValueError("plan model has zero layers")
     cost = TUCost(plan=plan.name, inherited=list(plan.inherited_tu))
     for stage in plan.stages:
+        layer_tu = _component_tu(1, stage.steps, cfg.d_model, stage.batch_tokens)
         enc_weight = Fraction(1, 2) if "Encoder" in stage.freeze else 1
-        dec_layers = cfg.decoder_layers if stage.objective == "denoise" else 0
-        cost.stages.append(StageCost(
-            stage=stage.name,
-            encoder_tu=enc_weight * _component_tu(cfg.encoder_layers, stage.steps,
-                                                  cfg.d_model, stage.batch_tokens),
-            decoder_tu=_component_tu(dec_layers, stage.steps, cfg.d_model, stage.batch_tokens),
-        ))
+        cost.stages.append(StageCost(stage=stage.name,
+                                     encoder_tu=enc_weight * cfg.encoder_layers * layer_tu,
+                                     decoder_tu=cfg.decoder_layers * layer_tu))
     return cost
 
 

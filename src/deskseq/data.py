@@ -9,7 +9,7 @@ results do not depend on evaluation order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,19 +127,18 @@ MLM_MASK = "mlm_mask"
 SPAN_DROP = "span_drop"
 SPAN_MASK = "span_mask"
 
+MLM_SPLITS = (0.8, 0.1, 0.1)  # a selected token's mask / random / keep shares (BERT)
+SPAN_LAMBDA = 3.0  # the Poisson mean of a span's length (BART)
+
 
 @dataclass
 class NoiseConfig:
     mode: str = MLM_MASK
     corruption_ratio: float = 0.15
-    span_lambda: float = 3.0
-    mlm_splits: tuple = (0.8, 0.1, 0.1)  # mask / random / keep
 
     def __post_init__(self):
         if not 0.0 <= self.corruption_ratio <= 1.0:
             raise ValueError("corruption_ratio must be in [0, 1]")
-        if abs(sum(self.mlm_splits) - 1.0) > 1e-9:
-            raise ValueError("mlm_splits must sum to 1")
         if self.mode not in (MLM_MASK, SPAN_DROP, SPAN_MASK):
             raise ValueError(f"unknown corruption mode: {self.mode}")
 
@@ -152,7 +151,7 @@ def mlm_corrupt(ids, nc, rng, vocab_size):
     """BERT-style token corruption.
 
     Each non-special token is independently selected with p = ratio, then
-    replaced by MASK / a random non-special token / kept, per mlm_splits.
+    replaced by MASK / a random non-special token / kept, per MLM_SPLITS.
     Returns (input ids, labels) where unselected positions are labeled IGNORE.
     """
     ids = np.asarray(ids, dtype=np.int64)
@@ -168,7 +167,7 @@ def mlm_corrupt(ids, nc, rng, vocab_size):
         return out, labels
     labels[selected] = ids[selected]
     u = rng.random(ids.shape)
-    mask_p, random_p, _keep = nc.mlm_splits
+    mask_p, random_p, _keep = MLM_SPLITS
     do_mask = selected & (u < mask_p)
     do_random = selected & (u >= mask_p) & (u < mask_p + random_p)
     out[do_mask] = MASK
@@ -189,7 +188,7 @@ def denoise_corrupt(ids, nc, rng):
 
 
 def _draw_spans(ids, nc, rng):
-    """(start, end) half-open spans in draw order: zero-truncated Poisson(lambda)
+    """(start, end) half-open spans in draw order: zero-truncated Poisson(SPAN_LAMBDA)
     span lengths at unselected non-special starts until >= ratio * len tokens are
     selected (the final span may overshoot); spans never cross DOC boundaries or
     already-selected positions."""
@@ -205,7 +204,7 @@ def _draw_spans(ids, nc, rng):
                 break
             length = 0
             while length == 0:
-                length = int(rng.poisson(nc.span_lambda))
+                length = int(rng.poisson(SPAN_LAMBDA))
             start = int(candidates[rng.integers(candidates.size)])
             end = start  # DOC is special, so the walk stops at a separator
             while end < n and end - start < length and selectable[end] and not selected[end]:

@@ -15,8 +15,6 @@ from .model import FUSION, STANDARD, ModelConfig
 REGISTRY_VOCAB = 250_000
 REGISTRY_STEPS = 500_000
 
-MLM_NOISE = D.NoiseConfig(mode=D.MLM_MASK)
-DROP_NOISE = D.NoiseConfig(mode=D.SPAN_DROP)
 MASK_NOISE = D.NoiseConfig(mode=D.SPAN_MASK)
 
 
@@ -32,7 +30,7 @@ def _pretrain_lr(total_steps, peak=1.5e-4, warmup=5000):
                         warmup_steps=min(warmup, total_steps), end=5e-6)
 
 
-def _registry_stage(name, objective, noise, steps, freeze=(), lr=None, lr_offset=0):
+def _registry_stage(name, objective, steps, freeze=(), lr=None, lr_offset=0, noise=None):
     return T.TrainStage(name=name, objective=objective, steps=steps,
                         lr=lr or _pretrain_lr(steps), noise=noise, freeze=freeze,
                         lr_offset=lr_offset, batch_tokens=1_000_000)
@@ -43,37 +41,32 @@ def registry_plans():
     plans = []
     plans.append(T.TrainPlan(
         name="roberta-12e", model=_registry_cfg(12, 0),
-        stages=[_registry_stage("mlm", T.MLM, MLM_NOISE, REGISTRY_STEPS)]))
-    for dec, noise, suffix in [(12, DROP_NOISE, ""), (12, MASK_NOISE, "-mask"),
-                               (2, DROP_NOISE, ""), (2, MASK_NOISE, "-mask"),
-                               (1, MASK_NOISE, "-mask")]:
+        stages=[_registry_stage("mlm", T.MLM, REGISTRY_STEPS)]))
+    for dec, suffix in [(12, ""), (12, "-mask"), (2, ""), (2, "-mask"), (1, "-mask")]:
         plans.append(T.TrainPlan(
             name=f"bart-12e{dec}d{suffix}", model=_registry_cfg(12, dec),
-            stages=[_registry_stage("denoise", T.DENOISE, noise, REGISTRY_STEPS)]))
+            stages=[_registry_stage("denoise", T.DENOISE, REGISTRY_STEPS,
+                                    noise=MASK_NOISE if suffix else None)]))
     plans.append(T.TrainPlan(
         name="bart-12e12d+mlm", model=_registry_cfg(12, 0),
         init=T.PlanInit("extract", "bart-12e12d"),
-        stages=[_registry_stage("continued-mlm", T.MLM, MLM_NOISE, 100_000,
-                             lr=_pretrain_lr(100_000, peak=1e-4, warmup=1000))]))
-    plans.append(T.TrainPlan(
-        name="2stage-bart-12e12d", model=_registry_cfg(12, 12),
-        init=T.PlanInit("warm_start", "roberta-12e"),
-        stages=[_registry_stage("denoise-frozen", T.DENOISE, DROP_NOISE, REGISTRY_STEPS,
-                             freeze=("Encoder",))]))
-    plans.append(T.TrainPlan(
-        name="2stage-bart-12e12d-attn-f", model=_registry_cfg(12, 12, fusion=True),
-        init=T.PlanInit("warm_start", "roberta-12e"),
-        stages=[_registry_stage("denoise-frozen", T.DENOISE, DROP_NOISE, REGISTRY_STEPS,
-                             freeze=("Encoder",))]))
+        stages=[_registry_stage("continued-mlm", T.MLM, 100_000,
+                                lr=_pretrain_lr(100_000, peak=1e-4, warmup=1000))]))
+    for suffix, fusion in [("", False), ("-attn-f", True)]:
+        plans.append(T.TrainPlan(
+            name=f"2stage-bart-12e12d{suffix}", model=_registry_cfg(12, 12, fusion=fusion),
+            init=T.PlanInit("warm_start", "roberta-12e"),
+            stages=[_registry_stage("denoise-frozen", T.DENOISE, REGISTRY_STEPS,
+                                    freeze=("Encoder",))]))
     shared = _pretrain_lr(350_000)
     plans.append(T.TrainPlan(
         name="2stage-bart-12e12d-unfrz", model=_registry_cfg(12, 12),
         init=T.PlanInit("warm_start", "roberta-12e"),
         stages=[
-            _registry_stage("denoise-frozen", T.DENOISE, DROP_NOISE, 200_000,
-                         freeze=("Encoder",), lr=shared, lr_offset=0),
-            _registry_stage("denoise-unfrozen", T.DENOISE, DROP_NOISE, 150_000,
-                         lr=shared, lr_offset=200_000),
+            _registry_stage("denoise-frozen", T.DENOISE, 200_000,
+                            freeze=("Encoder",), lr=shared, lr_offset=0),
+            _registry_stage("denoise-unfrozen", T.DENOISE, 150_000,
+                            lr=shared, lr_offset=200_000),
         ]))
     return charge_donors(plans)
 

@@ -28,17 +28,20 @@ class TrainingDiverged(RuntimeError):
 # ---------------------------------------------------------------------------
 # learning-rate schedules
 
+WARMUP_FLOOR = 1e-7  # where an exponential warm-up starts
+
 
 @dataclass
 class LrSchedule:
     peak: float
     total_steps: int
     warmup_steps: int = 0
-    warmup_kind: str = "linear"  # "linear" (from 0) | "exponential" (from floor)
-    floor: float = 1e-7
+    warmup_kind: str = "linear"  # "linear" (from 0) | "exponential" (from WARMUP_FLOOR)
     end: float = 0.0
 
     def __post_init__(self):
+        if self.warmup_steps < 0:
+            raise ValueError(f"warmup_steps must not be negative, got {self.warmup_steps}")
         if self.warmup_steps > self.total_steps:
             raise ValueError("warmup_steps must not exceed total_steps")
         if not (self.peak > self.end >= 0.0):
@@ -54,7 +57,7 @@ def lr_at(s, step):
         frac = step / s.warmup_steps
         if s.warmup_kind == "linear":
             return s.peak * frac
-        return s.floor * (s.peak / s.floor) ** frac  # geometric interpolation
+        return WARMUP_FLOOR * (s.peak / WARMUP_FLOOR) ** frac  # geometric interpolation
     if s.total_steps == s.warmup_steps:
         return s.peak
     frac = (step - s.warmup_steps) / (s.total_steps - s.warmup_steps)
@@ -100,6 +103,8 @@ def apply_freeze_plan(store, freeze):
 
 MLM = "mlm"
 DENOISE = "denoise"
+# the noise modes each objective corrupts by; the first is a stage's default
+_NOISE_MODES = {MLM: (D.MLM_MASK,), DENOISE: (D.SPAN_DROP, D.SPAN_MASK)}
 
 
 @dataclass
@@ -108,7 +113,7 @@ class TrainStage:
     objective: str  # MLM | DENOISE
     steps: int
     lr: LrSchedule
-    noise: D.NoiseConfig
+    noise: D.NoiseConfig | None = None  # None: the objective's first mode (see _NOISE_MODES)
     freeze: tuple = ()
     lr_offset: int = 0  # lets stages share one continuous schedule
     batch_size: int = 8  # packed sequences per update
@@ -117,8 +122,16 @@ class TrainStage:
     def __post_init__(self):
         if self.steps <= 0:
             raise ValueError("stage step count must be positive")
-        if self.objective not in (MLM, DENOISE):
+        if self.objective not in _NOISE_MODES:
             raise ValueError(f"unknown objective: {self.objective}")
+        modes = _NOISE_MODES[self.objective]
+        self.noise = D.NoiseConfig(mode=modes[0]) if self.noise is None else self.noise
+        if self.noise.mode not in modes:
+            raise ValueError(f"stage {self.name}: {self.objective} needs noise mode "
+                             f"{' or '.join(modes)}, got {self.noise.mode}")
+        if self.batch_size < 1:
+            raise ValueError(f"stage {self.name}: batch_size must be at least 1, "
+                             f"got {self.batch_size}")
         last = self.lr_offset + self.steps - 1  # the schedule step of the stage's last update
         if self.lr_offset < 0 or last > self.lr.total_steps:
             raise ValueError(f"stage {self.name}: steps {self.lr_offset}..{last} outside "
@@ -145,11 +158,17 @@ class TrainPlan:
     inherited_tu: list = field(default_factory=list)  # [(donor, TU)]: set by cost.charge_donors
 
     def __post_init__(self):
+        """The model each step sees: de-noising and a warm start need a
+        decoder, MLM and an extraction a model without one."""
         if not self.stages:  # else a run that trains nothing and a cost of 0
             raise ValueError(f"plan {self.name} has no stages")
+        dec = self.model.decoder_layers > 0
+        need = "requires a model without a decoder" if dec else "requires a decoder"
+        if self.init.kind in ("warm_start", "extract") and dec != (self.init.kind == "warm_start"):
+            raise ValueError(f"init {self.init.kind} {need}")
         for st in self.stages:
-            if st.objective == DENOISE and self.model.decoder_layers < 1:
-                raise ValueError(f"stage {st.name}: de-noising requires a decoder")
+            if dec != (st.objective == DENOISE):
+                raise ValueError(f"stage {st.name}: {'MLM' if dec else 'de-noising'} {need}")
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +185,9 @@ def pad_batch(rows, fill):
 
 def make_mlm_batch(seqs, nc, vocab_size, rngs):
     """Corrupt and pad a list of id sequences; one RNG per slot."""
-    inputs, labels = [], []
-    for seq, rng in zip(seqs, rngs):
-        inp, lab = D.mlm_corrupt(seq, nc, rng, vocab_size)
-        inputs.append(inp)
-        labels.append(lab)
+    inputs, labels = zip(*[D.mlm_corrupt(s, nc, rng, vocab_size) for s, rng in zip(seqs, rngs)])
     tokens = pad_batch(inputs, D.PAD)
-    labs = pad_batch(labels, ag.IGNORE)
-    pad_mask = tokens != D.PAD
-    return tokens, labs, pad_mask
+    return tokens, pad_batch(labels, ag.IGNORE), tokens != D.PAD
 
 
 def pad_pairs(pairs):
@@ -260,13 +273,12 @@ def run_stage(cfg, store, sequences, stage, seed, opt_state=None, step_base=0):
         # per-slot corruption seeds keep results independent of assembly order
         slot_rngs = [np.random.default_rng(np.random.SeedSequence([seed, step, int(s)]))
                      for s in range(stage.batch_size)]
-        if stage.objective == MLM:
-            tokens, labels, pad_mask = make_mlm_batch(batch_seqs, stage.noise,
-                                                      cfg.vocab_size, slot_rngs)
-            loss = mlm_step_loss(cfg, store, tokens, labels, pad_mask, train_rng=drop_rng)
+        if stage.objective == MLM:  # module globals, looked up per call: perfbench wraps them
+            batch = make_mlm_batch(batch_seqs, stage.noise, cfg.vocab_size, slot_rngs)
+            loss = mlm_step_loss(cfg, store, *batch, train_rng=drop_rng)
         else:
-            src, src_mask, dec_in, labels = make_denoise_batch(batch_seqs, stage.noise, slot_rngs)
-            loss = denoise_step_loss(cfg, store, src, src_mask, dec_in, labels, train_rng=drop_rng)
+            batch = make_denoise_batch(batch_seqs, stage.noise, slot_rngs)
+            loss = denoise_step_loss(cfg, store, *batch, train_rng=drop_rng)
         value = train_step(store, loss, opt_state, lr, 0.0,
                            f"stage '{stage.name}' step {step_base + step}")
         trace.append({"step": step_base + step, "stage": stage.name,
@@ -292,17 +304,8 @@ def init_plan_store(plan, seed, donor=None):
     return donor
 
 
-_NOISE_MODES = {MLM: (D.MLM_MASK,), DENOISE: (D.SPAN_DROP, D.SPAN_MASK)}  # by objective
-
-
 def run_plan(plan, sequences, seed, donor=None, on_stage_end=None):
-    """Run all stages in order; returns (store, per-stage traces, opt_state).
-    A stage whose noise mode its objective cannot use fails before any update
-    (MLM masking never reads the mode; a cost config may leave it unset)."""
-    for st in plan.stages:
-        if st.noise.mode not in _NOISE_MODES[st.objective]:
-            raise ValueError(f"stage {st.name}: {st.objective} needs noise mode "
-                             f"{' or '.join(_NOISE_MODES[st.objective])}, got {st.noise.mode}")
+    """Run all stages in order; returns (store, per-stage traces, opt_state)."""
     store = init_plan_store(plan, seed, donor)
     opt_state = OptimState()
     traces = []

@@ -223,7 +223,7 @@ def overfit_plan(objective, *, steps=2000, enc=2, dec=2, vocab_size=256,
     cfg = P.desk_cfg(enc, 0 if objective == T.MLM else dec, vocab_size=vocab_size,
                      d_model=d_model, dropout=0.0)
     lr = T.LrSchedule(peak=peak_lr, total_steps=steps, warmup_steps=100, end=1e-4)
-    noise = P.MLM_NOISE if objective == T.MLM else P.MASK_NOISE
+    noise = P.MASK_NOISE if objective == T.DENOISE else None
     stage = T.TrainStage(name="overfit", objective=objective, steps=steps, lr=lr,
                          noise=noise, batch_size=batch_size,
                          batch_tokens=batch_size * cfg.max_positions)

@@ -46,6 +46,12 @@ INLINE_PLAN = {
                 "lr": {"peak": 1e-3, "total_steps": 3, "warmup_steps": 1},
                 "noise": {"mode": "mlm_mask"}, "batch_size": 4}],
 }
+# the same with a decoder, de-noising: the model a warm start needs
+INLINE_DENOISE_PLAN = {
+    **INLINE_PLAN, "model": {**INLINE_PLAN["model"], "decoder_layers": 1},
+    "stages": [{**INLINE_PLAN["stages"][0], "objective": "denoise",
+                "noise": {"mode": "span_mask"}}],
+}
 
 
 class TestConfigHandling:
@@ -474,19 +480,82 @@ class TestPretrain:
                        "range [0, 4]")
         elif fault == "mlm":
             second["noise"] = {"mode": "span_drop"}
-            message = "stage b: mlm needs noise mode mlm_mask, got span_drop"
+            message = ("config field 'stage 1': stage b: mlm needs noise mode mlm_mask, "
+                       "got span_drop")
         else:
             model = {**model, "decoder_layers": 1}
             first = {**first, "objective": "denoise", "noise": {"mode": "span_mask"}}
-            second = {**second, "objective": "denoise"}
-            del second["noise"]
-            message = "stage b: denoise needs noise mode span_drop or span_mask, got mlm_mask"
+            second = {**second, "objective": "denoise", "noise": {"mode": "mlm_mask"}}
+            message = ("config field 'stage 1': stage b: denoise needs noise mode "
+                       "span_drop or span_mask, got mlm_mask")
         cfgp = write_config(tmp_path / "c.json", {
             "seed": 0, "out": str(tmp_path / "run"),
             "plan": {**INLINE_PLAN, "model": model, "stages": [first, second]},
             "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})
         assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
         assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("verb", ["pretrain", "cost"])
+    @pytest.mark.parametrize("plan, message", [
+        ({**INLINE_DENOISE_PLAN, "stages": [{**INLINE_DENOISE_PLAN["stages"][0], "name": "a"},
+                                            {**INLINE_PLAN["stages"][0], "name": "b"}]},
+         "stage b: MLM requires a model without a decoder"),
+        ({**INLINE_PLAN, "init": {"kind": "warm_start"}}, "init warm_start requires a decoder"),
+        ({**INLINE_DENOISE_PLAN, "init": {"kind": "extract"}},
+         "init extract requires a model without a decoder"),
+    ], ids=["mlm-after-denoise", "warm_start", "extract"])
+    def test_a_plan_whose_model_a_step_cannot_use_is_config_error_before_out(
+            self, tmp_path, capsys, verb, plan, message):
+        """De-noising and a warm start need a decoder, MLM and an extraction a
+        model without one.  `cost` and `pretrain` refuse the same plans, and
+        `pretrain` before its first stage writes `out/`."""
+        body = {"plans": [plan]} if verb == "cost" else {
+            "seed": 0, "plan": plan,
+            "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}}
+        cfgp = write_config(tmp_path / "c.json", {"out": str(tmp_path / "run"), **body})
+        assert cli.main([verb, "--config", cfgp]) == cli.EXIT_CONFIG
+        assert f"config error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"batch_size": 0}, "config field 'stage 1': stage b: batch_size must be at least 1, "
+                            "got 0"),
+        ({"batch_size": -2}, "config field 'stage 1': stage b: batch_size must be at least 1, "
+                             "got -2"),
+        ({"lr": {"peak": 1e-3, "total_steps": 4, "warmup_steps": -5}},
+         "config field 'lr': warmup_steps must not be negative, got -5"),
+    ], ids=["batch_size 0", "batch_size -2", "warmup_steps -5"])
+    def test_a_later_stage_size_below_its_least_is_config_error_before_out(
+            self, tmp_path, capsys, change, message):
+        first = {**INLINE_PLAN["stages"][0], "name": "a"}
+        second = {**first, "name": "b", **change}
+        cfgp = write_config(tmp_path / "c.json", {
+            "seed": 0, "out": str(tmp_path / "run"),
+            "plan": {**INLINE_PLAN, "stages": [first, second]},
+            "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})
+        assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_a_denoising_stage_without_noise_drops_spans(self, tmp_path):
+        """A stage's noise defaults to its objective's first mode."""
+        stage = {k: v for k, v in INLINE_DENOISE_PLAN["stages"][0].items() if k != "noise"}
+        for name, st in (("default", stage), ("span_drop", {**stage, "noise": {
+                "mode": "span_drop"}})):
+            cfgp = write_config(tmp_path / f"{name}.json", {
+                "seed": 0, "out": str(tmp_path / name),
+                "plan": {**INLINE_DENOISE_PLAN, "stages": [st]},
+                "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})
+            assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_OK
+        assert tree_bytes(tmp_path / "default") == tree_bytes(tmp_path / "span_drop")
+
+    def test_seeds_are_not_read_by_pretrain(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path / "c.json", {
+            "seeds": [0, 1], "out": str(tmp_path / "run"), "plan": INLINE_PLAN,
+            "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})
+        assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
+        assert "config fields ['seeds'] are not read by pretrain" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("objective, limit", [("mlm", 40), ("denoise", 39)])
@@ -575,7 +644,8 @@ class TestPretrain:
     @pytest.mark.parametrize("field, init", [("donor", "warm_start"), ("base", "checkpoint")])
     def test_unreadable_init_checkpoint_names_its_field(self, tmp_path, capsys, field, init):
         (tmp_path / "empty").mkdir()
-        plan = {**INLINE_PLAN, "init": {"kind": init}}
+        plan = {**(INLINE_DENOISE_PLAN if init == "warm_start" else INLINE_PLAN),
+                "init": {"kind": init}}
         cfgp = write_config(tmp_path / "c.json", {
             "seed": 0, "out": str(tmp_path / "run"), "plan": plan,
             field: str(tmp_path / "empty"),
@@ -600,8 +670,7 @@ class TestPretrain:
          "['scale'] are not read by pretrain of an inline plan"),
         (INLINE_PLAN, {"donor": "donor_ckpt", "base": "base_ckpt"},
          "['base', 'donor'] are not read by pretrain of an inline plan with init kind random"),
-        ({**INLINE_PLAN, "init": {"kind": "warm_start"},
-          "model": {**INLINE_PLAN["model"], "decoder_layers": 1}}, {"base": "base_ckpt"},
+        ({**INLINE_DENOISE_PLAN, "init": {"kind": "warm_start"}}, {"base": "base_ckpt"},
          "['base'] are not read by pretrain of an inline plan with init kind warm_start"),
         ("roberta-12e", {"doner": "donor_ckpt"},
          "['doner'] are not read by pretrain of a preset with init kind random"),
@@ -819,6 +888,30 @@ class TestFinetuneEvaluate:
                                                           "tuned_seed7"]
         report = json.loads((tmp_path / "tuned" / "report.json").read_text())
         assert list(report["seeds"]) == ["7"]
+
+    def test_seeds_alone_meet_the_seed_requirement(self, tmp_path):
+        base = make_classification_task(tmp_path)
+        cfgp = write_config(tmp_path / "ft.json", {
+            "seeds": [3, 5], "out": str(tmp_path / "tuned"), **base,
+            "finetune": {"epochs": 1, "max_updates": 2, "head_hidden": [16]}})
+        assert cli.main(["finetune", "--config", cfgp]) == cli.EXIT_OK
+        assert sorted(os.listdir(tmp_path / "tuned")) == [
+            "report.json", "report_seed3.jsonl", "report_seed5.jsonl",
+            "tuned_seed3", "tuned_seed5"]
+        report = json.loads((tmp_path / "tuned" / "report.json").read_text())
+        assert list(report["seeds"]) == ["3", "5"]
+
+    @pytest.mark.parametrize("change, message", [
+        ({"batch_size": 0}, "fine-tuning needs batch_size >= 1, got 0"),
+        ({"batch_size": -1}, "fine-tuning needs batch_size >= 1, got -1"),
+        ({"warmup_steps": -5}, "fine-tuning needs warmup_steps >= 0, got -5"),
+    ], ids=["batch_size 0", "batch_size -1", "warmup_steps -5"])
+    def test_a_size_below_its_least_is_config_error_before_out(self, tmp_path, capsys,
+                                                               change, message):
+        cfgp = finetune_config(tmp_path, make_classification_task(tmp_path), **change)
+        assert cli.main(["finetune", "--config", cfgp]) == cli.EXIT_CONFIG
+        assert f"config error: config field 'finetune': {message}" in capsys.readouterr().err
+        assert not (tmp_path / "tuned").exists()
 
     def test_unknown_finetune_key_is_config_error(self, tmp_path, capsys):
         base = make_classification_task(tmp_path)

@@ -17,7 +17,7 @@ def plain_plan(enc, dec, steps, *, d_model=1024, freeze=(), objective=T.DENOISE,
     cfg = P.desk_cfg(enc, dec, d_model=d_model, d_ffn=4 * d_model,
                      heads=max(2, d_model // 64))
     lr = T.LrSchedule(peak=1e-4, total_steps=steps, warmup_steps=0)
-    noise = P.MLM_NOISE if objective == T.MLM else P.MASK_NOISE
+    noise = P.MASK_NOISE if objective == T.DENOISE else None
     st = T.TrainStage(name="s", objective=objective, steps=steps, lr=lr,
                       noise=noise, freeze=freeze, batch_tokens=batch_tokens)
     return T.TrainPlan(name=name, model=cfg, stages=[st])
@@ -51,9 +51,11 @@ class TestUnitDefinition:
                                   batch_tokens=500_000)).total_tu == base / 2
 
     def test_decoder_layers_only_charged_for_denoising(self):
-        mlm = plain_plan(12, 12, 100_000, objective=T.MLM)
+        """An MLM stage cannot run on a model with a decoder: that plan is
+        refused when built, so no stage charges decoder layers it does not run."""
+        with pytest.raises(ValueError, match="stage s: MLM requires a model without a decoder"):
+            plain_plan(12, 12, 100_000, objective=T.MLM)
         den = plain_plan(12, 12, 100_000, objective=T.DENOISE)
-        assert tu_cost(mlm).total_tu == Fraction(1)
         assert tu_cost(den).total_tu == Fraction(2)
 
     def test_frozen_component_costs_half(self):

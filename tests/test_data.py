@@ -303,10 +303,6 @@ class TestNoiseConfig:
         with pytest.raises(ValueError, match="corruption_ratio"):
             NoiseConfig(corruption_ratio=1.5)
 
-    def test_bad_splits_rejected(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            NoiseConfig(mlm_splits=(0.5, 0.4, 0.2))
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown corruption mode"):
             NoiseConfig(mode="scramble")

@@ -4,6 +4,8 @@ names it wraps, and a tiny run calls them.
 `perfbench/tracing.py`'s `Probe` replaces deskseq functions by name, so a
 rename breaks only `perfbench/run.py --trace 1`; for `evalft._head_metric`
 it breaks it silently, since the probe skips that name when it is absent.
+A per-objective call looked up in a table built at import would hide from
+the probe too, and read 0 in `data.tokens_per_step` and `data.corrupt_ms`.
 """
 
 import sys
@@ -42,11 +44,16 @@ def test_an_installed_probe_counts_pretraining_and_dev_evaluation(monkeypatch):
     plan = T.TrainPlan(name="p", model=cfg, stages=[T.TrainStage(
         name="s", objective=T.DENOISE, steps=2, lr=T.LrSchedule(peak=1e-3, total_steps=2),
         noise=D.NoiseConfig(mode=D.SPAN_MASK), batch_size=2)])
+    mlm_plan = T.TrainPlan(name="m", model=enc_cfg, stages=[T.TrainStage(
+        name="s", objective=T.MLM, steps=2, lr=T.LrSchedule(peak=1e-3, total_steps=2),
+        batch_size=2)])
     items = [([6 + i % 2] + rng.integers(8, 32, size=4).tolist(), i % 2) for i in range(8)]
     spec = M.HeadSpec(kind="classification", label_count=2, hidden=[4])
     probe = tracing.Probe()
     probe.install()
     try:
+        probe.phase("mlm")
+        T.run_plan(mlm_plan, seqs, 0)
         probe.phase("unfrozen")
         T.run_plan(plan, seqs, 0)
         probe.phase("ft")
@@ -54,9 +61,12 @@ def test_an_installed_probe_counts_pretraining_and_dev_evaluation(monkeypatch):
                               items[6:], E.FinetuneConfig(batch_size=4, epochs=1), 0)
     finally:
         probe.uninstall()
-    counts = {key: probe.acc[(phase, key)] for phase, key in (
+    counts = {(phase, key): probe.acc[(phase, key)] for phase, key in (
         ("unfrozen", "ops"), ("unfrozen", "tape_nodes"), ("unfrozen", "updates"),
         ("ftdev", "dev_evals"))}
+    # each objective's batch, corruption and loss, behind the data.* and train.other_ms figures
+    counts.update({(phase, key): probe.acc[(phase, key)] for phase in ("mlm", "unfrozen")
+                   for key in ("batch", "tokens", "corrupt", "loss")})
     assert all(v > 0 for v in counts.values()), counts
     after = _bindings()
     assert after.keys() == before.keys()

@@ -50,7 +50,8 @@ class TestLrSchedule:
 
     def test_exponential_warmup_starts_at_floor(self):
         s = LrSchedule(peak=1e-3, total_steps=100, warmup_steps=10,
-                       warmup_kind="exponential", floor=1e-7)
+                       warmup_kind="exponential")
+        assert T.WARMUP_FLOOR == 1e-7
         assert abs(lr_at(s, 0) - 1e-7) < 1e-18
         # geometric interpolation: midpoint is the geometric mean
         assert abs(lr_at(s, 5) - np.sqrt(1e-7 * 1e-3)) < 1e-12
@@ -76,6 +77,8 @@ class TestLrSchedule:
             LrSchedule(peak=1e-5, total_steps=5, end=1e-4)
         with pytest.raises(ValueError, match="warmup kind"):
             LrSchedule(peak=1e-3, total_steps=5, warmup_kind="cosine")
+        with pytest.raises(ValueError, match="warmup_steps must not be negative, got -5"):
+            LrSchedule(peak=1e-3, total_steps=5, warmup_steps=-5)
 
     def test_shared_schedule_is_continuous_across_offset(self):
         s = LrSchedule(peak=1e-3, total_steps=350, warmup_steps=50, end=1e-5)
@@ -271,6 +274,40 @@ class TestRunPlan:
         with pytest.raises(ValueError, match="decoder"):
             TrainPlan(name="p", model=small_cfg(dec=0), stages=[stage(T.DENOISE, 1)])
 
+    @pytest.mark.parametrize("objective", [T.MLM, T.DENOISE])
+    @pytest.mark.parametrize("dec", [0, 1])
+    @pytest.mark.parametrize("kind", ["random", "checkpoint", "warm_start", "extract"])
+    def test_a_plan_that_builds_runs(self, rng, kind, dec, objective):
+        """De-noising and a warm start need a decoder, MLM and an extraction a
+        model without one.  A plan that breaks this is refused when built,
+        naming its init or stage; any other runs a step from its donor."""
+        cfg = small_cfg(dec=dec)
+        faults = []
+        if kind in ("warm_start", "extract") and (kind == "warm_start") != bool(dec):
+            faults.append(f"init {kind}")
+        if (objective == T.DENOISE) != bool(dec):
+            faults.append("stage s")
+
+        def build():
+            return TrainPlan(name="p", model=cfg, stages=[stage(objective, 1)],
+                             init=PlanInit(kind=kind))
+        if faults:
+            with pytest.raises(ValueError, match=f"^(?:{'|'.join(faults)}):? .*decoder$"):
+                build()
+            return
+        donor = {"checkpoint": (M.init_seq2seq if dec else M.init_mlm_encoder)(cfg, 5),
+                 "warm_start": M.init_mlm_encoder(small_cfg(dec=0), 5),
+                 "extract": M.init_seq2seq(small_cfg(dec=1), 5)}.get(kind)
+        store, traces, _ = T.run_plan(build(), toy_sequences(rng), seed=0, donor=donor)
+        assert [len(t) for t in traces] == [1]
+        assert any(n.startswith("dec.") for n in store.names()) == bool(dec)
+
+    @pytest.mark.parametrize("objective, mode", [(T.MLM, D.MLM_MASK), (T.DENOISE, D.SPAN_DROP)])
+    def test_a_stage_without_noise_takes_its_objectives_first_mode(self, objective, mode):
+        built = TrainStage(name="s", objective=objective, steps=1,
+                           lr=LrSchedule(peak=1e-3, total_steps=1))
+        assert built.noise == NoiseConfig(mode=mode)
+
     def test_plan_without_stages_is_rejected(self):
         with pytest.raises(ValueError, match="plan p has no stages"):
             TrainPlan(name="p", model=small_cfg(), stages=[])
@@ -301,7 +338,8 @@ class TestRunPlan:
         """Every kind but random starts from the one donor store, and names
         its kind when there is none; random init ignores a donor."""
         cfg = small_cfg(dec=0) if kind == "extract" else small_cfg()
-        plan = TrainPlan(name="p", model=cfg, stages=[stage(T.MLM, 1)],
+        plan = TrainPlan(name="p", model=cfg,
+                         stages=[stage(T.MLM if kind == "extract" else T.DENOISE, 1)],
                          init=PlanInit(kind=kind))
         donor = (M.init_mlm_encoder(small_cfg(dec=0), 0) if kind == "warm_start"
                  else M.init_seq2seq(small_cfg(), 0))
