@@ -375,12 +375,13 @@ def attention(q, k, v, heads, mask=None):
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     s = 1.0 / np.sqrt(hd)
-    scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * s
+    y = np.matmul(qh, np.swapaxes(kh, -1, -2))  # the scores, made the softmax in place
+    y *= s
     if mask is not None:
-        scores = scores + mask
-    z = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+        y += mask
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     out = merge(np.matmul(y, vh))
     if not _records((q, k, v)):
         return Tensor(out)
@@ -390,8 +391,10 @@ def attention(q, k, v, heads, mask=None):
         # the chain's context gradient is C-ordered [B, H, Tq, hd]; matmul on
         # a strided view of it would not give the same bytes
         gctx = np.ascontiguousarray(g.reshape(b, tq, heads, hd).transpose(0, 2, 1, 3))
-        ga = np.matmul(gctx, np.swapaxes(vh, -1, -2))
-        gs = y * (ga - (ga * y).sum(axis=-1, keepdims=True)) * s
+        gs = np.matmul(gctx, np.swapaxes(vh, -1, -2))
+        gs -= (gs * y).sum(axis=-1, keepdims=True)
+        gs *= y
+        gs *= s
         gq = gk = gv = None
         if nq.requires_grad:
             gq = merge(np.matmul(gs, kh))
@@ -428,11 +431,19 @@ def gelu(a):
     40.0 MiB saving the slope."""
     a = as_tensor(a)
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))  # an array, even for a 0-d x
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = x * cdf
     if not _records((a,)):
         return Tensor(out)
-    slope = cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT2PI)
+    slope = np.multiply(x, -0.5, out=np.empty_like(x))
+    slope *= x
+    np.exp(slope, out=slope)
+    slope *= _INV_SQRT2PI
+    slope *= x
+    slope += cdf
     return _make(out, (a,), lambda g: (g * slope,))
 
 
@@ -445,18 +456,26 @@ def layer_norm(x, gain, bias):
             f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} do not match feature dim {d}"
         )
     # the reductions np.mean and np.var make, with the centring done once
-    xc = x.data - x.data.sum(axis=-1, keepdims=True) / d
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d  # centred, then scaled in place
+    out = np.multiply(xhat, xhat, out=np.empty_like(xhat))
+    inv = out.sum(axis=-1, keepdims=True)
+    inv /= d
+    inv += LN_EPS
+    np.sqrt(inv, out=inv)
+    inv = np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def bwd(g):
-        gg = g * gain.data
-        gx = inv * (gg - gg.mean(axis=-1, keepdims=True)
-                    - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+        gx = g * gain.data
+        t = gx * xhat
+        m = t.mean(axis=-1, keepdims=True)
+        gx -= gx.mean(axis=-1, keepdims=True)
+        gx -= np.multiply(xhat, m, out=t)
+        gx *= inv
         reduce_axes = tuple(range(g.ndim - 1))
-        ggain = (g * xhat).sum(axis=reduce_axes)
+        ggain = np.multiply(g, xhat, out=t).sum(axis=reduce_axes)
         gbias = g.sum(axis=reduce_axes)
         return gx, ggain, gbias
 
@@ -465,12 +484,15 @@ def layer_norm(x, gain, bias):
 
 def softmax(a):  # over the last axis
     a = as_tensor(a)
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+        gy = g * y
+        gy = np.subtract(g, gy.sum(axis=-1, keepdims=True), out=gy)
+        gy *= y
+        return (gy,)
 
     return _make(y, (a,), bwd)
 
