@@ -13,17 +13,29 @@ A closure captures only what its backward reads: the arrays it multiplies
 by, shapes as tuples, and input nodes for their `requires_grad`, never an
 input `Tensor` for its shape or flag.
 
+Some sums are GEMVs, not numpy reductions.  `_row_sums`, one GEMV of the
+rows by ones, gives the softmax denominator and the softmax-backward row sum
+in `attention` and `softmax`, and the two row means in `layer_norm`'s
+backward; one GEMV of ones by the rows gives `layer_norm`'s gain and bias
+gradients.  `layer_norm`'s forward mean and variance stay numpy's sums.  A
+row's GEMV sum, like a GEMM row, can depend on how many rows the batch holds:
+a BLAS kernel may take rows in blocks and the rest in another order, so the
+same row in another batch may differ in its last bit (here, about two rows
+in three of 12 to 64 entries did, summed alone and among 64).
+
 The Python side is single-threaded,
 so identical seeds and inputs give bit-identical values and gradients as far
 as BLAS does.  BLAS threads: the tests (`tests/conftest.py`) and perfbench
 (`perfbench/run.py`) pin OpenBLAS to one thread; the command line leaves its
-default.  The desk chains gave the same bytes at one and at two threads on a
-2-core machine, but a BLAS may split a larger GEMM by thread count.
+default.  A warm desk 12+12 update gives the same bytes at one and at two
+threads on a 2-core machine (`tests/test_acceptance.py` checks it), but a
+BLAS may split a larger GEMM or GEMV by thread count.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 
 import numpy as np
 from scipy.special import erf
@@ -257,6 +269,24 @@ def backward(loss):
         node._backward = node._parents = node.grad = None
 
 
+@functools.lru_cache(maxsize=256)
+def _ones(n):
+    """A read-only float64 vector of `n` ones, made once per length: a fresh
+    `np.ones` took a quarter of a beam step's row sum (2.6 against 1.9 µs)."""
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
+
+
+def _row_sums(a):
+    """The sums of `a` over its last axis, kept as an axis of length 1, as
+    one GEMV of its rows by ones: 4.3 µs on desk scores [8, 4, 24, 24] where
+    numpy's `sum(axis=-1)` takes 21.7, though 0.4 µs more on a beam step's
+    12 rows.  Its bytes are BLAS's, not numpy's."""
+    n = a.shape[-1]
+    return np.matmul(a.reshape(-1, n), _ones(n)).reshape(a.shape[:-1] + (1,))
+
+
 def _unbroadcast(g, shape):
     """Sum a gradient down to the broadcast-source shape."""
     while g.ndim > len(shape):
@@ -353,10 +383,11 @@ def attention(q, k, v, heads, mask=None):
     merged context [B, Tq, d].  `mask` is an additive array broadcastable to
     the scores [B, heads, Tq, Tk], or None.
 
-    Forward and backward make the numpy calls of the chain split heads ->
-    matmul -> scale -> add mask -> softmax -> matmul -> merge heads, so the
-    output and every gradient equal that chain's bit for bit.  Only the
-    softmax output is kept for backward."""
+    Forward and backward compute the chain split heads -> matmul -> scale ->
+    add mask -> softmax -> matmul -> merge heads op for op, with `softmax`'s
+    `_row_sums`, so the output and every gradient equal that chain's bit for
+    bit.  Each pass after a matmul works in place in the buffer the matmul
+    made, and only the softmax output is kept for backward."""
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.data.ndim != 3 or q.data.shape[-1] % heads:
         raise ShapeError(f"attention queries {q.data.shape} do not split into {heads} heads")
@@ -381,7 +412,7 @@ def attention(q, k, v, heads, mask=None):
         y += mask
     y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y /= _row_sums(y)
     out = merge(np.matmul(y, vh))
     if not _records((q, k, v)):
         return Tensor(out)
@@ -392,7 +423,7 @@ def attention(q, k, v, heads, mask=None):
         # a strided view of it would not give the same bytes
         gctx = np.ascontiguousarray(g.reshape(b, tq, heads, hd).transpose(0, 2, 1, 3))
         gs = np.matmul(gctx, np.swapaxes(vh, -1, -2))
-        gs -= (gs * y).sum(axis=-1, keepdims=True)
+        gs -= _row_sums(gs * y)
         gs *= y
         gs *= s
         gq = gk = gv = None
@@ -428,10 +459,11 @@ def gelu(a):
     recorded: backward is `g * slope`, the bytes of `g * (cdf + x * pdf)`.
     Saving x and cdf, two arrays, a warm desk 12+12 unfrozen update on
     24-token documents peaked at 44.2 MiB of traced allocations, against
-    40.0 MiB saving the slope."""
+    40.0 MiB saving the slope.  cdf and the slope are each built in place in
+    one buffer of their own."""
     a = as_tensor(a)
     x = a.data
-    cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))  # an array, even for a 0-d x
+    cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))  # an array even for a 0-d x
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
@@ -448,7 +480,11 @@ def gelu(a):
 
 
 def layer_norm(x, gain, bias):
-    """Per-row (last axis) zero-mean/unit-variance (+ LN_EPS) normalization, then affine."""
+    """Per-row (last axis) zero-mean/unit-variance (+ LN_EPS) normalization, then affine.
+
+    Forward takes numpy's mean and variance sums; backward's two row means
+    are `_row_sums` and its gain and bias gradients GEMVs of ones.  xhat, the
+    output and the input gradient are each built in place in one buffer."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
@@ -457,12 +493,8 @@ def layer_norm(x, gain, bias):
         )
     # the reductions np.mean and np.var make, with the centring done once
     xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d  # centred, then scaled in place
-    out = np.multiply(xhat, xhat, out=np.empty_like(xhat))
-    inv = out.sum(axis=-1, keepdims=True)
-    inv /= d
-    inv += LN_EPS
-    np.sqrt(inv, out=inv)
-    inv = np.divide(1.0, inv, out=inv)
+    out = xhat * xhat
+    inv = 1.0 / np.sqrt(out.sum(axis=-1, keepdims=True) / d + LN_EPS)
     xhat *= inv
     np.multiply(xhat, gain.data, out=out)
     out += bias.data
@@ -470,27 +502,29 @@ def layer_norm(x, gain, bias):
     def bwd(g):
         gx = g * gain.data
         t = gx * xhat
-        m = t.mean(axis=-1, keepdims=True)
-        gx -= gx.mean(axis=-1, keepdims=True)
+        m = _row_sums(t) / d
+        gx -= _row_sums(gx) / d
         gx -= np.multiply(xhat, m, out=t)
         gx *= inv
-        reduce_axes = tuple(range(g.ndim - 1))
-        ggain = np.multiply(g, xhat, out=t).sum(axis=reduce_axes)
-        gbias = g.sum(axis=reduce_axes)
+        ones = _ones(g.size // d)  # one per row
+        ggain = ones @ np.multiply(g, xhat, out=t).reshape(-1, d)
+        gbias = ones @ g.reshape(-1, d)
         return gx, ggain, gbias
 
     return _make(out, (x, gain, bias), bwd)
 
 
-def softmax(a):  # over the last axis
+def softmax(a):
+    """Softmax over the last axis, built in place in one buffer; its
+    denominator and backward's row sum are `_row_sums`, as in `attention`."""
     a = as_tensor(a)
     y = a.data - a.data.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y /= _row_sums(y)
 
     def bwd(g):
         gy = g * y
-        gy = np.subtract(g, gy.sum(axis=-1, keepdims=True), out=gy)
+        np.subtract(g, _row_sums(gy), out=gy)
         gy *= y
         return (gy,)
 

@@ -47,8 +47,12 @@ class ModelConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
+        if self.heads < 1:
+            raise ValueError(f"heads must be >= 1, got {self.heads}")
         if self.d_model % self.heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
+        if self.encoder_layers < 0:
+            raise ValueError("encoder_layers must be >= 0")
         if self.decoder_layers < 0:
             raise ValueError("decoder_layers must be >= 0")
         if self.cross_attention == FUSION and self.decoder_layers < 1:

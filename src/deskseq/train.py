@@ -132,6 +132,9 @@ class TrainStage:
         if self.batch_size < 1:
             raise ValueError(f"stage {self.name}: batch_size must be at least 1, "
                              f"got {self.batch_size}")
+        if self.batch_tokens < 1:
+            raise ValueError(f"stage {self.name}: batch_tokens must be at least 1, "
+                             f"got {self.batch_tokens}")
         last = self.lr_offset + self.steps - 1  # the schedule step of the stage's last update
         if self.lr_offset < 0 or last > self.lr.total_steps:
             raise ValueError(f"stage {self.name}: steps {self.lr_offset}..{last} outside "

@@ -6,13 +6,17 @@ Each test covers one release criterion and prints a single PASS/FAIL line
 
 import contextlib
 import json
+import os
 import resource
+import subprocess
+import sys
 import time
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+import deskseq
 from deskseq import autograd as ag
 from deskseq import cli
 from deskseq import data as D
@@ -303,6 +307,40 @@ def test_warm_desk_frozen_update_traced_peak():
     with criterion("warm-desk-frozen-update-traced-peak", 2.0):
         peak = _warm_desk_update_traced_peak(0)
         assert peak < 31.3, f"{peak:.1f} MiB"
+
+
+# one warm desk 12+12 unfrozen update, as `_warm_desk_update_traced_peak`
+# runs it: the sha256 of the arena's values and the last loss
+_WARM_UPDATE_SHA256 = """
+import hashlib
+from dataclasses import replace
+from deskseq import model as M, presets as P, synth as S, train as T
+from deskseq.optim import OptimState
+plan = P.desk_plan("2stage-bart-12e12d-unfrz")
+stage = replace(plan.stages[-1], steps=1)
+docs = S.pair_language(64, doc_len=24, seed=0)
+store, opt = M.init_seq2seq(plan.model, 0), OptimState()
+for k in range(3):
+    trace = T.run_stage(plan.model, store, docs, replace(stage, lr_offset=k), seed=k,
+                        opt_state=opt)
+print(hashlib.sha256(store.arena().data.tobytes() + repr(trace[-1]["loss"]).encode()).hexdigest())
+"""
+
+
+def test_warm_desk_update_bytes_do_not_depend_on_blas_threads():
+    """The same warm desk update at one and at two OpenBLAS threads gives the
+    same arena bytes: its GEMMs and its GEMV row sums split no sum by thread
+    count at these sizes (`autograd`'s docstring)."""
+    with criterion("warm-desk-update-blas-threads", 60.0):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(deskseq.__file__)))
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            proc = subprocess.run([sys.executable, "-c", _WARM_UPDATE_SHA256], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1], digests
 
 
 def test_two_stage_unfreeze_direction():

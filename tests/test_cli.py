@@ -525,18 +525,28 @@ class TestPretrain:
                              "got -2"),
         ({"lr": {"peak": 1e-3, "total_steps": 4, "warmup_steps": -5}},
          "config field 'lr': warmup_steps must not be negative, got -5"),
-    ], ids=["batch_size 0", "batch_size -2", "warmup_steps -5"])
+        ({"batch_tokens": -1000000}, "config field 'stage 1': stage b: batch_tokens must be at "
+                                     "least 1, got -1000000"),
+        ({"model": {"heads": 0}}, "config field 'model': heads must be >= 1, got 0"),
+        ({"model": {"encoder_layers": -1}}, "config field 'model': encoder_layers must be >= 0"),
+    ], ids=["batch_size 0", "batch_size -2", "warmup_steps -5", "batch_tokens -1000000",
+            "heads 0", "encoder_layers -1"])
     def test_a_later_stage_size_below_its_least_is_config_error_before_out(
             self, tmp_path, capsys, change, message):
+        """A `model` change goes to the plan's model, any other to its second
+        stage; `pretrain` and `cost` refuse the plan alike."""
+        change = dict(change)
+        model = {**INLINE_PLAN["model"], **change.pop("model", {})}
         first = {**INLINE_PLAN["stages"][0], "name": "a"}
         second = {**first, "name": "b", **change}
-        cfgp = write_config(tmp_path / "c.json", {
-            "seed": 0, "out": str(tmp_path / "run"),
-            "plan": {**INLINE_PLAN, "stages": [first, second]},
-            "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})
-        assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
-        assert f"config error: {message}" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
+        plan = {**INLINE_PLAN, "model": model, "stages": [first, second]}
+        for verb, body in (("pretrain", {"seed": 0, "plan": plan, "corpus": {
+                "kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}}),
+                           ("cost", {"plans": [plan]})):
+            cfgp = write_config(tmp_path / f"{verb}.json", {"out": str(tmp_path / "run"), **body})
+            assert cli.main([verb, "--config", cfgp]) == cli.EXIT_CONFIG
+            assert f"config error: {message}" in capsys.readouterr().err
+            assert not (tmp_path / "run").exists()
 
     def test_a_denoising_stage_without_noise_drops_spans(self, tmp_path):
         """A stage's noise defaults to its objective's first mode."""

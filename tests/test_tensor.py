@@ -339,6 +339,78 @@ class TestLayerNorm:
         assert out.data.tobytes() == (xhat * g + b).tobytes()
 
 
+def _attention_mask(kind, seed, batch, tq, tk):
+    """A pad mask [B,1,1,Tk], a causal mask with tk - tq cached keys, or None;
+    with the query count the mask allows."""
+    if kind == "pad":
+        real = np.random.default_rng(seed).random((batch, tk)) < 0.7
+        real[:, 0] = True
+        return M.pad_attention_mask(real), tq
+    if kind == "causal":
+        tq = min(tq, tk)
+        return M.causal_mask(tq, tk - tq), tq
+    return None, tq
+
+
+class TestNodesLeaveTheirOperands:
+    """The in-place nodes work only in buffers they allocate: neither forward
+    nor backward changes an input's data, a mask or the incoming gradient."""
+
+    @staticmethod
+    def _unchanged(arrays, call):
+        before = [a.copy() for a in arrays]
+        result = call()
+        for a, b in zip(arrays, before):
+            assert a.tobytes() == b.tobytes()
+        return result
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), heads=st.sampled_from([1, 2, 4]),
+           hd=st.integers(1, 3), batch=st.integers(1, 3), kv_one=st.booleans(),
+           tq=st.integers(1, 5), tk=st.integers(1, 5),
+           mask_kind=st.sampled_from(["none", "pad", "causal"]))
+    @example(seed=0, heads=1, hd=2, batch=2, kv_one=True, tq=3, tk=4, mask_kind="pad")
+    def test_attention(self, seed, heads, hd, batch, kv_one, tq, tk, mask_kind):
+        """`heads == 1` included, where the context gradient is a view of the
+        incoming one, and batch-1 keys and values."""
+        mask, tq = _attention_mask(mask_kind, seed, batch, tq, tk)
+        q, k, v, g = _attention_operands(seed, batch, 1 if kv_one else batch, tq, tk, heads, hd)
+        arrays = [q.data, k.data, v.data, g] + ([] if mask is None else [mask])
+        out = self._unchanged(arrays, lambda: ag.attention(q, k, v, heads, mask))
+        grads = self._unchanged(arrays + [out.data], lambda: out._backward(g))
+        assert [t.shape for t in grads] == [q.shape, k.shape, v.shape]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    def test_softmax_and_layer_norm(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        x, g = Tensor(rng.normal(size=shape), requires_grad=True), rng.normal(size=shape)
+        out = self._unchanged([x.data, g], lambda: ag.softmax(x))
+        self._unchanged([x.data, g, out.data], lambda: out._backward(g))
+        gain = Tensor(rng.normal(size=shape[-1]), requires_grad=True)
+        bias = Tensor(rng.normal(size=shape[-1]), requires_grad=True)
+        arrays = [x.data, gain.data, bias.data, g]
+        out = self._unchanged(arrays, lambda: ag.layer_norm(x, gain, bias))
+        grads = self._unchanged(arrays + [out.data], lambda: out._backward(g))
+        assert [t.shape for t in grads] == [x.shape, gain.shape, bias.shape]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.lists(st.integers(1, 6), min_size=0, max_size=3))
+    @example(seed=0, shape=[])
+    def test_gelu(self, seed, shape):
+        """A 0-d input included: it gives a 0-d output and gradient."""
+        rng = np.random.default_rng(seed)
+        x = Tensor(np.asarray(rng.normal(size=shape) * 3.0), requires_grad=True)
+        g = np.asarray(rng.normal(size=shape))
+        out = self._unchanged([x.data, g], lambda: ag.gelu(x))
+        (grad,) = self._unchanged([x.data, g, out.data], lambda: out._backward(g))
+        assert out.shape == grad.shape == x.shape
+        cdf = 0.5 * (1.0 + erf(x.data * (1.0 / np.sqrt(2.0))))
+        assert out.data.tobytes() == np.asarray(x.data * cdf).tobytes()
+
+
 class TestCrossEntropy:
     def test_uniform_logits(self):
         loss = ag.softmax_cross_entropy(Tensor(np.zeros((3, 8))), np.array([0, 3, 7]))
