@@ -339,19 +339,6 @@ class TestLayerNorm:
         assert out.data.tobytes() == (xhat * g + b).tobytes()
 
 
-def _attention_mask(kind, seed, batch, tq, tk):
-    """A pad mask [B,1,1,Tk], a causal mask with tk - tq cached keys, or None;
-    with the query count the mask allows."""
-    if kind == "pad":
-        real = np.random.default_rng(seed).random((batch, tk)) < 0.7
-        real[:, 0] = True
-        return M.pad_attention_mask(real), tq
-    if kind == "causal":
-        tq = min(tq, tk)
-        return M.causal_mask(tq, tk - tq), tq
-    return None, tq
-
-
 class TestNodesLeaveTheirOperands:
     """The in-place nodes work only in buffers they allocate: neither forward
     nor backward changes an input's data, a mask or the incoming gradient."""
@@ -373,7 +360,14 @@ class TestNodesLeaveTheirOperands:
     def test_attention(self, seed, heads, hd, batch, kv_one, tq, tk, mask_kind):
         """`heads == 1` included, where the context gradient is a view of the
         incoming one, and batch-1 keys and values."""
-        mask, tq = _attention_mask(mask_kind, seed, batch, tq, tk)
+        mask = None
+        if mask_kind == "pad":
+            real = np.random.default_rng(seed).random((batch, tk)) < 0.7
+            real[:, 0] = True
+            mask = M.pad_attention_mask(real)
+        elif mask_kind == "causal":
+            tq = min(tq, tk)
+            mask = M.causal_mask(tq, tk - tq)
         q, k, v, g = _attention_operands(seed, batch, 1 if kv_one else batch, tq, tk, heads, hd)
         arrays = [q.data, k.data, v.data, g] + ([] if mask is None else [mask])
         out = self._unchanged(arrays, lambda: ag.attention(q, k, v, heads, mask))
