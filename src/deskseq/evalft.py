@@ -216,10 +216,11 @@ class FinetuneConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.max_updates < 1:
             raise ValueError("fine-tuning needs epochs >= 1 and max_updates >= 1")
-        if self.batch_size < 1:
-            raise ValueError(f"fine-tuning needs batch_size >= 1, got {self.batch_size}")
-        if self.warmup_steps < 0:
-            raise ValueError(f"fine-tuning needs warmup_steps >= 0, got {self.warmup_steps}")
+        for name, least in (("batch_size", 1), ("warmup_steps", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"fine-tuning needs {name} >= {least}, got {getattr(self, name)}")
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"fine-tuning needs dropout in [0, 1), got {self.dropout}")
         self.freeze = T.check_freeze(self.freeze)
 
 

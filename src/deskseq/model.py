@@ -2,11 +2,13 @@
 
 Covers initialization and weight-tying rules, attention-fusion cross-attention,
 and the model-surgery operations: warm-starting a seq2seq model from a trained
-encoder, and extracting the encoder from a trained seq2seq model.
+encoder, and extracting the encoder from a trained seq2seq model.  `build_store`
+is the one function that decides a store's vocabulary head and its ties; the
+four constructors are entry points into it.
 
 Parameter naming scheme (prefixes are the unit of freezing; `encoder_layout`
-and `decoder_layout` list every encoder and decoder name with its shape and
-init, and init, warm start and extraction all read them):
+and `decoder_layout` list every encoder and decoder row with its shape and
+init, and `build_store` reads them):
     embed.tok, embed.pos            shared/source embeddings (encoder side)
     enc.{i}.attn|ffn|ln1|ln2        encoder layers
     enc.final_ln                    final norm after the last PreLN block
@@ -20,7 +22,7 @@ init, and init, warm start and extraction all read them):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,14 +49,14 @@ class ModelConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
-        if self.heads < 1:
-            raise ValueError(f"heads must be >= 1, got {self.heads}")
+        for name, least in (("encoder_layers", 0), ("decoder_layers", 0), ("d_model", 1),
+                            ("d_ffn", 1), ("heads", 1), ("vocab_size", 1), ("max_positions", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.d_model % self.heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
-        if self.encoder_layers < 0:
-            raise ValueError("encoder_layers must be >= 0")
-        if self.decoder_layers < 0:
-            raise ValueError("decoder_layers must be >= 0")
         if self.cross_attention == FUSION and self.decoder_layers < 1:
             raise ValueError("fusion cross-attention requires a decoder")
 
@@ -125,8 +127,8 @@ def encoder_layout(cfg):
 
 def decoder_layout(cfg):
     """Decoder layers, final norm, position table and fusion logits, as
-    (name, shape, init) rows; the token table and LM head are tied or copied
-    by each constructor."""
+    (name, shape, init) rows; `build_store` ties or copies the token table and
+    LM head."""
     d = cfg.d_model
     rows = []
     for i in range(cfg.decoder_layers):
@@ -145,29 +147,64 @@ def _init_rows(store, rng, rows):
         store.add(name, init(rng, shape))
 
 
-def init_mlm_encoder(cfg, seed):
-    """From-scratch MLM encoder; the vocabulary projection is tied to the
-    input embedding (one tie group), with a separate output bias."""
+def build_store(cfg, seed, donor=None):
+    """The store of model `cfg`, and the one place that decides its head and ties.
+
+    Its encoder rows are drawn from `default_rng(seed)` in layout order, or are
+    float64 copies of those of a `donor` store, refused (naming the rows) if it
+    lacks one, holds one in another shape or holds layers past `cfg`'s.  The
+    head is `lm_head` with a decoder and `mlm_head` without: its weight is tied
+    to `embed.tok` when drawn, an untied copy when copied (it trains under a
+    frozen encoder), and its bias zero.  A decoder ties `dec.embed.tok` to
+    `embed.tok` and draws its rows from the same generator, after the encoder.
+    """
+    rng = np.random.default_rng(seed)
+    rows = encoder_layout(cfg)
+    head = "lm_head" if cfg.decoder_layers else "mlm_head"
     store = ParameterStore()
-    _init_rows(store, np.random.default_rng(seed), encoder_layout(cfg))
-    store.tie("mlm_head.w", "embed.tok")
-    store.add("mlm_head.b", np.zeros(cfg.vocab_size))
+    if donor is None:
+        _init_rows(store, rng, rows)
+        store.tie(f"{head}.w", "embed.tok")
+    else:
+        missing = [name for name, _, _ in rows if name not in donor]
+        if missing:
+            raise ValueError(f"donor is missing encoder parameters: {missing}")
+        extra = sorted({n for n in donor.names() if n.startswith("enc.")} - {n for n, _, _ in rows})
+        if extra:
+            raise ValueError(f"donor has encoder parameters past the model's "
+                             f"{cfg.encoder_layers} layers: {extra}")
+        wrong = [f"{name} {donor[name].data.shape} vs expected {shape}"
+                 for name, shape, _ in rows if donor[name].data.shape != shape]
+        if wrong:
+            raise ValueError(f"donor shape mismatch: {'; '.join(wrong)}")
+        for name, _, _ in rows:
+            store.add(name, np.array(donor[name].data, dtype=np.float64))
+        store.add(f"{head}.w", store["embed.tok"].data.copy())
+    store.add(f"{head}.b", np.zeros(cfg.vocab_size))
+    if cfg.decoder_layers:
+        store.tie("dec.embed.tok", "embed.tok")
+        _init_rows(store, rng, decoder_layout(cfg))
     return store
+
+
+def _encoder_only(cfg):
+    return replace(cfg, decoder_layers=0, cross_attention=STANDARD)
+
+
+def _seq2seq(cfg):
+    if cfg.decoder_layers < 1:
+        raise ValueError("seq2seq model requires decoder_layers >= 1")
+    return cfg
+
+
+def init_mlm_encoder(cfg, seed):
+    """From-scratch MLM encoder of `cfg` without its decoder (`build_store`)."""
+    return build_store(_encoder_only(cfg), seed)
 
 
 def init_seq2seq(cfg, seed):
-    """From-scratch seq2seq model; encoder embedding, decoder embedding and the
-    LM head share one table (BART convention)."""
-    if cfg.decoder_layers < 1:
-        raise ValueError("seq2seq model requires decoder_layers >= 1")
-    rng = np.random.default_rng(seed)
-    store = ParameterStore()
-    _init_rows(store, rng, encoder_layout(cfg))
-    store.tie("dec.embed.tok", "embed.tok")
-    _init_rows(store, rng, decoder_layout(cfg))
-    store.tie("lm_head.w", "embed.tok")
-    store.add("lm_head.b", np.zeros(cfg.vocab_size))
-    return store
+    """From-scratch seq2seq model: both embeddings and the LM head share one table (BART)."""
+    return build_store(_seq2seq(cfg), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -360,51 +397,18 @@ def mlm_logits(store, enc_out):
 
 
 def warm_start_seq2seq(donor, cfg, seed):
-    """Build a seq2seq ParameterStore whose encoder is copied from a trained
-    encoder-only model.
-
-    Decoder layers are freshly initialized from `seed`.  The decoder embedding
-    is tied (shared storage) to the encoder embedding; the LM head starts from
-    the embedding values but is stored separately (untied) and trainable.
-    """
-    store = _copy_encoder(donor, cfg, "donor", "lm_head")
-    store.tie("dec.embed.tok", "embed.tok")
-    _init_rows(store, np.random.default_rng(seed), decoder_layout(cfg))
-    return store
+    """Seq2seq model whose encoder is copied from a trained encoder-only
+    `donor`, its decoder drawn fresh from `seed`, and its LM head an untied
+    copy of the embedding (`build_store`)."""
+    return build_store(_seq2seq(cfg), seed, donor)
 
 
 def extract_encoder(seq2seq_store, cfg):
-    """Encoder-only ParameterStore from a seq2seq model, with a fresh MLM
-    projection initialized from the input embedding table and stored
-    independently (untied)."""
+    """Encoder-only model copied from a seq2seq model, the decoder of `cfg`
+    left out, with an MLM head untied from the embedding (`build_store`)."""
     if cfg.encoder_layers < 1:
         raise ValueError("model has no encoder layers to extract")
-    return _copy_encoder(seq2seq_store, cfg, "seq2seq model", "mlm_head")
-
-
-def _copy_encoder(src, cfg, what, head):
-    """New store holding float64 copies of the encoder rows of `cfg` taken
-    from `src`, plus an untied `{head}.w` copied from the token embedding and
-    a zero `{head}.b`; raises ValueError naming every row `src` lacks, holds
-    in another shape, or holds past the encoder of `cfg`."""
-    rows = encoder_layout(cfg)
-    missing = [name for name, _, _ in rows if name not in src]
-    if missing:
-        raise ValueError(f"{what} is missing encoder parameters: {missing}")
-    extra = sorted({n for n in src.names() if n.startswith("enc.")} - {n for n, _, _ in rows})
-    if extra:
-        raise ValueError(f"{what} has encoder parameters past the model's "
-                         f"{cfg.encoder_layers} layers: {extra}")
-    wrong = [f"{name} {src[name].data.shape} vs expected {shape}"
-             for name, shape, _ in rows if src[name].data.shape != shape]
-    if wrong:
-        raise ValueError(f"{what} shape mismatch: {'; '.join(wrong)}")
-    store = ParameterStore()
-    for name, _, _ in rows:
-        store.add(name, np.array(src[name].data, dtype=np.float64))
-    store.add(f"{head}.w", store["embed.tok"].data.copy())
-    store.add(f"{head}.b", np.zeros(cfg.vocab_size))
-    return store
+    return build_store(_encoder_only(cfg), None, seq2seq_store)
 
 
 # ---------------------------------------------------------------------------

@@ -290,21 +290,15 @@ def run_stage(cfg, store, sequences, stage, seed, opt_state=None, step_base=0):
 
 
 def init_plan_store(plan, seed, donor=None):
-    """The store `plan` starts from: a random init from `seed`, else one built
-    from the `donor` store: the checkpoint to continue (`checkpoint`), the MLM
-    encoder to warm-start from (`warm_start`) or the seq2seq model to extract
-    the encoder of (`extract`)."""
+    """The store `plan` starts from: the `donor` itself for `checkpoint`, else
+    `model.build_store` of the plan's model from `seed` (`random`, which reads
+    no donor) or from the donor's encoder (`warm_start`, `extract`)."""
     cfg, kind = plan.model, plan.init.kind
     if kind == "random":
-        init = M.init_mlm_encoder if cfg.decoder_layers == 0 else M.init_seq2seq
-        return init(cfg, seed)
+        return M.build_store(cfg, seed)
     if donor is None:
         raise ValueError(f"{kind} plan requires a donor store")
-    if kind == "warm_start":
-        return M.warm_start_seq2seq(donor, cfg, seed)
-    if kind == "extract":
-        return M.extract_encoder(donor, cfg)
-    return donor
+    return donor if kind == "checkpoint" else M.build_store(cfg, seed, donor)
 
 
 def run_plan(plan, sequences, seed, donor=None, on_stage_end=None):

@@ -529,8 +529,17 @@ class TestPretrain:
                                      "least 1, got -1000000"),
         ({"model": {"heads": 0}}, "config field 'model': heads must be >= 1, got 0"),
         ({"model": {"encoder_layers": -1}}, "config field 'model': encoder_layers must be >= 0"),
+        ({"model": {"d_model": 0}}, "config field 'model': d_model must be >= 1, got 0"),
+        ({"model": {"d_ffn": -8}}, "config field 'model': d_ffn must be >= 1, got -8"),
+        ({"model": {"vocab_size": 0}}, "config field 'model': vocab_size must be >= 1, got 0"),
+        ({"model": {"max_positions": 0}},
+         "config field 'model': max_positions must be >= 1, got 0"),
+        ({"model": {"dropout": 1.0}}, "config field 'model': dropout must be in [0, 1), got 1.0"),
+        ({"model": {"dropout": -0.5}},
+         "config field 'model': dropout must be in [0, 1), got -0.5"),
     ], ids=["batch_size 0", "batch_size -2", "warmup_steps -5", "batch_tokens -1000000",
-            "heads 0", "encoder_layers -1"])
+            "heads 0", "encoder_layers -1", "d_model 0", "d_ffn -8", "vocab_size 0",
+            "max_positions 0", "dropout 1.0", "dropout -0.5"])
     def test_a_later_stage_size_below_its_least_is_config_error_before_out(
             self, tmp_path, capsys, change, message):
         """A `model` change goes to the plan's model, any other to its second
@@ -915,7 +924,9 @@ class TestFinetuneEvaluate:
         ({"batch_size": 0}, "fine-tuning needs batch_size >= 1, got 0"),
         ({"batch_size": -1}, "fine-tuning needs batch_size >= 1, got -1"),
         ({"warmup_steps": -5}, "fine-tuning needs warmup_steps >= 0, got -5"),
-    ], ids=["batch_size 0", "batch_size -1", "warmup_steps -5"])
+        ({"dropout": 1.0}, "fine-tuning needs dropout in [0, 1), got 1.0"),
+        ({"dropout": 1.5}, "fine-tuning needs dropout in [0, 1), got 1.5"),
+    ], ids=["batch_size 0", "batch_size -1", "warmup_steps -5", "dropout 1.0", "dropout 1.5"])
     def test_a_size_below_its_least_is_config_error_before_out(self, tmp_path, capsys,
                                                                change, message):
         cfgp = finetune_config(tmp_path, make_classification_task(tmp_path), **change)

@@ -227,6 +227,13 @@ class TestWarmStart:
         with pytest.raises(ValueError, match=re.escape("past the model's 1 layers: ['enc.1.")):
             M.warm_start_seq2seq(donor, small_cfg(encoder_layers=1), 1)
 
+    def test_config_without_decoder_rejected(self):
+        """As `init_seq2seq`: no store with decoder embeddings, an LM head and
+        no decoder layers."""
+        donor = M.init_mlm_encoder(small_cfg(dec=0), 0)
+        with pytest.raises(ValueError, match="seq2seq model requires decoder_layers >= 1"):
+            M.warm_start_seq2seq(donor, small_cfg(dec=0), 1)
+
 
 class TestExtractEncoder:
     def test_encoder_copied_and_no_decoder_names(self):
@@ -295,6 +302,24 @@ def test_layout_table_matches_init_and_surgery_round_trips(cfg, seed):
     for name in enc_shapes:
         assert back[name].data.dtype == donor[name].data.dtype
         assert back[name].data.tobytes() == donor[name].data.tobytes()
+    # every path's full name set and ties: a drawn head weight is tied to
+    # embed.tok, a copied one an equal untied copy; a decoder's token table is
+    # tied; every head bias is zero.  Extraction with the seq2seq config drops
+    # the decoder.
+    dec_names = {name for name, _, _ in dec_rows} | {"dec.embed.tok"}
+    for store, head, drawn in ((donor, "mlm_head", True), (s2s, "lm_head", True),
+                               (M.warm_start_seq2seq(donor, cfg, seed), "lm_head", False),
+                               (back, "mlm_head", False),
+                               (M.extract_encoder(s2s, cfg), "mlm_head", False)):
+        dec = head == "lm_head"
+        assert set(store.names()) == {*enc_shapes, *(dec_names if dec else ()),
+                                      f"{head}.w", f"{head}.b"}
+        tied = ["embed.tok"] + ["dec.embed.tok"] * dec + [f"{head}.w"] * drawn
+        assert store.tie_groups() == ([sorted(tied)] if len(tied) > 1 else [])
+        np.testing.assert_array_equal(store[f"{head}.w"].data, store["embed.tok"].data)
+        assert (store[f"{head}.w"] is store["embed.tok"]) == drawn
+        assert store[f"{head}.b"].shape == (cfg.vocab_size,)
+        assert not store[f"{head}.b"].data.any()
 
 
 class TestHeads:

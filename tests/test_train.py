@@ -362,6 +362,10 @@ class TestRunPlan:
         np.testing.assert_array_equal(store[f"{head}.w"].data, store["embed.tok"].data)
         assert store[f"{head}.w"] is not store["embed.tok"]
         assert not store[f"{head}.b"].data.any()
+        want = (M.warm_start_seq2seq(donor, cfg, 3) if kind == "warm_start"
+                else M.extract_encoder(donor, cfg))
+        assert store.names() == want.names() and store.tie_groups() == want.tie_groups()
+        assert all(np.array_equal(store[n].data, want[n].data) for n in want.names())
 
 
 class TestCheckpoints:
