@@ -26,6 +26,7 @@ from . import model as M
 from . import presets as P
 from . import synth
 from . import train as T
+from .fields import check
 
 CONFIG_VERSION = "1"
 
@@ -59,13 +60,9 @@ def _load_config(path, args):
                 cfg["seeds"] = [args.seed]
         if "seed" not in cfg and "seeds" not in cfg:  # a finetune runs its `seeds` alone
             raise ConfigError("config field 'seed' is required (no implicit randomness)")
-        if "seed" in cfg and not _is_int(cfg["seed"]):
-            raise ConfigError(f"config field 'seed' must be an int, got {cfg['seed']!r}")
+        if "seed" in cfg:
+            check("config field 'seed'", cfg["seed"], "int")
     return cfg
-
-
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)  # JSON true is not a seed
 
 
 def _object(d, what):
@@ -247,12 +244,9 @@ def cmd_pack(cfg):
     out = _require(cfg, "out")
     _check_keys(cfg, "pack", {"corpus", "target_len", "vocab_budget"})
     target_len, budget = cfg.get("target_len", 64), cfg.get("vocab_budget", 256)
-    for field, value, least in (("target_len", target_len, 2),
-                                ("vocab_budget", budget, D.NUM_SPECIALS)):
-        if not _is_int(value):
-            raise ConfigError(f"config field '{field}' must be an int, got {value!r}")
-        if value < least:  # a packed sequence holds two ids; a vocabulary, the specials
-            raise ConfigError(f"config field '{field}' must be at least {least}, got {value}")
+    # a packed sequence holds two ids; a vocabulary, the specials
+    check("config field 'target_len'", target_len, "int", 2)
+    check("config field 'vocab_budget'", budget, "int", D.NUM_SPECIALS)
     docs = _read(cfg, "corpus", D.read_corpus)
     if not any(toks for toks, _ in docs):  # nothing to pack: no sequence, no manifest
         raise ConfigError(f"config field 'corpus': {cfg['corpus']} holds no tokens")
@@ -325,11 +319,10 @@ def cmd_cost(out, cfg=None):
 # finetune / evaluate
 
 
-# the fields of a task row, by kind: each a string or a list of strings; the
-# first is the encoder input
-_ROW_FIELDS = {"generation": {"source": str, "target": str},
-               "classification": {"text": str, "label": str},
-               "labeling": {"tokens": list, "labels": list}}
+# each task kind's row fields and their kinds; the first is the encoder input
+_ROW_FIELDS = {"generation": {"source": "str", "target": "str"},
+               "classification": {"text": "str", "label": "str"},
+               "labeling": {"tokens": "list[str]", "labels": "list[str]"}}
 
 
 def _read_vocab(cfg, mcfg):
@@ -357,13 +350,8 @@ def _read_task(cfg, split, vocab, mcfg, labels=None, teacher_forced=False):
         where = f"task {split} row {n} ({task[split]})"
         if not isinstance(r, dict):
             raise ConfigError(f"{where} must be a JSON object, got {type(r).__name__}")
-        for key, typ in _ROW_FIELDS[kind].items():
-            value = r.get(key)
-            if not (isinstance(value, typ)
-                    and (typ is str or all(isinstance(v, str) for v in value))):
-                raise ConfigError(f"{where} field '{key}' must be "
-                                  f"{'a string' if typ is str else 'a list of strings'}, "
-                                  f"got {value!r}")
+        for key, row_kind in _ROW_FIELDS[kind].items():
+            check(f"{where} field '{key}'", r.get(key), row_kind)
         source = r[next(iter(_ROW_FIELDS[kind]))]
         n_source = len(source if kind == "labeling" else D.tokenize(source))
         # an encoder input without a token gives no state to score or decode from
@@ -401,10 +389,9 @@ def cmd_finetune(cfg):
     out = _require(cfg, "out")
     _check_keys(cfg, "finetune", {"seed", "seeds", "finetune", "checkpoint", "vocab", "task"})
     seeds = cfg["seeds"] if "seeds" in cfg else [cfg["seed"]]
-    if not (isinstance(seeds, list) and seeds and all(_is_int(s) for s in seeds)
-            and len(set(seeds)) == len(seeds)):
-        raise ConfigError(f"config field 'seeds' must be a non-empty list of distinct "
-                          f"ints, got {seeds!r}")
+    check("config field 'seeds'", seeds, "list[int]")
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ConfigError(f"config field 'seeds' must be non-empty and distinct, got {seeds!r}")
     fcfg = _build(E.FinetuneConfig, cfg.get("finetune", {}), "finetune")
     mcfg, store, _, _ = _read(cfg, "checkpoint", C.load)
     vocab = _read_vocab(cfg, mcfg)
@@ -441,10 +428,8 @@ def cmd_evaluate(cfg):
     mcfg, store, manifest, _ = _read(cfg, "checkpoint", C.load)
     # a head tuned by `finetune` names its labels; without them, the eval split's sorted labels
     labels = manifest.get("provenance", {}).get("labels")
-    if labels is not None and not (isinstance(labels, list)
-                                   and all(isinstance(l, str) for l in labels)):
-        raise ConfigError(f"config field 'checkpoint': provenance labels must be a list "
-                          f"of strings, got {labels!r}")
+    if labels is not None:
+        check("config field 'checkpoint': provenance labels", labels, "list[str]")
     task = cfg.get("task")
     if isinstance(task, dict) and task.get("kind") == "generation":
         gen = {"max_len": mcfg.max_positions - 1,

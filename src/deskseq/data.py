@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import IGNORE
+from .fields import check_fields
 
 PAD, BOS, EOS, MASK, DOC, UNK = 0, 1, 2, 3, 4, 5
 SPECIAL_TOKENS = ["<pad>", "<s>", "</s>", "<mask>", "[DOC]", "<unk>"]
@@ -137,10 +138,9 @@ class NoiseConfig:
     corruption_ratio: float = 0.15
 
     def __post_init__(self):
-        if not 0.0 <= self.corruption_ratio <= 1.0:
-            raise ValueError("corruption_ratio must be in [0, 1]")
-        if self.mode not in (MLM_MASK, SPAN_DROP, SPAN_MASK):
-            raise ValueError(f"unknown corruption mode: {self.mode}")
+        check_fields(self, {"corruption_ratio": 0}, {"mode": (MLM_MASK, SPAN_DROP, SPAN_MASK)})
+        if self.corruption_ratio > 1:
+            raise ValueError(f"corruption_ratio must be <= 1, got {self.corruption_ratio!r}")
 
 
 def seed_for(global_seed, index):

@@ -17,6 +17,7 @@ from . import autograd as ag
 from . import data as D
 from . import model as M
 from . import train as T
+from .fields import check_fields
 from .optim import OptimState
 
 
@@ -133,10 +134,7 @@ class GenConfig:
     max_len: int = 32
 
     def __post_init__(self):
-        for name in ("beam_size", "max_len"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        check_fields(self, {"beam_size": 1, "max_len": 1}, {})
 
 
 def beam_search(cfg, store, src_ids, gc):
@@ -208,19 +206,18 @@ class FinetuneConfig:
     epochs: int = 5
     max_updates: int = 1000
     metric: str | None = None  # None: the protocol's first metric (see _PROTOCOLS)
-    head_hidden: list = field(default_factory=lambda: [64])
+    head_hidden: list[int] = field(default_factory=lambda: [64])
     freeze: tuple = ("Embedding",)
     weight_decay: float = 0.1
     dropout: float = 0.1
 
     def __post_init__(self):
-        if self.epochs < 1 or self.max_updates < 1:
-            raise ValueError("fine-tuning needs epochs >= 1 and max_updates >= 1")
-        for name, least in (("batch_size", 1), ("warmup_steps", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"fine-tuning needs {name} >= {least}, got {getattr(self, name)}")
-        if not 0 <= self.dropout < 1:
-            raise ValueError(f"fine-tuning needs dropout in [0, 1), got {self.dropout}")
+        check_fields(self, {"warmup_steps": 0, "batch_size": 1, "epochs": 1, "max_updates": 1,
+                            "head_hidden": 1, "weight_decay": 0, "dropout": 0}, {})
+        if not self.peak_lr > 0:
+            raise ValueError(f"peak_lr must be > 0, got {self.peak_lr!r}")
+        if self.dropout >= 1:
+            raise ValueError(f"dropout must be < 1, got {self.dropout!r}")
         self.freeze = T.check_freeze(self.freeze)
 
 

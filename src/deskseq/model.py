@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autograd as ag
+from .fields import check_fields
 from .params import ParameterStore
 
 STANDARD = "standard"
@@ -49,12 +50,11 @@ class ModelConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
-        for name, least in (("encoder_layers", 0), ("decoder_layers", 0), ("d_model", 1),
-                            ("d_ffn", 1), ("heads", 1), ("vocab_size", 1), ("max_positions", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        if not 0 <= self.dropout < 1:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        check_fields(self, {"encoder_layers": 0, "decoder_layers": 0, "d_model": 1, "d_ffn": 1,
+                            "heads": 1, "vocab_size": 1, "max_positions": 1, "dropout": 0},
+                     {"cross_attention": (STANDARD, FUSION)})
+        if self.dropout >= 1:
+            raise ValueError(f"dropout must be < 1, got {self.dropout!r}")
         if self.d_model % self.heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
         if self.cross_attention == FUSION and self.decoder_layers < 1:
@@ -417,13 +417,12 @@ def extract_encoder(seq2seq_store, cfg):
 
 @dataclass
 class HeadSpec:
-    kind: str  # "classification" | "labeling"
+    kind: str
     label_count: int
-    hidden: list  # widths of the gelu hidden layers
+    hidden: list[int]  # widths of the gelu hidden layers
 
     def __post_init__(self):
-        if self.kind not in ("classification", "labeling"):
-            raise ValueError(f"unknown head kind: {self.kind}")
+        check_fields(self, {}, {"kind": ("classification", "labeling")})
 
 
 def attach_head(store, spec, d_model, seed):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import platform
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from . import autograd as ag
 from . import data as D
 from . import model as M
+from .fields import check_fields
 from .optim import OptimState, adam_step
 
 
@@ -40,14 +42,12 @@ class LrSchedule:
     end: float = 0.0
 
     def __post_init__(self):
-        if self.warmup_steps < 0:
-            raise ValueError(f"warmup_steps must not be negative, got {self.warmup_steps}")
+        check_fields(self, {"total_steps": 0, "warmup_steps": 0, "end": 0},
+                     {"warmup_kind": ("linear", "exponential")})
         if self.warmup_steps > self.total_steps:
             raise ValueError("warmup_steps must not exceed total_steps")
-        if not (self.peak > self.end >= 0.0):
-            raise ValueError("schedule requires peak > end >= 0")
-        if self.warmup_kind not in ("linear", "exponential"):
-            raise ValueError(f"unknown warmup kind: {self.warmup_kind}")
+        if not self.peak > self.end:
+            raise ValueError(f"peak must be > end {self.end!r}, got {self.peak!r}")
 
 
 def lr_at(s, step):
@@ -120,23 +120,17 @@ class TrainStage:
     batch_tokens: int = 1_000_000  # nominal batch scale, used for cost accounting
 
     def __post_init__(self):
-        if self.steps <= 0:
-            raise ValueError("stage step count must be positive")
-        if self.objective not in _NOISE_MODES:
-            raise ValueError(f"unknown objective: {self.objective}")
+        check_fields(self, {"steps": 1, "lr_offset": 0, "batch_size": 1, "batch_tokens": 1},
+                     {"objective": tuple(_NOISE_MODES)})
+        if not re.fullmatch(r"[A-Za-z0-9._+-]+", self.name):  # it names the stage's trace file
+            raise ValueError(f"name must be letters, digits and ._+- only, got {self.name!r}")
         modes = _NOISE_MODES[self.objective]
         self.noise = D.NoiseConfig(mode=modes[0]) if self.noise is None else self.noise
         if self.noise.mode not in modes:
             raise ValueError(f"stage {self.name}: {self.objective} needs noise mode "
                              f"{' or '.join(modes)}, got {self.noise.mode}")
-        if self.batch_size < 1:
-            raise ValueError(f"stage {self.name}: batch_size must be at least 1, "
-                             f"got {self.batch_size}")
-        if self.batch_tokens < 1:
-            raise ValueError(f"stage {self.name}: batch_tokens must be at least 1, "
-                             f"got {self.batch_tokens}")
         last = self.lr_offset + self.steps - 1  # the schedule step of the stage's last update
-        if self.lr_offset < 0 or last > self.lr.total_steps:
+        if last > self.lr.total_steps:
             raise ValueError(f"stage {self.name}: steps {self.lr_offset}..{last} outside "
                              f"schedule range [0, {self.lr.total_steps}]")
         self.freeze = check_freeze(self.freeze)
@@ -144,12 +138,11 @@ class TrainStage:
 
 @dataclass
 class PlanInit:
-    kind: str = "random"  # "random" | "checkpoint" | "warm_start" | "extract"
+    kind: str = "random"
     path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("random", "checkpoint", "warm_start", "extract"):
-            raise ValueError(f"unknown init kind: {self.kind}")
+        check_fields(self, {}, {"kind": ("random", "checkpoint", "warm_start", "extract")})
 
 
 @dataclass
@@ -163,6 +156,7 @@ class TrainPlan:
     def __post_init__(self):
         """The model each step sees: de-noising and a warm start need a
         decoder, MLM and an extraction a model without one."""
+        check_fields(self, {}, {})
         if not self.stages:  # else a run that trains nothing and a cost of 0
             raise ValueError(f"plan {self.name} has no stages")
         dec = self.model.decoder_layers > 0

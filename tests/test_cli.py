@@ -1,5 +1,8 @@
 """End-to-end command-line contracts: exit codes, outputs, determinism."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import re
@@ -18,6 +21,7 @@ from deskseq import data as D
 from deskseq import evalft as E
 from deskseq import model as M
 from deskseq import synth as S
+from deskseq import train as T
 from deskseq.optim import OptimState
 
 from conftest import slot
@@ -317,7 +321,9 @@ class TestPack:
                             {"corpus": write_corpus(tmp_path / "corpus.jsonl"),
                              "out": str(tmp_path / "o"), field: value})
         assert cli.main(["pack", "--config", cfgp]) == cli.EXIT_CONFIG
-        assert f"config field '{field}' must be an int, got {value!r}" in capsys.readouterr().err
+        least = {"target_len": 2, "vocab_budget": 6}[field]
+        assert (f"config field '{field}' must be an int >= {least}, got {value!r}"
+                in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("field, value, least", [("target_len", 1, 2), ("target_len", -3, 2),
@@ -330,7 +336,7 @@ class TestPack:
                             {"corpus": str(tmp_path / "unread.jsonl"),
                              "out": str(tmp_path / "o"), field: value})
         assert cli.main(["pack", "--config", cfgp]) == cli.EXIT_CONFIG
-        assert (f"config field '{field}' must be at least {least}, got {value}"
+        assert (f"config field '{field}' must be an int >= {least}, got {value}"
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
@@ -519,24 +525,24 @@ class TestPretrain:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("change, message", [
-        ({"batch_size": 0}, "config field 'stage 1': stage b: batch_size must be at least 1, "
-                            "got 0"),
-        ({"batch_size": -2}, "config field 'stage 1': stage b: batch_size must be at least 1, "
-                             "got -2"),
+        ({"batch_size": 0}, "config field 'stage 1': batch_size must be an int >= 1, got 0"),
+        ({"batch_size": -2}, "config field 'stage 1': batch_size must be an int >= 1, got -2"),
         ({"lr": {"peak": 1e-3, "total_steps": 4, "warmup_steps": -5}},
-         "config field 'lr': warmup_steps must not be negative, got -5"),
-        ({"batch_tokens": -1000000}, "config field 'stage 1': stage b: batch_tokens must be at "
-                                     "least 1, got -1000000"),
-        ({"model": {"heads": 0}}, "config field 'model': heads must be >= 1, got 0"),
-        ({"model": {"encoder_layers": -1}}, "config field 'model': encoder_layers must be >= 0"),
-        ({"model": {"d_model": 0}}, "config field 'model': d_model must be >= 1, got 0"),
-        ({"model": {"d_ffn": -8}}, "config field 'model': d_ffn must be >= 1, got -8"),
-        ({"model": {"vocab_size": 0}}, "config field 'model': vocab_size must be >= 1, got 0"),
+         "config field 'lr': warmup_steps must be an int >= 0, got -5"),
+        ({"batch_tokens": -1000000}, "config field 'stage 1': batch_tokens must be an int >= 1, "
+                                     "got -1000000"),
+        ({"model": {"heads": 0}}, "config field 'model': heads must be an int >= 1, got 0"),
+        ({"model": {"encoder_layers": -1}},
+         "config field 'model': encoder_layers must be an int >= 0"),
+        ({"model": {"d_model": 0}}, "config field 'model': d_model must be an int >= 1, got 0"),
+        ({"model": {"d_ffn": -8}}, "config field 'model': d_ffn must be an int >= 1, got -8"),
+        ({"model": {"vocab_size": 0}},
+         "config field 'model': vocab_size must be an int >= 1, got 0"),
         ({"model": {"max_positions": 0}},
-         "config field 'model': max_positions must be >= 1, got 0"),
-        ({"model": {"dropout": 1.0}}, "config field 'model': dropout must be in [0, 1), got 1.0"),
+         "config field 'model': max_positions must be an int >= 1, got 0"),
+        ({"model": {"dropout": 1.0}}, "config field 'model': dropout must be < 1, got 1.0"),
         ({"model": {"dropout": -0.5}},
-         "config field 'model': dropout must be in [0, 1), got -0.5"),
+         "config field 'model': dropout must be a finite number >= 0, got -0.5"),
     ], ids=["batch_size 0", "batch_size -2", "warmup_steps -5", "batch_tokens -1000000",
             "heads 0", "encoder_layers -1", "d_model 0", "d_ffn -8", "vocab_size 0",
             "max_positions 0", "dropout 1.0", "dropout -0.5"])
@@ -556,6 +562,29 @@ class TestPretrain:
             assert cli.main([verb, "--config", cfgp]) == cli.EXIT_CONFIG
             assert f"config error: {message}" in capsys.readouterr().err
             assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("verb", ["pretrain", "cost"])
+    @pytest.mark.parametrize("plan, message", [
+        ({**INLINE_PLAN, "model": {**INLINE_PLAN["model"], "cross_attention": "fuzion"}},
+         "config field 'model': cross_attention must be a string in ('standard', 'fusion'), "
+         "got 'fuzion'"),
+        ({**INLINE_PLAN, "stages": [{**INLINE_PLAN["stages"][0], "name": "a/b"}]},
+         "config field 'stage 0': name must be letters, digits and ._+- only, got 'a/b'"),
+        ({**INLINE_PLAN, "stages": [{**INLINE_PLAN["stages"][0], "name": ""}]},
+         "config field 'stage 0': name must be letters, digits and ._+- only, got ''"),
+    ], ids=["cross_attention fuzion", "stage name a/b", "stage name empty"])
+    def test_a_name_outside_its_choices_is_config_error_before_out(self, tmp_path, capsys,
+                                                                   verb, plan, message):
+        """A misspelt cross-attention would train a standard model, and a
+        stage's name names its trace file: "a/b" would fail only after stage
+        0 wrote `out/`."""
+        body = {"plans": [plan]} if verb == "cost" else {
+            "seed": 0, "plan": plan,
+            "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}}
+        cfgp = write_config(tmp_path / "c.json", {"out": str(tmp_path / "run"), **body})
+        assert cli.main([verb, "--config", cfgp]) == cli.EXIT_CONFIG
+        assert f"config error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_a_denoising_stage_without_noise_drops_spans(self, tmp_path):
         """A stage's noise defaults to its objective's first mode."""
@@ -679,7 +708,8 @@ class TestPretrain:
             "seed": 0, "out": str(tmp_path / "run"), "plan": plan,
             "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})
         assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
-        assert "config field 'init': unknown init kind: warm-start" in capsys.readouterr().err
+        assert ("config field 'init': kind must be a string in ('random', 'checkpoint', "
+                "'warm_start', 'extract'), got 'warm-start'" in capsys.readouterr().err)
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("plan, extra, fragment", [
@@ -772,6 +802,71 @@ def test_donor_starts_a_plan_iff_layers_and_heads_match(kind, donor_layers, plan
         assert cli.main(["pretrain", "--config", cfgp]) == (
             cli.EXIT_OK if match else cli.EXIT_CONFIG)
         assert (tmp / "run").exists() == match
+
+
+# the least value of each int and float field of the configs that `pretrain`,
+# `cost` and `finetune` build; `peak` and `peak_lr` must be above theirs
+LEAST = {
+    M.ModelConfig: {"encoder_layers": 0, "decoder_layers": 0, "d_model": 1, "d_ffn": 1,
+                    "heads": 1, "vocab_size": 1, "max_positions": 1, "dropout": 0},
+    T.LrSchedule: {"peak": 0, "total_steps": 0, "warmup_steps": 0, "end": 0},
+    T.TrainStage: {"steps": 1, "lr_offset": 0, "batch_size": 1, "batch_tokens": 1},
+    E.FinetuneConfig: {"peak_lr": 0, "warmup_steps": 0, "batch_size": 1, "epochs": 1,
+                       "max_updates": 1, "weight_decay": 0, "dropout": 0},
+}
+NUMERIC_FIELDS = [(cls, f.name, f.type) for cls in LEAST for f in dataclasses.fields(cls)
+                  if f.type in ("int", "float")]
+
+
+def test_every_numeric_config_field_has_a_least():
+    """Annotations are the strings `fields.check_fields` reads (a module
+    without `from __future__ import annotations` would make them types), and
+    a field added later needs its least here, for the property below."""
+    for cls, least in LEAST.items():
+        assert all(isinstance(f.type, str) for f in dataclasses.fields(cls)), cls
+        assert {name for c, name, _ in NUMERIC_FIELDS if c is cls} == set(least), cls
+
+
+@pytest.mark.parametrize("cls, name, kind, how", [
+    (cls, name, kind, how) for cls, name, kind in NUMERIC_FIELDS
+    for how in ("below", "integral float", "true") if kind == "int" or how != "integral float"],
+    ids=lambda v: v.__name__ if isinstance(v, type) else v)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_a_numeric_field_refuses_a_bad_value_before_out(cls, name, kind, how, data):
+    """Each int or float field refuses a value below its least, an integral
+    float for an int, and `true`: exit 2 naming the field, with no traceback
+    and no `out/`.  Each value is refused before any file is read."""
+    least = LEAST[cls][name]
+    if how == "below":
+        value = least - (data.draw(st.integers(1, 10**9)) if kind == "int" else
+                         data.draw(st.floats(0, 1e9, exclude_min=True)))
+    elif how == "integral float":
+        value = float(data.draw(st.integers(least, least + 100)))
+    else:
+        value = True
+    stage = INLINE_PLAN["stages"][0]
+    if cls is E.FinetuneConfig:  # its section is read before the files it names
+        runs = [("finetune", {"seed": 0, "checkpoint": "unread", "vocab": "unread",
+                              "task": {"kind": "classification"}, "finetune": {name: value}})]
+    else:
+        if cls is M.ModelConfig:
+            plan = {**INLINE_PLAN, "model": {**INLINE_PLAN["model"], name: value}}
+        elif cls is T.LrSchedule:
+            plan = {**INLINE_PLAN, "stages": [{**stage, "lr": {**stage["lr"], name: value}}]}
+        else:
+            plan = {**INLINE_PLAN, "stages": [{**stage, name: value}]}
+        runs = [("cost", {"plans": [plan]}),
+                ("pretrain", {"seed": 0, "plan": plan, "corpus": {
+                    "kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})]
+    with tempfile.TemporaryDirectory() as tmp:
+        for verb, body in runs:
+            cfgp = write_config(Path(tmp) / "c.json", {"out": str(Path(tmp) / "o"), **body})
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert cli.main([verb, "--config", cfgp]) == cli.EXIT_CONFIG
+            assert f": {name} must be " in err.getvalue() and "Traceback" not in err.getvalue()
+            assert not (Path(tmp) / "o").exists()
 
 
 def make_classification_task(tmp_path):
@@ -921,12 +1016,19 @@ class TestFinetuneEvaluate:
         assert list(report["seeds"]) == ["3", "5"]
 
     @pytest.mark.parametrize("change, message", [
-        ({"batch_size": 0}, "fine-tuning needs batch_size >= 1, got 0"),
-        ({"batch_size": -1}, "fine-tuning needs batch_size >= 1, got -1"),
-        ({"warmup_steps": -5}, "fine-tuning needs warmup_steps >= 0, got -5"),
-        ({"dropout": 1.0}, "fine-tuning needs dropout in [0, 1), got 1.0"),
-        ({"dropout": 1.5}, "fine-tuning needs dropout in [0, 1), got 1.5"),
-    ], ids=["batch_size 0", "batch_size -1", "warmup_steps -5", "dropout 1.0", "dropout 1.5"])
+        ({"batch_size": 0}, "batch_size must be an int >= 1, got 0"),
+        ({"batch_size": -1}, "batch_size must be an int >= 1, got -1"),
+        ({"warmup_steps": -5}, "warmup_steps must be an int >= 0, got -5"),
+        ({"dropout": 1.0}, "dropout must be < 1, got 1.0"),
+        ({"dropout": 1.5}, "dropout must be < 1, got 1.5"),
+        ({"head_hidden": [0]}, "head_hidden must be a list of ints >= 1, got [0]"),
+        ({"head_hidden": [-3]}, "head_hidden must be a list of ints >= 1, got [-3]"),
+        ({"head_hidden": 8}, "head_hidden must be a list of ints >= 1, got 8"),
+        ({"weight_decay": -5.0}, "weight_decay must be a finite number >= 0, got -5.0"),
+        ({"peak_lr": -1.0}, "peak_lr must be > 0, got -1.0"),
+    ], ids=["batch_size 0", "batch_size -1", "warmup_steps -5", "dropout 1.0", "dropout 1.5",
+            "head_hidden [0]", "head_hidden [-3]", "head_hidden 8", "weight_decay -5.0",
+            "peak_lr -1.0"])
     def test_a_size_below_its_least_is_config_error_before_out(self, tmp_path, capsys,
                                                                change, message):
         cfgp = finetune_config(tmp_path, make_classification_task(tmp_path), **change)

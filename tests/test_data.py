@@ -304,7 +304,7 @@ class TestNoiseConfig:
             NoiseConfig(corruption_ratio=1.5)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown corruption mode"):
+        with pytest.raises(ValueError, match="mode must be a string in "):
             NoiseConfig(mode="scramble")
 
 

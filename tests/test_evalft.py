@@ -507,7 +507,7 @@ class TestFinetune:
 
     @pytest.mark.parametrize("kw", [dict(epochs=0), dict(max_updates=0)])
     def test_empty_update_budget_rejected(self, kw):
-        with pytest.raises(ValueError, match="epochs >= 1 and max_updates >= 1"):
+        with pytest.raises(ValueError, match=f"{next(iter(kw))} must be an int >= 1, got 0"):
             FinetuneConfig(**kw)
 
     def test_non_finite_loss_raises_in_both_protocols(self):

@@ -73,11 +73,11 @@ class TestLrSchedule:
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError, match="warmup_steps"):
             LrSchedule(peak=1e-3, total_steps=5, warmup_steps=6)
-        with pytest.raises(ValueError, match="peak > end"):
+        with pytest.raises(ValueError, match="peak must be > end"):
             LrSchedule(peak=1e-5, total_steps=5, end=1e-4)
-        with pytest.raises(ValueError, match="warmup kind"):
+        with pytest.raises(ValueError, match="warmup_kind must be a string in "):
             LrSchedule(peak=1e-3, total_steps=5, warmup_kind="cosine")
-        with pytest.raises(ValueError, match="warmup_steps must not be negative, got -5"):
+        with pytest.raises(ValueError, match="warmup_steps must be an int >= 0, got -5"):
             LrSchedule(peak=1e-3, total_steps=5, warmup_steps=-5)
 
     def test_shared_schedule_is_continuous_across_offset(self):
@@ -261,8 +261,9 @@ class TestRunPlan:
             build()
             return
         last = lr_offset + steps - 1
-        with pytest.raises(ValueError, match=f"stage s: steps {lr_offset}..{last} outside "
-                                             f"schedule range \\[0, 4\\]"):
+        message = (f"stage s: steps {lr_offset}..{last} outside schedule range \\[0, 4\\]"
+                   if lr_offset >= 0 else "lr_offset must be an int >= 0, got -1")
+        with pytest.raises(ValueError, match=message):
             build()
 
     @pytest.mark.parametrize("steps_per_100k", [1, 2, 3, 7, 40, 400])
@@ -330,7 +331,7 @@ class TestRunPlan:
         assert not [n for n in store.names() if n.startswith("dec.")]
 
     def test_unknown_init_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown init kind: warm-start"):
+        with pytest.raises(ValueError, match="kind must be a string in .*, got 'warm-start'"):
             PlanInit(kind="warm-start")
 
     @pytest.mark.parametrize("kind", ["random", "checkpoint", "warm_start", "extract"])
