@@ -45,7 +45,7 @@ def save(path, cfg, store, provenance=None, opt_state=None):
     path = os.path.normpath(path)
     if os.path.isdir(path) and os.listdir(path) and not os.path.isfile(
             os.path.join(path, "manifest.json")):
-        raise ValueError(f"refusing to replace {path}: a non-empty dir with no manifest.json")
+        raise FileExistsError(f"refusing to replace {path}: a non-empty dir with no manifest.json")
     items = store.unique_items()
     manifest = {"format_version": FORMAT_VERSION, "model": asdict(cfg),
                 "params": [{"name": o, "shape": list(t.data.shape)} for o, t in items],

@@ -26,17 +26,13 @@ from . import model as M
 from . import presets as P
 from . import synth
 from . import train as T
-from .fields import check
+from .fields import ConfigError, check
 
 CONFIG_VERSION = "1"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _load_config(path, args):
@@ -136,6 +132,7 @@ def cmd_pretrain(cfg):
     preset = _require(cfg, "plan")
     named = isinstance(preset, str)
     if named:
+        check("config field 'plan'", preset, "str", choices=[p.name for p in P.registry_plans()])
         scale = _object(cfg.get("scale", {}), "config field 'scale'")
         fixed = [k for k in ("name", "enc", "dec", "fusion") if k in scale]
         if fixed:  # desk_plan takes them from the preset: its name, layers and cross-attention
@@ -181,14 +178,18 @@ def cmd_pretrain(cfg):
 
 
 def _check_corpus(plan, sequences):
-    """Reject a corpus the plan's model cannot read, before step 0 and before
-    any output exists: a token id outside the vocabulary, or a sequence longer
+    """Reject a corpus a step cannot read, before step 0 and any output: no
+    sequence, an empty one, a PAD id or one outside the vocabulary, or one longer
     than the positions (one fewer with a decoder, whose input gains BOS)."""
     cfg = plan.model
     limit, why = cfg.max_positions, "max_positions"
     if cfg.decoder_layers:
         limit, why = limit - 1, f"max_positions {limit} less the de-noising BOS"
+    if not sequences:
+        raise ConfigError("the corpus holds no sequence")
     for n, seq in enumerate(sequences):
+        if not seq or D.PAD in seq:  # a step reads PAD as padding and corrupts no empty sequence
+            raise ConfigError(f"corpus sequence {n} " + ("holds PAD (id 0)" if seq else "is empty"))
         if len(seq) > limit:
             raise ConfigError(f"corpus sequence {n} has {len(seq)} tokens, "
                               f"more than {limit} ({why})")
@@ -339,10 +340,12 @@ def _read_task(cfg, split, vocab, mcfg, labels=None, teacher_forced=False):
     index `labels`, else the split's sorted labels.  Each encoder input must
     fit the positions of the checkpoint config `mcfg`, and with
     `teacher_forced` each generation target too, after BOS."""
-    task = _require(cfg, "task")
+    task = _object(_require(cfg, "task"), "config field 'task'")
     kind = _require(task, "kind")
     if kind not in _ROW_FIELDS:
         raise ConfigError(f"unknown task kind: {kind}")
+    if kind == "generation" and not mcfg.decoder_layers:
+        raise ConfigError("config field 'checkpoint': a generation task needs a decoder")
     rows = _read(task, split, D.read_jsonl)
     if not rows:
         raise ConfigError(f"task {split} file is empty: {task[split]}")
@@ -397,6 +400,8 @@ def cmd_finetune(cfg):
     vocab = _read_vocab(cfg, mcfg)
     kind, train_set, labels = _read_task(cfg, "train", vocab, mcfg, teacher_forced=True)
     _, dev_set, _ = _read_task(cfg, "dev", vocab, mcfg, labels, teacher_forced=True)
+    if kind != "generation" and "head.out.w" in store:  # it gets a new head
+        raise ConfigError("config field 'checkpoint' already holds a task head")
     values = []
     for seed in seeds:
         if kind == "generation":
@@ -501,7 +506,7 @@ def main(argv=None):
         handler = {"pretrain": cmd_pretrain, "finetune": cmd_finetune,
                    "evaluate": cmd_evaluate, "pack": cmd_pack}[args.command]
         return handler(cfg)
-    except (ConfigError, ValueError, KeyError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (T.TrainingDiverged, RuntimeError, OSError) as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import IGNORE
-from .fields import check_fields
+from .fields import ConfigError, check_fields
 
 PAD, BOS, EOS, MASK, DOC, UNK = 0, 1, 2, 3, 4, 5
 SPECIAL_TOKENS = ["<pad>", "<s>", "</s>", "<mask>", "[DOC]", "<unk>"]
@@ -140,7 +140,7 @@ class NoiseConfig:
     def __post_init__(self):
         check_fields(self, {"corruption_ratio": 0}, {"mode": (MLM_MASK, SPAN_DROP, SPAN_MASK)})
         if self.corruption_ratio > 1:
-            raise ValueError(f"corruption_ratio must be <= 1, got {self.corruption_ratio!r}")
+            raise ConfigError(f"corruption_ratio must be <= 1, got {self.corruption_ratio!r}")
 
 
 def seed_for(global_seed, index):

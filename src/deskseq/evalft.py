@@ -17,7 +17,7 @@ from . import autograd as ag
 from . import data as D
 from . import model as M
 from . import train as T
-from .fields import check_fields
+from .fields import ConfigError, check_fields
 from .optim import OptimState
 
 
@@ -93,7 +93,7 @@ def bio_chunks(labels):
                 cur_type = None
             continue
         if len(lab) < 3 or lab[1] != "-" or lab[0] not in "BI":
-            raise ValueError(f"malformed BIO label: {lab!r}")
+            raise ConfigError(f"malformed BIO label: {lab!r}")
         prefix, etype = lab[0], lab[2:]
         if prefix == "B" or cur_type != etype:
             if cur_type is not None:
@@ -207,18 +207,18 @@ class FinetuneConfig:
     max_updates: int = 1000
     metric: str | None = None  # None: the protocol's first metric (see _PROTOCOLS)
     head_hidden: list[int] = field(default_factory=lambda: [64])
-    freeze: tuple = ("Embedding",)
+    freeze: list[str] = ("Embedding",)  # train.FREEZE_TAGS keys
     weight_decay: float = 0.1
     dropout: float = 0.1
 
     def __post_init__(self):
         check_fields(self, {"warmup_steps": 0, "batch_size": 1, "epochs": 1, "max_updates": 1,
-                            "head_hidden": 1, "weight_decay": 0, "dropout": 0}, {})
+                            "head_hidden": 1, "weight_decay": 0, "dropout": 0},
+                     {"freeze": tuple(T.FREEZE_TAGS)})
         if not self.peak_lr > 0:
-            raise ValueError(f"peak_lr must be > 0, got {self.peak_lr!r}")
+            raise ConfigError(f"peak_lr must be > 0, got {self.peak_lr!r}")
         if self.dropout >= 1:
-            raise ValueError(f"dropout must be < 1, got {self.dropout!r}")
-        self.freeze = T.check_freeze(self.freeze)
+            raise ConfigError(f"dropout must be < 1, got {self.dropout!r}")
 
 
 # per protocol, the metrics a dev epoch may be selected by (the first is the
@@ -243,7 +243,7 @@ def _finetune(protocol, cfg, ft, train_set, dev_set, fcfg, seed, batch_loss, dev
     metrics, warmup_kind = _PROTOCOLS[protocol]
     metric = metrics[0] if fcfg.metric is None else fcfg.metric
     if metric not in metrics:
-        raise ValueError(f"metric {metric} not valid for {protocol} fine-tuning")
+        raise ConfigError(f"metric {metric} not valid for {protocol} fine-tuning")
     T.apply_freeze_plan(ft, fcfg.freeze)
     run_cfg = replace(cfg, dropout=fcfg.dropout)
     opt = OptimState()

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autograd as ag
-from .fields import check_fields
+from .fields import ConfigError, check_fields
 from .params import ParameterStore
 
 STANDARD = "standard"
@@ -54,11 +54,13 @@ class ModelConfig:
                             "heads": 1, "vocab_size": 1, "max_positions": 1, "dropout": 0},
                      {"cross_attention": (STANDARD, FUSION)})
         if self.dropout >= 1:
-            raise ValueError(f"dropout must be < 1, got {self.dropout!r}")
+            raise ConfigError(f"dropout must be < 1, got {self.dropout!r}")
+        if self.encoder_layers + self.decoder_layers < 1:
+            raise ConfigError("encoder_layers + decoder_layers must be >= 1, got 0")
         if self.d_model % self.heads != 0:
-            raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
+            raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")
         if self.cross_attention == FUSION and self.decoder_layers < 1:
-            raise ValueError("fusion cross-attention requires a decoder")
+            raise ConfigError("fusion cross-attention requires a decoder")
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +170,15 @@ def build_store(cfg, seed, donor=None):
     else:
         missing = [name for name, _, _ in rows if name not in donor]
         if missing:
-            raise ValueError(f"donor is missing encoder parameters: {missing}")
+            raise ConfigError(f"donor is missing encoder parameters: {missing}")
         extra = sorted({n for n in donor.names() if n.startswith("enc.")} - {n for n, _, _ in rows})
         if extra:
-            raise ValueError(f"donor has encoder parameters past the model's "
-                             f"{cfg.encoder_layers} layers: {extra}")
+            raise ConfigError(f"donor has encoder parameters past the model's "
+                              f"{cfg.encoder_layers} layers: {extra}")
         wrong = [f"{name} {donor[name].data.shape} vs expected {shape}"
                  for name, shape, _ in rows if donor[name].data.shape != shape]
         if wrong:
-            raise ValueError(f"donor shape mismatch: {'; '.join(wrong)}")
+            raise ConfigError(f"donor shape mismatch: {'; '.join(wrong)}")
         for name, _, _ in rows:
             store.add(name, np.array(donor[name].data, dtype=np.float64))
         store.add(f"{head}.w", store["embed.tok"].data.copy())

@@ -10,6 +10,7 @@ from __future__ import annotations
 from . import data as D
 from . import train as T
 from .cost import charge_donors
+from .fields import ConfigError, check
 from .model import FUSION, STANDARD, ModelConfig
 
 REGISTRY_VOCAB = 250_000
@@ -96,6 +97,11 @@ def desk_plan(name, *, steps_per_100k=40, batch_size=8, peak_lr=1e-3,
     """Desk-scale version of a registry preset: same layer counts, objectives,
     freeze structure and init kind; widths and step counts scaled down, and a
     donor charged as its own desk plan at this scale."""
+    check("steps_per_100k", steps_per_100k, "int", 1)
+    check("warmup", warmup, "int", 0)
+    check("peak_lr", peak_lr, "float")
+    if not peak_lr > 0:
+        raise ConfigError(f"peak_lr must be > 0, got {peak_lr!r}")
     full = registry_plan(name)
     pm = full.model
     cfg = desk_cfg(pm.encoder_layers, pm.decoder_layers,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import NUM_SPECIALS
+from .fields import ConfigError, check
 
 
 def patterned_sequences(n_seqs=64, seq_len=32, vocab_size=256, seed=0):
@@ -18,9 +19,11 @@ def patterned_sequences(n_seqs=64, seq_len=32, vocab_size=256, seed=0):
     Any single visible token identifies the sequence, and position fixes the
     token, so masked or dropped content is exactly recoverable from context.
     """
+    check("n_seqs", n_seqs, "int", 1)
+    check("seq_len", seq_len, "int", 1)
     usable = vocab_size - NUM_SPECIALS
     if n_seqs * 3 > usable:
-        raise ValueError(f"{n_seqs} sequences need {n_seqs * 3} tokens, have {usable}")
+        raise ConfigError(f"{n_seqs} sequences need {n_seqs * 3} tokens, have {usable}")
     seqs = []
     for i in range(n_seqs):
         base = NUM_SPECIALS + 3 * i
@@ -37,8 +40,11 @@ def pair_language(n_docs=128, *, alphabet=32, doc_len=24, seed=0, vocab_size=256
     tracks how well the encoder has internalized the mapping; held-out
     documents are new draws from the same process.
     """
+    check("n_docs", n_docs, "int", 1)
+    check("alphabet", alphabet, "int", 1)
+    check("doc_len", doc_len, "int", 2)  # one (x, f(x)) pair
     if 2 * alphabet + NUM_SPECIALS > vocab_size:
-        raise ValueError("alphabet too large for vocab")
+        raise ConfigError("alphabet too large for vocab")
     mrng = np.random.default_rng(7)  # one f for every corpus, whatever its seed
     lo = NUM_SPECIALS
     image = mrng.permutation(alphabet) + lo + alphabet

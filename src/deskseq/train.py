@@ -19,7 +19,7 @@ import numpy as np
 from . import autograd as ag
 from . import data as D
 from . import model as M
-from .fields import check_fields
+from .fields import ConfigError, check, check_fields
 from .optim import OptimState, adam_step
 
 
@@ -45,9 +45,9 @@ class LrSchedule:
         check_fields(self, {"total_steps": 0, "warmup_steps": 0, "end": 0},
                      {"warmup_kind": ("linear", "exponential")})
         if self.warmup_steps > self.total_steps:
-            raise ValueError("warmup_steps must not exceed total_steps")
+            raise ConfigError("warmup_steps must not exceed total_steps")
         if not self.peak > self.end:
-            raise ValueError(f"peak must be > end {self.end!r}, got {self.peak!r}")
+            raise ConfigError(f"peak must be > end {self.end!r}, got {self.peak!r}")
 
 
 def lr_at(s, step):
@@ -73,23 +73,13 @@ FREEZE_TAGS = {
 }
 
 
-def check_freeze(freeze):
-    """A freeze set as a tuple: it must be a list or tuple of FREEZE_TAGS keys
-    (a bare string would read as one tag per letter)."""
-    if not isinstance(freeze, (list, tuple)):
-        raise ValueError(f"freeze must be a list of tags, got {freeze!r}")
-    unknown = [tag for tag in freeze if tag not in FREEZE_TAGS]
-    if unknown:
-        raise ValueError(f"unknown freeze tag: {unknown[0]}")
-    return tuple(freeze)
-
-
 def apply_freeze_plan(store, freeze):
     """Set trainability exactly per the stage's freeze set; everything not
     named stays trainable.  Tied names share storage, so freezing any member
     of a tie group freezes the group."""
+    check("freeze", freeze, "list[str]", choices=tuple(FREEZE_TAGS))
     store.set_all_trainable(True)
-    for tag in sorted(check_freeze(freeze)):
+    for tag in sorted(freeze):
         matched = [n for n in store.names() if n.startswith(FREEZE_TAGS[tag])]
         if not matched:
             raise ValueError(f"freeze tag {tag} matches no parameters")
@@ -114,26 +104,25 @@ class TrainStage:
     steps: int
     lr: LrSchedule
     noise: D.NoiseConfig | None = None  # None: the objective's first mode (see _NOISE_MODES)
-    freeze: tuple = ()
+    freeze: list[str] = ()  # FREEZE_TAGS keys
     lr_offset: int = 0  # lets stages share one continuous schedule
     batch_size: int = 8  # packed sequences per update
     batch_tokens: int = 1_000_000  # nominal batch scale, used for cost accounting
 
     def __post_init__(self):
         check_fields(self, {"steps": 1, "lr_offset": 0, "batch_size": 1, "batch_tokens": 1},
-                     {"objective": tuple(_NOISE_MODES)})
+                     {"objective": tuple(_NOISE_MODES), "freeze": tuple(FREEZE_TAGS)})
         if not re.fullmatch(r"[A-Za-z0-9._+-]+", self.name):  # it names the stage's trace file
-            raise ValueError(f"name must be letters, digits and ._+- only, got {self.name!r}")
+            raise ConfigError(f"name must be letters, digits and ._+- only, got {self.name!r}")
         modes = _NOISE_MODES[self.objective]
         self.noise = D.NoiseConfig(mode=modes[0]) if self.noise is None else self.noise
         if self.noise.mode not in modes:
-            raise ValueError(f"stage {self.name}: {self.objective} needs noise mode "
-                             f"{' or '.join(modes)}, got {self.noise.mode}")
+            raise ConfigError(f"stage {self.name}: {self.objective} needs noise mode "
+                              f"{' or '.join(modes)}, got {self.noise.mode}")
         last = self.lr_offset + self.steps - 1  # the schedule step of the stage's last update
         if last > self.lr.total_steps:
-            raise ValueError(f"stage {self.name}: steps {self.lr_offset}..{last} outside "
-                             f"schedule range [0, {self.lr.total_steps}]")
-        self.freeze = check_freeze(self.freeze)
+            raise ConfigError(f"stage {self.name}: steps {self.lr_offset}..{last} outside "
+                              f"schedule range [0, {self.lr.total_steps}]")
 
 
 @dataclass
@@ -158,14 +147,14 @@ class TrainPlan:
         decoder, MLM and an extraction a model without one."""
         check_fields(self, {}, {})
         if not self.stages:  # else a run that trains nothing and a cost of 0
-            raise ValueError(f"plan {self.name} has no stages")
+            raise ConfigError(f"plan {self.name} has no stages")
         dec = self.model.decoder_layers > 0
         need = "requires a model without a decoder" if dec else "requires a decoder"
         if self.init.kind in ("warm_start", "extract") and dec != (self.init.kind == "warm_start"):
-            raise ValueError(f"init {self.init.kind} {need}")
+            raise ConfigError(f"init {self.init.kind} {need}")
         for st in self.stages:
             if dec != (st.objective == DENOISE):
-                raise ValueError(f"stage {st.name}: {'MLM' if dec else 'de-noising'} {need}")
+                raise ConfigError(f"stage {st.name}: {'MLM' if dec else 'de-noising'} {need}")
 
 
 # ---------------------------------------------------------------------------

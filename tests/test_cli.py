@@ -19,6 +19,7 @@ from deskseq import checkpoint as C
 from deskseq import cli
 from deskseq import data as D
 from deskseq import evalft as E
+from deskseq import fields
 from deskseq import model as M
 from deskseq import synth as S
 from deskseq import train as T
@@ -627,6 +628,50 @@ class TestPretrain:
         err = capsys.readouterr().err
         assert f"has {limit + 1} tokens, more than {limit} (max_positions" in err
 
+    @pytest.mark.parametrize("plan", [INLINE_PLAN, INLINE_DENOISE_PLAN], ids=["mlm", "denoise"])
+    @pytest.mark.parametrize("seqs, fault", [
+        ([], "the corpus holds no sequence"),
+        ([[6, 7, 8], [], [9, 10]], "corpus sequence 1 is empty"),
+        ([[6, 7, 8], [9, 10], [11, 0, 12]], "corpus sequence 2 holds PAD (id 0)"),
+    ], ids=["no sequence", "empty sequence", "PAD"])
+    def test_corpus_a_step_cannot_read_is_config_error_before_out(self, tmp_path, capsys,
+                                                                 plan, seqs, fault):
+        """A step samples any sequence: with none there is nothing to draw, an
+        empty one cannot be corrupted, and PAD reads as padding."""
+        packed = tmp_path / "packed"
+        packed.mkdir()
+        (packed / "manifest.json").write_text(
+            json.dumps({"sequence_lengths": [len(seq) for seq in seqs]}))
+        np.asarray([i for seq in seqs for i in seq], dtype="<i4").tofile(packed / "packed.bin")
+        cfgp = write_config(tmp_path / "c.json", {
+            "seed": 0, "out": str(tmp_path / "run"), "plan": plan, "corpus": str(packed)})
+        assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
+        assert f"config error: {fault}\n" == capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_unknown_preset_is_config_error_naming_plan(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path / "c.json", {
+            "seed": 0, "out": str(tmp_path / "run"), "plan": "roberta-12x",
+            "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})
+        assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config field 'plan' must be a string in ['roberta-12e', " in err
+        assert err.endswith(", got 'roberta-12x'\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_a_dir_in_a_checkpoints_place_is_a_runtime_error(self, tmp_path, capsys):
+        """`checkpoint.save` replaces no non-empty dir without a manifest: a
+        file-system fault, exit 3, that leaves the dir as it was."""
+        keep = tmp_path / "run" / "ckpt_stage0" / "keep.txt"
+        keep.parent.mkdir(parents=True)
+        keep.write_text("x")
+        cfgp = write_config(tmp_path / "c.json", {
+            "seed": 0, "out": str(tmp_path / "run"), "plan": INLINE_PLAN,
+            "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})
+        assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_RUNTIME
+        assert "runtime error: refusing to replace " in capsys.readouterr().err
+        assert keep.read_text() == "x"
+
     def test_token_id_past_the_vocabulary_is_config_error(self, tmp_path, capsys):
         cfgp = write_config(tmp_path / "c.json", {
             "seed": 0, "out": str(tmp_path / "run"), "plan": INLINE_PLAN,
@@ -671,7 +716,8 @@ class TestPretrain:
             "seed": 0, "out": str(tmp_path / "run"), "plan": plan,
             "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})
         assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
-        assert f"config field 'stage 0': unknown freeze tag: {tag}" in capsys.readouterr().err
+        assert (f"config field 'stage 0': freeze must be a list of strings in "
+                f"('Encoder', 'Embedding'), got ['{tag}']") in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_incompatible_donor_leaves_no_out(self, tmp_path, capsys):
@@ -827,6 +873,38 @@ def test_every_numeric_config_field_has_a_least():
         assert {name for c, name, _ in NUMERIC_FIELDS if c is cls} == set(least), cls
 
 
+# fields that `fields.check_fields` does not read: the nested configs (each
+# checks its own), `cost.charge_donors`' record and the `str | None` fields
+UNCHECKED = {"lr", "noise", "model", "stages", "init", "inherited_tu", "metric", "path"}
+_LR = T.LrSchedule(peak=1e-3, total_steps=1)
+_STAGE = T.TrainStage(name="s", objective=T.MLM, steps=1, lr=_LR, noise=D.NoiseConfig())
+# each config dataclass and valid keyword arguments, its nested configs built
+# beforehand so that only the class's own checks are recorded
+CONFIGS = {D.NoiseConfig: {}, E.GenConfig: {}, E.FinetuneConfig: {}, T.PlanInit: {},
+           M.ModelConfig: {"encoder_layers": 1},
+           M.HeadSpec: {"kind": "labeling", "label_count": 2, "hidden": [4]},
+           T.LrSchedule: {"peak": 1e-3, "total_steps": 1},
+           T.TrainStage: {"name": "s", "objective": T.MLM, "steps": 1, "lr": _LR,
+                          "noise": D.NoiseConfig()},
+           T.TrainPlan: {"name": "p", "model": M.ModelConfig(encoder_layers=1),
+                         "stages": [_STAGE]}}
+
+
+def test_every_config_field_is_checked_or_listed(monkeypatch):
+    """A config dataclass is one with a `__post_init__`.  Building one runs
+    `fields.check` on each of its fields but those in UNCHECKED, so a field
+    added later that the rule skips fails here."""
+    configs = {obj for module in (D, E, M, T) for obj in vars(module).values()
+               if dataclasses.is_dataclass(obj) and hasattr(obj, "__post_init__")}
+    assert configs == set(CONFIGS)
+    checked, check = [], fields.check
+    monkeypatch.setattr(fields, "check", lambda name, *a: checked.append(name) or check(name, *a))
+    for cls, kwargs in CONFIGS.items():
+        checked.clear()
+        missing = {f.name for f in dataclasses.fields(cls(**kwargs))} - UNCHECKED - set(checked)
+        assert not missing, (cls, missing)
+
+
 @pytest.mark.parametrize("cls, name, kind, how", [
     (cls, name, kind, how) for cls, name, kind in NUMERIC_FIELDS
     for how in ("below", "integral float", "true") if kind == "int" or how != "integral float"],
@@ -867,6 +945,61 @@ def test_a_numeric_field_refuses_a_bad_value_before_out(cls, name, kind, how, da
                 assert cli.main([verb, "--config", cfgp]) == cli.EXIT_CONFIG
             assert f": {name} must be " in err.getvalue() and "Traceback" not in err.getvalue()
             assert not (Path(tmp) / "o").exists()
+
+
+# the least value of each key of a preset's `scale` and of a synthetic corpus
+# by its kind; `peak_lr` must be above its least
+SCALE_LEAST = {"steps_per_100k": 1, "warmup": 0, "batch_size": 1, "peak_lr": 0}
+CORPUS_LEAST = {"patterned": {"n_seqs": 1, "seq_len": 1},
+                "pairs": {"n_docs": 1, "alphabet": 1, "doc_len": 2}}
+KEY_CASES = ([("scale", None, name, least) for name, least in SCALE_LEAST.items()]
+             + [("corpus", kind, name, least) for kind, keys in CORPUS_LEAST.items()
+                for name, least in keys.items()])
+
+
+@pytest.mark.parametrize("section, kind, name, least, how", [
+    (*case, how) for case in KEY_CASES for how in ("below", "integral float", "true")
+    if case[2] != "peak_lr" or how != "integral float"], ids=lambda v: str(v))
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_a_scale_or_corpus_key_refuses_a_bad_value_before_out(section, kind, name, least,
+                                                              how, data):
+    """Each int key of a preset's `scale` or a synthetic corpus, and `peak_lr`,
+    refuses a value below its least (for `peak_lr`, not above it), an integral
+    float for an int, and `true`: exit 2 naming the key, with no traceback and
+    no `out/`."""
+    if how == "below":
+        value = least - (data.draw(st.floats(0, 1e9)) if name == "peak_lr" else
+                         data.draw(st.integers(1, 10**9)))
+    elif how == "integral float":
+        value = float(data.draw(st.integers(least, least + 100)))
+    else:
+        value = True
+    corpus = {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}
+    if section == "scale":
+        body = {"plan": "roberta-12e", "scale": {name: value}, "corpus": corpus}
+    else:
+        body = {"plan": INLINE_PLAN, "corpus": {"kind": kind, name: value}}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgp = write_config(Path(tmp) / "c.json", {"seed": 0, "out": str(Path(tmp) / "o"), **body})
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
+        assert f"config field '{section}': {name} must be " in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert not (Path(tmp) / "o").exists()
+
+
+def test_a_zero_layer_model_is_refused_by_cost_and_pretrain(tmp_path, capsys):
+    plan = {**INLINE_PLAN, "model": {**INLINE_PLAN["model"], "encoder_layers": 0}}
+    for verb, body in (("cost", {"plans": [plan]}),
+                       ("pretrain", {"seed": 0, "plan": plan, "corpus": {
+                           "kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})):
+        cfgp = write_config(tmp_path / f"{verb}.json", {"out": str(tmp_path / verb), **body})
+        assert cli.main([verb, "--config", cfgp]) == cli.EXIT_CONFIG
+        assert ("config error: config field 'model': encoder_layers + decoder_layers "
+                "must be >= 1, got 0") in capsys.readouterr().err
+        assert not (tmp_path / verb).exists()
 
 
 def make_classification_task(tmp_path):
@@ -1110,7 +1243,8 @@ class TestFinetuneEvaluate:
         assert not (tmp_path / "tuned").exists()
 
     @pytest.mark.parametrize("task, fault", [
-        ("classification", "unknown freeze tag: Embeding"),
+        ("classification", "freeze must be a list of strings in ('Encoder', 'Embedding'), "
+                           "got ['Embeding']"),
         ("generation", "metric accuracy not valid for seq2seq fine-tuning"),
     ])
     def test_finetune_config_fault_leaves_no_out(self, tmp_path, capsys, task, fault):
@@ -1135,9 +1269,9 @@ class TestFinetuneEvaluate:
         assert not (tmp_path / "tuned").exists()
 
     @pytest.mark.parametrize("freeze, fragment", [
-        (["Embeding"], "unknown freeze tag: Embeding"),
-        (["Decoder"], "unknown freeze tag: Decoder"),
-        ("Embedding", "freeze must be a list of tags, got 'Embedding'"),
+        (["Embeding"], "got ['Embeding']"),
+        (["Decoder"], "got ['Decoder']"),
+        ("Embedding", "got 'Embedding'"),
     ])
     def test_bad_finetune_freeze_is_config_error_before_any_read(self, tmp_path, capsys,
                                                                  freeze, fragment):
@@ -1146,7 +1280,8 @@ class TestFinetuneEvaluate:
         base = {**make_classification_task(tmp_path), "checkpoint": str(tmp_path / "nope")}
         cfgp = finetune_config(tmp_path, base, freeze=freeze)
         assert cli.main(["finetune", "--config", cfgp]) == cli.EXIT_CONFIG
-        assert f"config error: config field 'finetune': {fragment}" in capsys.readouterr().err
+        assert (f"config error: config field 'finetune': freeze must be a list of strings in "
+                f"('Encoder', 'Embedding'), {fragment}") in capsys.readouterr().err
         assert not (tmp_path / "tuned").exists()
 
     @pytest.mark.parametrize("verb", ["finetune", "evaluate"])
@@ -1164,6 +1299,14 @@ class TestFinetuneEvaluate:
         (tmp_path / "dev.jsonl").write_text("")
         assert cli.main([verb, "--config", finetune_config(tmp_path, base)]) == cli.EXIT_CONFIG
         assert f"task {split} file is empty" in capsys.readouterr().err
+        assert not (tmp_path / "tuned").exists()
+
+    @pytest.mark.parametrize("verb", ["finetune", "evaluate"])
+    def test_task_that_is_not_an_object_is_config_error(self, tmp_path, capsys, verb):
+        """A string `task` would be indexed by its key names."""
+        base = {**make_classification_task(tmp_path), "task": "kind"}
+        assert cli.main([verb, "--config", finetune_config(tmp_path, base)]) == cli.EXIT_CONFIG
+        assert "config field 'task' must be a JSON object, got str" in capsys.readouterr().err
         assert not (tmp_path / "tuned").exists()
 
     @pytest.mark.parametrize("verb", ["finetune", "evaluate"])
@@ -1318,6 +1461,45 @@ class TestFinetuneEvaluate:
             golds.append(row["labels"])
         summary = json.loads((tmp_path / "evald" / "eval_summary.json").read_text())
         assert summary == {"metric": repr(E.entity_f1(preds, golds)[2])}
+
+    def test_evaluate_on_labels_that_are_not_bio_is_config_error(self, tmp_path, capsys):
+        """Entity F1 reads each label name as O, B-X or I-X."""
+        base = make_labeling_task(tmp_path)
+        D.write_jsonl(tmp_path / "dev.jsonl",
+                      [{**r, "labels": ["LOC" if l == "B-X" else l for l in r["labels"]]}
+                       for r in D.read_jsonl(tmp_path / "dev.jsonl")])
+        cfg, store, _, _ = C.load(base["checkpoint"])
+        spec = M.HeadSpec(kind="labeling", label_count=len(TAGS), hidden=[16])
+        C.save(tmp_path / "headed", cfg, M.attach_head(store, spec, cfg.d_model, 0))
+        evp = write_config(tmp_path / "ev.json", {
+            "out": str(tmp_path / "evald"), **base, "checkpoint": str(tmp_path / "headed")})
+        assert cli.main(["evaluate", "--config", evp]) == cli.EXIT_CONFIG
+        assert "config error: malformed BIO label: 'LOC'" in capsys.readouterr().err
+        assert not (tmp_path / "evald").exists()
+
+    @pytest.mark.parametrize("verb", ["finetune", "evaluate"])
+    def test_generation_on_a_model_without_a_decoder_is_config_error(self, tmp_path, capsys,
+                                                                     verb):
+        base = {**make_generation_task(tmp_path), "checkpoint": str(tmp_path / "enc")}
+        cfg = M.ModelConfig(encoder_layers=1, d_model=16, d_ffn=32, heads=2, vocab_size=32,
+                            max_positions=16)
+        C.save(tmp_path / "enc", cfg, M.init_mlm_encoder(cfg, 0))
+        assert cli.main([verb, "--config", finetune_config(tmp_path, base)]) == cli.EXIT_CONFIG
+        assert ("config error: config field 'checkpoint': a generation task needs a decoder"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "tuned").exists()
+
+    def test_finetune_of_a_checkpoint_that_holds_a_head_is_config_error(self, tmp_path, capsys):
+        """`finetune` attaches a new head, so a tuned checkpoint is not a base."""
+        base = make_classification_task(tmp_path)
+        cfg, store, _, _ = C.load(base["checkpoint"])
+        spec = M.HeadSpec(kind="classification", label_count=2, hidden=[16])
+        C.save(tmp_path / "headed", cfg, M.attach_head(store, spec, cfg.d_model, 0))
+        cfgp = finetune_config(tmp_path, {**base, "checkpoint": str(tmp_path / "headed")})
+        assert cli.main(["finetune", "--config", cfgp]) == cli.EXIT_CONFIG
+        assert ("config error: config field 'checkpoint' already holds a task head"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "tuned").exists()
 
     def test_evaluate_reads_the_head_shape_from_the_checkpoint(self, tmp_path):
         base = make_classification_task(tmp_path)

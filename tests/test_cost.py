@@ -8,6 +8,7 @@ from deskseq import cost as CO
 from deskseq import presets as P
 from deskseq import train as T
 from deskseq.cost import (compare_recipes, render_percent, render_tu, tu_cost)
+from deskseq.fields import ConfigError
 
 PRESET_NAMES = [p.name for p in P.registry_plans()]
 
@@ -79,10 +80,9 @@ class TestUnitDefinition:
         assert cost.total_tu == Fraction(5)
 
     def test_zero_layer_plan_rejected(self):
-        plan = plain_plan(12, 0, 100, objective=T.MLM)
-        plan.model.encoder_layers = 0
-        with pytest.raises(ValueError, match="zero layers"):
-            tu_cost(plan)
+        """`ModelConfig` refuses the model, so no plan holds one to cost."""
+        with pytest.raises(ConfigError, match=r"encoder_layers \+ decoder_layers must be >= 1"):
+            plain_plan(0, 0, 100, objective=T.MLM)
 
 
 class TestRegistryCosts:
