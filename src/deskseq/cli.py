@@ -3,9 +3,9 @@
 Verbs: pretrain, finetune, evaluate, cost, pack.  Each takes a JSON config
 (--config; `cost --table1` none) and an --out override; the two that draw,
 pretrain and finetune, also an int `seed` and a --seed override.  Every verb
-but evaluate rejects a top-level key it does not read.  Exit codes: 0
-success, 2 config error, 3 runtime abort.  (config, seed) fully determines
-every output byte: no timestamps or machine state enter any file.
+rejects a top-level key it does not read.  Exit codes: 0 success, 2 config
+error, 3 runtime abort.  (config, seed) fully determines every output byte:
+no timestamps or machine state enter any file.
 """
 
 from __future__ import annotations
@@ -97,11 +97,10 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _read(cfg, field, load, fallback=None):
-    """`load(path)` of the path named by config field `field`, else by
-    `fallback`; an absent or missing path, or one that `load` cannot read, is
-    a ConfigError that names the field."""
-    path = cfg.get(field) or fallback
+def _read(cfg, field, load):
+    """`load(path)` of the path config field `field` names; an absent or missing
+    path, or one that `load` cannot read, is a ConfigError naming the field."""
+    path = cfg.get(field)
     if not isinstance(path, str) or not os.path.exists(path):  # an int names a file descriptor
         raise ConfigError(f"config field '{field}' must name an existing path, got {path!r}")
     try:
@@ -149,7 +148,7 @@ def cmd_pretrain(cfg):
     _check_corpus(plan, sequences)
     donor = None
     if field:
-        source, donor, _, _ = _read(cfg, field, C.load, plan.init.path)
+        source, donor, _, _ = _read(cfg, field, C.load)
         # row shapes show every size but the head count; a checkpoint is continued
         # as the plan's model, so all of its config but dropout must be the plan's
         keys = (["heads"] if plan.init.kind != "checkpoint"
@@ -360,8 +359,13 @@ def _read_task(cfg, split, vocab, mcfg, labels=None, teacher_forced=False):
         # an encoder input without a token gives no state to score or decode from
         if not n_source:
             raise ConfigError(f"{where} has no tokens")
-        if kind == "labeling" and len(r["labels"]) != n_source:
-            raise ConfigError(f"{where} has {n_source} tokens but {len(r['labels'])} labels")
+        if kind == "labeling":
+            if len(r["labels"]) != n_source:
+                raise ConfigError(f"{where} has {n_source} tokens but {len(r['labels'])} labels")
+            try:  # entity F1 reads each label as O, B-X or I-X
+                E.bio_chunks(r["labels"])
+            except ConfigError as exc:
+                raise ConfigError(f"{exc} in {where}") from exc
         if n_source > mcfg.max_positions:
             raise ConfigError(f"{where} has {n_source} tokens, more than "
                               f"max_positions {mcfg.max_positions} of the checkpoint")
@@ -395,6 +399,8 @@ def cmd_finetune(cfg):
     check("config field 'seeds'", seeds, "list[int]")
     if not seeds or len(set(seeds)) != len(seeds):
         raise ConfigError(f"config field 'seeds' must be non-empty and distinct, got {seeds!r}")
+    if "seed" in cfg:  # else dropped: `seeds` are the runs
+        check("config field 'seed'", cfg["seed"], "int", choices=seeds)
     fcfg = _build(E.FinetuneConfig, cfg.get("finetune", {}), "finetune")
     mcfg, store, _, _ = _read(cfg, "checkpoint", C.load)
     vocab = _read_vocab(cfg, mcfg)
@@ -430,13 +436,17 @@ def cmd_finetune(cfg):
 
 def cmd_evaluate(cfg):
     out = _require(cfg, "out")
+    beams = isinstance(cfg.get("task"), dict) and cfg["task"].get("kind") == "generation"
+    # `seed` and `finetune` are read by nothing: perfbench's journey passes a finetune config's
+    _check_keys(cfg, "evaluate" if beams else "evaluate without a generation task",
+                {"checkpoint", "vocab", "task", "seed", "finetune",
+                 *(("beam_size", "max_len") if beams else ())})
     mcfg, store, manifest, _ = _read(cfg, "checkpoint", C.load)
     # a head tuned by `finetune` names its labels; without them, the eval split's sorted labels
     labels = manifest.get("provenance", {}).get("labels")
     if labels is not None:
         check("config field 'checkpoint': provenance labels", labels, "list[str]")
-    task = cfg.get("task")
-    if isinstance(task, dict) and task.get("kind") == "generation":
+    if beams:
         gen = {"max_len": mcfg.max_positions - 1,
                **{k: cfg[k] for k in ("beam_size", "max_len") if k in cfg}}
         gc = _build(E.GenConfig, gen, "beam_size/max_len")

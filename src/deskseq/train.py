@@ -132,6 +132,8 @@ class PlanInit:
 
     def __post_init__(self):
         check_fields(self, {}, {"kind": ("random", "checkpoint", "warm_start", "extract")})
+        if self.kind == "random" and self.path is not None:  # `cost` would charge it a donor
+            raise ConfigError(f"a random init starts from no plan, got path {self.path!r}")
 
 
 @dataclass

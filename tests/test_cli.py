@@ -21,6 +21,7 @@ from deskseq import data as D
 from deskseq import evalft as E
 from deskseq import fields
 from deskseq import model as M
+from deskseq import presets as P
 from deskseq import synth as S
 from deskseq import train as T
 from deskseq.optim import OptimState
@@ -111,6 +112,32 @@ class TestConfigHandling:
         cfgp = write_config(tmp_path / "c.json", {"out": str(tmp_path / "o"), **body})
         assert cli.main([verb, "--config", cfgp]) == cli.EXIT_OK
         assert (tmp_path / "o").is_dir()
+
+    @pytest.mark.parametrize("verb, typo", [("pack", "target_lne"), ("cost", "plnas"),
+                                            ("pretrain", "corpsu"), ("finetune", "seedz"),
+                                            ("evaluate", "beam_sise"), ("evaluate", "beam_size")])
+    def test_every_verb_refuses_a_key_it_does_not_read(self, tmp_path, capsys, verb, typo):
+        """A misspelt key is exit 2 naming it, before `out/`, in every verb;
+        so is `beam_size` beside a head task, which no beam search reads.
+        `evaluate` tolerates the `seed` and `finetune` of a finetune config,
+        which perfbench's journey passes it, and nothing else."""
+        body = {"pack": lambda: {"corpus": write_corpus(tmp_path / "corpus.jsonl")},
+                "cost": lambda: {"plans": [INLINE_PLAN]},
+                "pretrain": lambda: {"seed": 0, "plan": INLINE_PLAN, "corpus": {
+                    "kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}},
+                "finetune": lambda: {"seed": 0, **make_classification_task(tmp_path)},
+                "evaluate": lambda: with_labeling_head(tmp_path,
+                                                       make_labeling_task(tmp_path))}[verb]()
+        cfgp = write_config(tmp_path / "c.json", {"out": str(tmp_path / "o"), **body, typo: 1})
+        assert cli.main([verb, "--config", cfgp]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: config fields ['{typo}'] are not read by {verb}" in err
+        assert not (tmp_path / "o").exists()
+        if verb == "evaluate":
+            cfgp = write_config(tmp_path / "c.json", {
+                "out": str(tmp_path / "o"), **body, "seed": 0,
+                "finetune": {"head_hidden": [16]}})
+            assert cli.main([verb, "--config", cfgp]) == cli.EXIT_OK
 
     @pytest.mark.parametrize("stages", [5, []])
     @pytest.mark.parametrize("verb", ["pretrain", "cost"])
@@ -1002,6 +1029,38 @@ def test_a_zero_layer_model_is_refused_by_cost_and_pretrain(tmp_path, capsys):
         assert not (tmp_path / verb).exists()
 
 
+def test_a_random_init_that_names_a_plan_is_refused_by_cost_and_pretrain(tmp_path, capsys):
+    """`init.path` names the plan whose TU `cost` charges: a run that starts
+    from scratch inherits none, and `pretrain` reads no path from it."""
+    plan = {**INLINE_PLAN, "init": {"kind": "random", "path": "donor"}}
+    for verb, body in (("cost", {"plans": [{**INLINE_PLAN, "name": "donor"}, plan]}),
+                       ("pretrain", {"seed": 0, "plan": plan, "corpus": {
+                           "kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})):
+        cfgp = write_config(tmp_path / f"{verb}.json", {"out": str(tmp_path / verb), **body})
+        assert cli.main([verb, "--config", cfgp]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert ("config error: config field 'init': a random init starts from no plan, "
+                "got path 'donor'") in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / verb).exists()
+
+
+def test_a_preset_without_its_donor_key_reads_no_directory(tmp_path, monkeypatch, capsys):
+    """The preset's `init.path` names its donor plan, not a directory: a
+    checkpoint that happens to lie at `./roberta-12e` is not read."""
+    scale = {"steps_per_100k": 1, "d_model": 16, "d_ffn": 32, "heads": 2}
+    cfg = P.desk_plan("roberta-12e", **scale).model
+    C.save(tmp_path / "roberta-12e", cfg, M.init_mlm_encoder(cfg, 0))
+    monkeypatch.chdir(tmp_path)
+    cfgp = write_config(tmp_path / "c.json", {
+        "seed": 0, "out": "run", "plan": "2stage-bart-12e12d", "scale": scale,
+        "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12}})
+    assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_CONFIG
+    assert ("config error: config field 'donor' must name an existing path, got None"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
 def make_classification_task(tmp_path):
     """Vocab + label-by-marker-word task files + a tiny encoder checkpoint."""
     words = [f"w{i}" for i in range(20)] + ["alpha", "beta"]
@@ -1052,6 +1111,14 @@ def make_labeling_task(tmp_path):
                  "dev": str(tmp_path / "dev.jsonl"),
                  "eval": str(tmp_path / "dev.jsonl")},
     }
+
+
+def with_labeling_head(tmp_path, base):
+    """`base` with a labeling head on its checkpoint, as `finetune` leaves it."""
+    cfg, store, _, _ = C.load(base["checkpoint"])
+    spec = M.HeadSpec(kind="labeling", label_count=len(TAGS), hidden=[16])
+    C.save(tmp_path / "headed", cfg, M.attach_head(store, spec, cfg.d_model, 0))
+    return {**base, "checkpoint": str(tmp_path / "headed")}
 
 
 def make_generation_task(tmp_path):
@@ -1415,6 +1482,7 @@ class TestFinetuneEvaluate:
         ("finetune", {"seeds": [True]}, "seeds"),
         ("finetune", {"seed": "a"}, "seed"),
         ("pretrain", {"seed": 1.5}, "seed"),
+        ("finetune", {"seed": 5, "seeds": [1, 2]}, "seed"),  # it would name no run
     ])
     def test_bad_seed_is_config_error_before_out(self, tmp_path, capsys, verb, fields, field):
         body = ({"plan": INLINE_PLAN, "corpus": {"kind": "patterned", "n_seqs": 8,
@@ -1476,6 +1544,23 @@ class TestFinetuneEvaluate:
         assert cli.main(["evaluate", "--config", evp]) == cli.EXIT_CONFIG
         assert "config error: malformed BIO label: 'LOC'" in capsys.readouterr().err
         assert not (tmp_path / "evald").exists()
+
+    @pytest.mark.parametrize("verb, split", [("finetune", "train"), ("finetune", "dev"),
+                                             ("evaluate", "eval")])
+    def test_a_label_that_is_not_bio_is_refused_in_every_split(self, tmp_path, capsys, verb,
+                                                               split):
+        """`finetune` and `evaluate` read a labeling label alike: O, B-X or
+        I-X, else exit 2 naming the split, its file and the row, before any
+        update and before `out/`."""
+        base = make_labeling_task(tmp_path)
+        D.write_jsonl(tmp_path / "odd.jsonl", [{"tokens": ["a", "b"], "labels": ["LOC", "O"]}])
+        base["task"][split] = str(tmp_path / "odd.jsonl")
+        if verb == "evaluate":
+            base = with_labeling_head(tmp_path, base)
+        assert cli.main([verb, "--config", finetune_config(tmp_path, base)]) == cli.EXIT_CONFIG
+        assert (f"config error: malformed BIO label: 'LOC' in task {split} row 1 "
+                f"({tmp_path / 'odd.jsonl'})") in capsys.readouterr().err
+        assert not (tmp_path / "tuned").exists()
 
     @pytest.mark.parametrize("verb", ["finetune", "evaluate"])
     def test_generation_on_a_model_without_a_decoder_is_config_error(self, tmp_path, capsys,
