@@ -381,13 +381,18 @@ def attention(q, k, v, heads, mask=None):
     """Multi-head scaled dot-product attention of projected queries [B, Tq, d]
     over keys and values [B or 1, Tk, d], as one tape node returning the
     merged context [B, Tq, d].  `mask` is an additive array broadcastable to
-    the scores [B, heads, Tq, Tk], or None.
+    the scores [B, heads, Tq, Tk], or None when it would hide no key: adding
+    an all-zero mask changes only the sign of a zero score, which the softmax's
+    exp maps to 1 either way, so None gives the same bytes without the add.
+    Zero keys (Tk == 0) are a ShapeError: no softmax is defined over them.
 
     Forward and backward compute the chain split heads -> matmul -> scale ->
     add mask -> softmax -> matmul -> merge heads op for op, with `softmax`'s
     `_row_sums`, so the output and every gradient equal that chain's bit for
     bit.  Each pass after a matmul works in place in the buffer the matmul
-    made, and only the softmax output is kept for backward."""
+    made, and only the softmax output is kept for backward.  Row maxima are
+    `np.maximum.reduce`, the ufunc behind `ndarray.max` without its Python
+    dispatch; a maximum is exact in any order."""
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.data.ndim != 3 or q.data.shape[-1] % heads:
         raise ShapeError(f"attention queries {q.data.shape} do not split into {heads} heads")
@@ -395,6 +400,9 @@ def attention(q, k, v, heads, mask=None):
             or k.data.shape[0] not in (1, q.data.shape[0])):
         raise ShapeError(f"attention keys {k.data.shape} and values {v.data.shape} "
                          f"do not match queries {q.data.shape}")
+    if k.data.shape[1] == 0:
+        raise ShapeError(f"attention over zero keys {k.data.shape} (queries {q.data.shape}): "
+                         f"a softmax needs at least one key")
     b, tq, d = q.data.shape
     hd = d // heads
 
@@ -410,7 +418,7 @@ def attention(q, k, v, heads, mask=None):
     y *= s
     if mask is not None:
         y += mask
-    y -= y.max(axis=-1, keepdims=True)
+    y -= np.maximum.reduce(y, axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= _row_sums(y)
     out = merge(np.matmul(y, vh))
@@ -515,10 +523,11 @@ def layer_norm(x, gain, bias):
 
 
 def softmax(a):
-    """Softmax over the last axis, built in place in one buffer; its
-    denominator and backward's row sum are `_row_sums`, as in `attention`."""
+    """Softmax over the last axis, built in place in one buffer; its row max
+    is `np.maximum.reduce` and its denominator and backward's row sum are
+    `_row_sums`, as in `attention`."""
     a = as_tensor(a)
-    y = a.data - a.data.max(axis=-1, keepdims=True)
+    y = a.data - np.maximum.reduce(a.data, axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= _row_sums(y)
 

@@ -191,20 +191,27 @@ def _draw_spans(ids, nc, rng):
     """(start, end) half-open spans in draw order: zero-truncated Poisson(SPAN_LAMBDA)
     span lengths at unselected non-special starts until >= ratio * len tokens are
     selected (the final span may overshoot); spans never cross DOC boundaries or
-    already-selected positions."""
+    already-selected positions.
+
+    Under SPAN_DROP a sequence that holds no special token keeps one token: a
+    span stops before its last unselected token, so no source comes out empty.
+    Only draws that would have emptied the sequence change."""
     n = len(ids)
     selectable = np.asarray(ids) >= NUM_SPECIALS
     selected = np.zeros(n, dtype=bool)
     spans = []
+    # tokens no span may take: one under SPAN_DROP when nothing else would be left
+    spare = int(nc.mode == SPAN_DROP and selectable.all())
     if selectable.any():
         budget = nc.corruption_ratio * n
         while selected.sum() < budget:
             candidates = np.flatnonzero(selectable & ~selected)
-            if candidates.size == 0:
+            if candidates.size <= spare:
                 break
             length = 0
             while length == 0:
                 length = int(rng.poisson(SPAN_LAMBDA))
+            length = min(length, candidates.size - spare)
             start = int(candidates[rng.integers(candidates.size)])
             end = start  # DOC is special, so the walk stops at a separator
             while end < n and end - start < length and selectable[end] and not selected[end]:

@@ -139,10 +139,18 @@ class GenConfig:
 
 def beam_search(cfg, store, src_ids, gc):
     """Length-bounded beam search by total log-probability; ties break on the
-    lower token id.  Returns the best output id sequence (without BOS/EOS).
+    lower token id, then the lower beam.  Returns the best output id sequence
+    (without BOS/EOS).
 
     The encoder runs once; each step decodes only the live beams' newest
-    token against a `DecodeCache`, with no tape.  The search stops once a
+    token against a `DecodeCache`, with no tape and no all-zero mask (see
+    `model.decoder_forward`).  A step reads at most `2 * beam_size`
+    candidates, so it orders only those: one `np.partition` finds the score
+    of the last one read, and `np.lexsort` orders the candidates that score
+    at least that (a tie with it is kept), by score descending, token
+    ascending, beam ascending.  The first `2 * beam_size` of them are those
+    of a sort of every candidate.  A next-token log-probability that is not
+    finite is a RuntimeError naming the step.  The search stops once a
     finished sequence scores above every live beam: log-probabilities are
     never positive, so no live beam could still overtake it.
     """
@@ -155,20 +163,24 @@ def beam_search(cfg, store, src_ids, gc):
     finished = []
     with ag.no_grad():
         enc_states = M.encoder_forward(cfg, store, src, src_mask)
-        for _ in range(gc.max_len):
+        for step in range(gc.max_len):
             newest = np.asarray([[p[-1]] for p in prefixes], dtype=np.int64)
             logits = M.decoder_forward(cfg, store, newest, enc_states, src_mask,
                                        cache=cache).data[:, 0]
-            z = logits - logits.max(axis=1, keepdims=True)
+            z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
             logprobs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+            if not np.isfinite(logprobs).all():
+                raise RuntimeError(f"beam search step {step}: a next-token log-probability "
+                                   f"is not finite")
             total = (scores[:, None] + logprobs).ravel()
-            beam, token = np.divmod(np.arange(total.size), cfg.vocab_size)
-            # score descending, then token ascending, then beam ascending
-            order = np.lexsort((beam, token, -total))
+            neg = -total  # ascending: total descending
+            n = min(gc.beam_size * 2, total.size)
+            top = np.flatnonzero(neg <= np.partition(neg, n - 1)[n - 1])
+            beam, token = np.divmod(top, cfg.vocab_size)
             keep = []
-            for k in order[: gc.beam_size * 2]:
+            for k in np.lexsort((beam, token, neg[top]))[:n]:
                 if token[k] == D.EOS:
-                    finished.append((prefixes[beam[k]][1:], total[k]))
+                    finished.append((prefixes[beam[k]][1:], total[top[k]]))
                 else:
                     keep.append(k)
                     if len(keep) == gc.beam_size:
@@ -176,7 +188,7 @@ def beam_search(cfg, store, src_ids, gc):
             if not keep:
                 break
             prefixes = [prefixes[beam[k]] + [int(token[k])] for k in keep]
-            scores = total[keep]
+            scores = total[top[keep]]
             if finished and max(score for _, score in finished) > scores.max():
                 break
             cache.select(beam[keep])

@@ -273,18 +273,25 @@ def causal_mask(s, start=0):
     return m[None, None, :, :]
 
 
+def _key_mask(pad_mask):
+    """`pad_attention_mask(pad_mask)`, or None (to attention: hide nothing)
+    for a mask that is None or holds no PAD."""
+    return None if pad_mask is None or np.all(pad_mask) else pad_attention_mask(pad_mask)
+
+
 def encoder_forward(cfg, store, tokens, pad_mask=None, train_rng=None):
     """Returns encoder_layers + 1 states: the embedding output followed by each
-    layer's residual-stream output (pre final-LN)."""
+    layer's residual-stream output (pre final-LN).
+
+    `pad_mask` (None: no PAD) hides PAD keys; a mask that hides no key goes to
+    attention as None, which gives the bytes of the all-zero mask without it."""
     tokens = _check_tokens(cfg, tokens)
-    b, t = tokens.shape
-    if pad_mask is None:
-        pad_mask = np.ones((b, t), dtype=bool)
+    t = tokens.shape[1]
     p = cfg.dropout if train_rng is not None else 0.0
     x = ag.add(ag.embedding(store["embed.tok"], tokens),
                ag.embedding(store["embed.pos"], np.arange(t)))
     x = ag.dropout(x, p, train_rng)
-    mask = pad_attention_mask(pad_mask)
+    mask = _key_mask(pad_mask)
     states = [x]
     for i in range(cfg.encoder_layers):
         h = ag.layer_norm(x, store[f"enc.{i}.ln1.g"], store[f"enc.{i}.ln1.b"])
@@ -335,6 +342,10 @@ def decoder_forward(cfg, store, target_in, enc_states, src_pad_mask=None, train_
     With a `DecodeCache`, `target_in` holds only the positions after the
     `cache.length` already decoded; their keys and values join the cache.
     The cache keeps raw arrays, so it needs `autograd.no_grad()`.
+
+    Masks that hide no key go to attention as None, with the bytes of the
+    all-zero masks: the causal mask of a one-position step (a cached beam
+    step) and the pad mask of a source without PAD (`src_pad_mask` None too).
     """
     if cfg.decoder_layers < 1:
         raise ValueError("model has no decoder")
@@ -348,10 +359,7 @@ def decoder_forward(cfg, store, target_in, enc_states, src_pad_mask=None, train_
         )
     start = 0 if cache is None else cache.length
     target_in = _check_tokens(cfg, target_in, start)
-    b, s = target_in.shape
-    t_src = enc_states[0].shape[1]
-    if src_pad_mask is None:
-        src_pad_mask = np.ones((b, t_src), dtype=bool)
+    s = target_in.shape[1]
     p = cfg.dropout if train_rng is not None else 0.0
 
     memories = [None] * cfg.decoder_layers  # None: cross keys and values are cached
@@ -370,8 +378,8 @@ def decoder_forward(cfg, store, target_in, enc_states, src_pad_mask=None, train_
     x = ag.add(ag.embedding(store["dec.embed.tok"], target_in),
                ag.embedding(store["dec.embed.pos"], np.arange(start, start + s)))
     x = ag.dropout(x, p, train_rng)
-    self_mask = causal_mask(s, start)
-    cross_mask = pad_attention_mask(src_pad_mask)
+    self_mask = causal_mask(s, start) if s > 1 else None  # one query sees every key
+    cross_mask = _key_mask(src_pad_mask)
     self_kv = None if cache is None else cache.self_kv
     cross_kv = None if cache is None else cache.cross_kv
     for i in range(cfg.decoder_layers):

@@ -626,6 +626,17 @@ class TestPretrain:
             assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_OK
         assert tree_bytes(tmp_path / "default") == tree_bytes(tmp_path / "span_drop")
 
+    def test_span_drop_at_ratio_one_keeps_a_source_token(self, tmp_path):
+        """Dropping every token left sources empty, and a batch of them
+        crashed in attention on the first step."""
+        stage = {**INLINE_DENOISE_PLAN["stages"][0],
+                 "noise": {"mode": "span_drop", "corruption_ratio": 1.0}}
+        cfgp = write_config(tmp_path / "c.json", {
+            "seed": 0, "out": str(tmp_path / "run"),
+            "plan": {**INLINE_DENOISE_PLAN, "stages": [stage]},
+            "corpus": {"kind": "patterned", "n_seqs": 8, "seq_len": 12, "vocab_size": 64}})
+        assert cli.main(["pretrain", "--config", cfgp]) == cli.EXIT_OK
+
     def test_seeds_are_not_read_by_pretrain(self, tmp_path, capsys):
         cfgp = write_config(tmp_path / "c.json", {
             "seeds": [0, 1], "out": str(tmp_path / "run"), "plan": INLINE_PLAN,
@@ -1446,6 +1457,21 @@ class TestFinetuneEvaluate:
         recs = D.read_jsonl(tmp_path / "o" / "eval_records.jsonl")
         assert len(recs) == 2
         assert all("pred" in r and "gold" in r for r in recs)
+
+    def test_evaluate_generation_on_a_nan_weight_is_a_runtime_error(self, tmp_path, capsys):
+        """One NaN output bias made every beam total NaN, and the search
+        returned [] for every source: SCIEM 0, exit 0."""
+        base = make_generation_task(tmp_path)
+        cfg, store, _, _ = C.load(base["checkpoint"])
+        store["lm_head.b"].data[3] = np.nan
+        C.save(tmp_path / "nan", cfg, store)
+        evp = write_config(tmp_path / "ev.json", {
+            "out": str(tmp_path / "o"), **base, "checkpoint": str(tmp_path / "nan"),
+            "max_len": 4})
+        assert cli.main(["evaluate", "--config", evp]) == cli.EXIT_RUNTIME
+        assert ("runtime error: beam search step 0: a next-token log-probability is not finite"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     def test_evaluate_generation_max_len_past_positions_is_config_error(self, tmp_path, capsys):
         vocab = D.build_vocab([["w0", "w1"]], budget=32)

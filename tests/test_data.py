@@ -212,7 +212,48 @@ class TestMlmCorrupt:
         np.testing.assert_array_equal(a[1], b[1])
 
 
+def _spans_that_may_take_every_token(ids, nc, rng):
+    """`data._draw_spans` before SPAN_DROP kept a token: the reference that
+    every draw which leaves a token must still match."""
+    n = len(ids)
+    selectable = np.asarray(ids) >= NUM_SPECIALS
+    selected = np.zeros(n, dtype=bool)
+    spans = []
+    if selectable.any():
+        while selected.sum() < nc.corruption_ratio * n:
+            candidates = np.flatnonzero(selectable & ~selected)
+            if candidates.size == 0:
+                break
+            length = 0
+            while length == 0:
+                length = int(rng.poisson(D.SPAN_LAMBDA))
+            start = int(candidates[rng.integers(candidates.size)])
+            end = start
+            while end < n and end - start < length and selectable[end] and not selected[end]:
+                end += 1
+            selected[start:end] = True
+            spans.append((start, end))
+    return spans
+
+
 class TestDenoiseCorrupt:
+    @settings(max_examples=300, deadline=None)
+    @given(ids=st.lists(st.integers(NUM_SPECIALS, 99), min_size=1, max_size=40),
+           mode=st.sampled_from([D.SPAN_DROP, D.SPAN_MASK]),
+           ratio=st.one_of(st.floats(0.0, 1.0), st.just(1.0)), seed=st.integers(0, 2**32 - 1))
+    def test_span_drop_keeps_a_token_and_changes_only_draws_that_took_every_one(
+            self, ids, mode, ratio, seed):
+        """Sequences without a special token: a SPAN_DROP source keeps at
+        least one token at every length and ratio, and the spans equal the
+        old draw's wherever that draw left a token (always under SPAN_MASK)."""
+        nc = NoiseConfig(mode=mode, corruption_ratio=ratio)
+        spans = D._draw_spans(ids, nc, np.random.default_rng(seed))
+        src, _ = D._apply_spans(ids, nc, spans)
+        assert src
+        old = _spans_that_may_take_every_token(ids, nc, np.random.default_rng(seed))
+        if mode == D.SPAN_MASK or sum(e - s for s, e in old) < len(ids):
+            assert spans == old
+
     def test_forced_span_drop(self):
         nc = NoiseConfig(mode=D.SPAN_DROP)
         src, tgt = D._apply_spans([10, 11, 12, 13, 14], nc, [(1, 3)])

@@ -182,7 +182,117 @@ def _exhaustive_best(cfg, store, src_ids, max_len):
     return best[0][0]
 
 
+def _full_sort_beam_search(cfg, store, src_ids, gc):
+    """`beam_search` as it was when each step sorted every candidate with
+    `np.lexsort`: the reference the partial sort must equal."""
+    src = np.asarray([src_ids], dtype=np.int64)
+    src_mask = src != D.PAD
+    cache = M.DecodeCache()
+    prefixes, scores = [[D.BOS]], np.zeros(1)
+    finished = []
+    with ag.no_grad():
+        enc_states = M.encoder_forward(cfg, store, src, src_mask)
+        for _ in range(gc.max_len):
+            newest = np.asarray([[p[-1]] for p in prefixes], dtype=np.int64)
+            logits = M.decoder_forward(cfg, store, newest, enc_states, src_mask,
+                                       cache=cache).data[:, 0]
+            z = logits - logits.max(axis=1, keepdims=True)
+            logprobs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+            total = (scores[:, None] + logprobs).ravel()
+            beam, token = np.divmod(np.arange(total.size), cfg.vocab_size)
+            order = np.lexsort((beam, token, -total))
+            keep = []
+            for k in order[: gc.beam_size * 2]:
+                if token[k] == D.EOS:
+                    finished.append((prefixes[beam[k]][1:], total[k]))
+                else:
+                    keep.append(k)
+                    if len(keep) == gc.beam_size:
+                        break
+            if not keep:
+                break
+            prefixes = [prefixes[beam[k]] + [int(token[k])] for k in keep]
+            scores = total[keep]
+            if finished and max(score for _, score in finished) > scores.max():
+                break
+            cache.select(beam[keep])
+    for prefix, score in zip(prefixes, scores):
+        if len(prefix) - 1 >= gc.max_len:
+            finished.append((prefix[1:], score))
+    finished.sort(key=lambda c: (-c[1], c[0]))
+    return finished[0][0]
+
+
+def _search_trail(search, cfg, store, src, gc, monkeypatch):
+    """A search's output with the tokens each step decoded and the beam rows
+    each step kept."""
+    trail = []
+    decode, select = M.decoder_forward, M.DecodeCache.select
+
+    def logged_decode(cfg, store, target_in, *args, **kwargs):
+        trail.append(("decode", np.asarray(target_in).tolist()))
+        return decode(cfg, store, target_in, *args, **kwargs)
+
+    def logged_select(cache, rows):
+        trail.append(("select", np.asarray(rows).tolist()))
+        return select(cache, rows)
+
+    with monkeypatch.context() as m:
+        m.setattr(M, "decoder_forward", logged_decode)
+        m.setattr(M.DecodeCache, "select", logged_select)
+        return search(cfg, store, src, gc), trail
+
+
 class TestBeamSearch:
+    @pytest.mark.parametrize("vocab_size", [2, 3, 7, 10])
+    def test_partial_sort_equals_a_full_sort(self, vocab_size, monkeypatch):
+        """Every beam size from 1 to V, including 2 * beam_size >= beams * V
+        (every candidate read), on random models and on a zeroed output head
+        whose candidates all tie: the same decodes, kept beams and output."""
+        cfg = tiny_cfg(vocab_size=vocab_size, encoder_layers=2, decoder_layers=2,
+                       cross_attention="fusion" if vocab_size % 2 else "standard")
+        rng = np.random.default_rng(vocab_size)
+        stores = [M.init_seq2seq(cfg, seed) for seed in range(4)]
+        for store in stores[:3]:  # spread the logits so that beams diverge
+            store["lm_head.w"].data[...] = rng.normal(size=store["lm_head.w"].data.shape)
+        stores[3]["lm_head.w"].data[:] = 0.0
+        for seed, store in enumerate(stores):
+            src = rng.integers(1, vocab_size, size=3).tolist()
+            for beam_size in range(1, vocab_size + 1):
+                gc = GenConfig(beam_size=beam_size, max_len=5)
+                got = _search_trail(beam_search, cfg, store, src, gc, monkeypatch)
+                want = _search_trail(_full_sort_beam_search, cfg, store, src, gc, monkeypatch)
+                assert got == want, f"store {seed}, beam {beam_size}"
+
+    def test_a_pad_free_source_builds_no_mask(self, monkeypatch):
+        """No step makes an all-zero mask: neither the causal mask of its one
+        position nor the pad mask of a source without PAD."""
+        cfg = tiny_cfg()
+        store = M.init_seq2seq(cfg, 4)
+        gc = GenConfig(beam_size=3, max_len=6)
+        want = beam_search(cfg, store, [6, 7, 8], gc)
+
+        def no_mask(*args):
+            raise AssertionError("an all-zero mask was built")
+
+        monkeypatch.setattr(M, "pad_attention_mask", no_mask)
+        monkeypatch.setattr(M, "causal_mask", no_mask)
+        assert beam_search(cfg, store, [6, 7, 8], gc) == want
+
+    def test_a_non_finite_log_probability_names_the_step(self):
+        cfg = tiny_cfg()
+        store = M.init_seq2seq(cfg, 0)
+        store["lm_head.b"].data[3] = np.nan
+        for src in ([6], [7, 8, 9]):
+            with pytest.raises(RuntimeError, match="beam search step 0: a next-token "
+                                                   "log-probability is not finite"):
+                beam_search(cfg, store, src, GenConfig(beam_size=3, max_len=4))
+
+    def test_an_empty_source_is_a_shape_error(self):
+        cfg = tiny_cfg()
+        with pytest.raises(ag.ShapeError, match="zero keys"):
+            beam_search(cfg, M.init_seq2seq(cfg, 0), [], GenConfig(beam_size=2, max_len=3))
+
     def test_wide_beam_matches_exhaustive_search(self):
         cfg = tiny_cfg()
         gc = GenConfig(beam_size=cfg.vocab_size, max_len=3)

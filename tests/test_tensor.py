@@ -209,6 +209,34 @@ class TestAttention:
             results.append([t.tobytes() for t in (out.data, q.grad, k.grad, v.grad)])
         assert results[0] == results[1]
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), heads=st.sampled_from([1, 2, 4]),
+           hd=st.integers(1, 4), batch=st.integers(1, 3), kv_one=st.booleans(),
+           tq=st.integers(1, 6), tk=st.integers(1, 6), kind=st.sampled_from(["pad", "causal"]),
+           zero_queries=st.booleans())
+    def test_no_mask_equals_an_all_zero_mask_bit_for_bit(
+            self, seed, heads, hd, batch, kv_one, tq, tk, kind, zero_queries):
+        """`mask=None` against the two all-zero masks the model skips: the pad
+        mask of a source without PAD, and the causal mask of one query after
+        tk - 1 cached keys.  Signed zero queries make every score +-0, where
+        adding a zero mask can flip a zero's sign."""
+        if kind == "pad":
+            mask = M.pad_attention_mask(np.ones((batch, tk), dtype=bool))
+        else:
+            tq = 1
+            mask = M.causal_mask(1, tk - 1)
+        assert not mask.any()
+        results = []
+        for m in (None, mask):
+            q, k, v, weights = _attention_operands(seed, batch, 1 if kv_one else batch,
+                                                   tq, tk, heads, hd)
+            if zero_queries:
+                q.data[...] = np.copysign(0.0, q.data)
+            out = ag.attention(q, k, v, heads, m)
+            ag.backward(sum_all(mul(out, Tensor(weights))))
+            results.append([t.tobytes() for t in (out.data, q.grad, k.grad, v.grad)])
+        assert results[0] == results[1]
+
     @pytest.mark.parametrize("kv_batch", [2, 1])
     def test_finite_difference(self, rng, kv_batch):
         q, k, v, _ = _attention_operands(3, 2, kv_batch, 3, 4, 2, 3)
@@ -223,6 +251,9 @@ class TestAttention:
         ((2, 3, 6), ((2, 4, 6), (2, 5, 6)), 2, "keys"),
         ((2, 3, 6), ((3, 4, 6), (3, 4, 6)), 2, "keys"),
         ((3, 6), ((4, 6), (4, 6)), 2, "queries"),
+        pytest.param((2, 3, 6), ((2, 0, 6), (2, 0, 6)), 2,
+                     r"zero keys \(2, 0, 6\) \(queries \(2, 3, 6\)\)", id="zero-keys"),
+        pytest.param((1, 0, 6), ((1, 0, 6), (1, 0, 6)), 2, "zero keys", id="zero-keys-and-queries"),
     ])
     def test_mismatched_shapes_raise(self, q_shape, kv_shapes, heads, match):
         with pytest.raises(ShapeError, match=match):
